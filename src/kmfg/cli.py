@@ -55,6 +55,17 @@ def _default_max_cosets() -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for the caps: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_input_options(sub, force=False):
     sub.add_argument("--type", metavar="NAME", help="named diagram, e.g. A3, E10, C2~")
     sub.add_argument(
@@ -87,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_options(p, force=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--full", action="store_true", help="full report incl. spin and flags")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=_positive_int, default=None)
 
     p = sub.add_parser("spin", help="pi1 of the spin covers")
     _add_input_options(p, force=True)
@@ -108,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated 1-based parabolic indices; empty for the full flag",
     )
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=_positive_int, default=None)
 
     p = sub.add_parser("weyl", help="Weyl group cell counts and cell closures")
     _add_input_options(p)
@@ -121,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORD",
         help="comma-separated word; list the cells in the closure of its cell",
     )
-    p.add_argument("--cap", type=int, default=coxeter.DEFAULT_ELEMENT_CAP)
+    p.add_argument("--cap", type=_positive_int, default=coxeter.DEFAULT_ELEMENT_CAP)
 
     p = sub.add_parser("adm", help="the coloured parity graph")
     _add_input_options(p)
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the structural claims by enumeration")
     _add_input_options(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-cosets", type=int, default=None)
+    p.add_argument("--max-cosets", type=_positive_int, default=None)
 
     return parser
 

@@ -1,15 +1,19 @@
 """Weyl group engine.
 
-Elements are the integer matrices of the reflection action on the root
-lattice in the simple-root basis: the generator sigma_i sends the basis
-vector e_j to e_j - a[i][j] * e_i.  This representation is faithful for
-crystallographic Coxeter groups, so matrices double as element identity.
-All arithmetic is exact Python integers; coordinates grow without bound
-in indefinite type and must never wrap.
+The group acts on the root lattice in the simple-root basis: sigma_i sends
+e_j to e_j - a[i][j] * e_i.  An element w is stored as its heights vector
+c, with c_i = ht(w alpha_i), the numbers-game position of Bjorner & Brenti,
+*Combinatorics of Coxeter Groups*, ch. 4.  The identity is (1, ..., 1).
 
-Descent bookkeeping rests on one fact used throughout: the length of
-w * sigma_i exceeds the length of w exactly when w maps the i-th simple
-root to a positive vector.
+Everything rests on one fact: the length of w * sigma_i exceeds the length
+of w exactly when w alpha_i is a positive root, i.e. when c_i > 0.  So the
+right descents are the coordinates with c_i < 0, and stripping the least
+one until none is left spells a reduced word, which is why the vector
+determines w.  Right multiplication by sigma_i is c_i -> -c_i,
+c_j -> c_j - a[i][j] * c_i over the neighbours j of i, at O(degree) cost.
+The action on vectors and its matrix are built on demand from a reduced
+word.  All arithmetic is exact Python integers; coordinates grow without
+bound in indefinite type and must never wrap.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .errors import ResourceLimitError
 
 __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_root_vector"]
 
+# An element holds about 200 bytes (E8 to length 9, E10 to length 12), so
+# the cap bounds an enumeration at about 250 MB of process memory.
 DEFAULT_ELEMENT_CAP = 1_000_000
 
 
@@ -30,22 +36,6 @@ def is_negative_root_vector(v) -> bool:
     return all(c <= 0 for c in v) and any(c < 0 for c in v)
 
 
-def _identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(row[k] * col[k] for k in range(n)) for col in cols) for row in a
-    )
-
-
-def _mat_vec(a, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
 class WeylGroup:
     """The Weyl group of a generalized Cartan matrix, acting on the root
     lattice."""
@@ -54,27 +44,42 @@ class WeylGroup:
         self.cartan = cartan
         n = cartan.n
         self.n = n
-        gens = []
-        for i in range(n):
-            # sigma_i is the identity except in row i, where the entry at
-            # (i, j) is delta_ij - a[i][j]
-            rows = []
-            for k in range(n):
-                if k == i:
-                    rows.append(
-                        tuple((1 if j == i else 0) - cartan.entry(i, j) for j in range(n))
-                    )
-                else:
-                    rows.append(tuple(1 if j == k else 0 for j in range(n)))
-            gens.append(tuple(rows))
-        self._gen_matrices = tuple(gens)
-        self._id_matrix = _identity_matrix(n)
+        a = cartan.entries
+        # (j, a[i][j]) for every j != i with a[i][j] != 0
+        self._neighbours = tuple(
+            tuple((j, a[i][j]) for j in range(n) if j != i and a[i][j]) for i in range(n)
+        )
+        self._one = (1,) * n
+
+    def _step(self, heights, word):
+        """Right-multiply by the letters of ``word`` in turn.  Returns the new
+        heights and the change in length, +1 or -1 per letter."""
+        c = list(heights)
+        change = 0
+        for i in word:
+            ci = c[i]
+            change += 1 if ci > 0 else -1
+            c[i] = -ci
+            for j, a in self._neighbours[i]:
+                c[j] -= a * ci
+        return tuple(c), change
+
+    def _strip(self, heights) -> list[int]:
+        """Right-multiply by the least right descent until the identity
+        remains.  The letters i_1, ..., i_r give w = s_{i_r} ... s_{i_1}."""
+        letters = []
+        while True:
+            i = next((k for k, ck in enumerate(heights) if ck < 0), None)
+            if i is None:
+                return letters
+            letters.append(i)
+            heights, _ = self._step(heights, (i,))
 
     def identity(self) -> "WeylElement":
-        return WeylElement(self, self._id_matrix, _length=0)
+        return WeylElement(self, self._one, _length=0)
 
     def generator(self, i: int) -> "WeylElement":
-        return WeylElement(self, self._gen_matrices[i], _length=1)
+        return self.from_word((i,))
 
     def generators(self) -> list["WeylElement"]:
         return [self.generator(i) for i in range(self.n)]
@@ -85,23 +90,25 @@ class WeylGroup:
         return tuple(1 if j == i else 0 for j in range(self.n))
 
     def from_word(self, word) -> "WeylElement":
-        matrix = self._id_matrix
-        for letter in word:
-            matrix = _mat_mul(matrix, self._gen_matrices[letter])
-        return WeylElement(self, matrix)
+        heights, length = self._step(self._one, word)
+        return WeylElement(self, heights, _length=length)
 
     def root_sequence(self, word) -> list[tuple[int, ...]]:
         """Vectors beta_k = sigma_{i_1} ... sigma_{i_{k-1}} (alpha_{i_k});
         the word need not be reduced."""
-        prefix = self._id_matrix
+        # columns[j] is the image of alpha_j under the prefix read so far
+        columns = [self.simple_root(j) for j in range(self.n)]
         out = []
-        for letter in word:
-            out.append(tuple(row[letter] for row in prefix))
-            prefix = _mat_mul(prefix, self._gen_matrices[letter])
+        for i in word:
+            column = columns[i]
+            out.append(column)
+            for j, a in self._neighbours[i]:
+                columns[j] = tuple(x - a * y for x, y in zip(columns[j], column))
+            columns[i] = tuple(-y for y in column)
         return out
 
     def is_reduced(self, word) -> bool:
-        return self.from_word(word).length == len(word)
+        return self._step(self._one, word)[1] == len(word)
 
     def elements_up_to(self, length: int, cap: int = DEFAULT_ELEMENT_CAP):
         """All elements of length <= ``length``, breadth-first by length.
@@ -111,29 +118,33 @@ class WeylGroup:
         """
         if length < 0:
             raise ValueError("length bound must be >= 0")
-        seen = {self._id_matrix: None}
+        neighbours = self._neighbours
         out = [self.identity()]
-        layer = [self._id_matrix]
+        layer = (self._one,)
         for level in range(1, length + 1):
-            next_layer = []
-            for matrix in layer:
-                for i in range(self.n):
-                    # column i positive <=> right multiplication lengthens
-                    if not all(row[i] >= 0 for row in matrix):
+            # w * sigma_i with c_i > 0 has length ``level``, so it can only equal
+            # an element of this layer; the dict keeps the discovery order
+            grown_layer = {}
+            for c in layer:
+                for i, ci in enumerate(c):
+                    if ci < 0:
                         continue
-                    grown = _mat_mul(matrix, self._gen_matrices[i])
-                    if grown in seen:
+                    grown = list(c)
+                    grown[i] = -ci
+                    for j, a in neighbours[i]:
+                        grown[j] -= a * ci
+                    grown = tuple(grown)
+                    if grown in grown_layer:
                         continue
-                    if len(seen) >= cap:
+                    if len(out) >= cap:
                         raise ResourceLimitError(
                             f"element cap {cap} exceeded at length {level}", cap
                         )
-                    seen[grown] = None
-                    next_layer.append(grown)
+                    grown_layer[grown] = None
                     out.append(WeylElement(self, grown, _length=level))
-            if not next_layer:
+            if not grown_layer:
                 break
-            layer = next_layer
+            layer = grown_layer
         return out
 
     def minimal_reps(self, parabolic, length: int, cap: int = DEFAULT_ELEMENT_CAP):
@@ -178,90 +189,88 @@ def _check_subset(parabolic, n):
 
 
 class WeylElement:
-    """Immutable group element; equality and hashing go through the action
-    matrix."""
+    """Immutable group element; equality and hashing go through the
+    heights vector."""
 
-    __slots__ = ("group", "matrix", "_length")
+    __slots__ = ("group", "heights", "_length", "_word")
 
-    def __init__(self, group: WeylGroup, matrix, _length=None):
+    def __init__(self, group: WeylGroup, heights, _length=None):
         self.group = group
-        self.matrix = matrix
+        self.heights = heights
         self._length = _length
+        self._word = None
+
+    def _same_group(self, other: "WeylElement") -> bool:
+        return self.group is other.group or self.group.cartan == other.group.cartan
 
     def _require_same_group(self, other: "WeylElement"):
-        if self.group.cartan != other.group.cartan:
+        if not self._same_group(other):
             raise ValueError("elements belong to different Weyl groups")
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.matrix == other.matrix and self.group.cartan == other.group.cartan
+        return self.heights == other.heights and self._same_group(other)
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.heights)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._require_same_group(other)
-        return WeylElement(self.group, _mat_mul(self.matrix, other.matrix))
+        heights, change = self.group._step(self.heights, other.reduced_word())
+        length = None if self._length is None else self._length + change
+        return WeylElement(self.group, heights, _length=length)
 
     def is_identity(self) -> bool:
-        return self.matrix == self.group._id_matrix
+        return self.heights == self.group._one
 
     def act(self, vector) -> tuple[int, ...]:
         if len(vector) != self.group.n:
             raise ValueError(
                 f"vector of length {len(vector)} under a rank-{self.group.n} group"
             )
-        return _mat_vec(self.matrix, vector)
+        v = list(vector)
+        neighbours = self.group._neighbours
+        # the word's last letter acts first; sigma_i(v) = v - (sum_j a[i][j] v_j) e_i
+        for i in reversed(self.reduced_word()):
+            v[i] = -v[i] - sum(a * v[j] for j, a in neighbours[i])
+        return tuple(v)
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The action matrix, built on demand; column j is w alpha_j."""
+        group = self.group
+        return tuple(zip(*(self.act(group.simple_root(j)) for j in range(group.n))))
 
     def sends_simple_root_positive(self, i: int) -> bool:
-        return all(row[i] >= 0 for row in self.matrix)
+        return self.heights[i] > 0
 
     def right_descents(self):
-        return [i for i in range(self.group.n) if not self.sends_simple_root_positive(i)]
+        return [i for i, c in enumerate(self.heights) if c < 0]
 
     @property
     def length(self) -> int:
         """Word length, computed once by stripping right descents (least
         index first) until the identity remains."""
         if self._length is None:
-            gens = self.group._gen_matrices
-            matrix = self.matrix
-            steps = 0
-            while matrix != self.group._id_matrix:
-                i = _first_descent(matrix, self.group.n)
-                matrix = _mat_mul(matrix, gens[i])
-                steps += 1
-            self._length = steps
+            self._length = len(self.group._strip(self.heights))
         return self._length
 
     def inverse(self) -> "WeylElement":
         # stripping w * s_{i_1} * ... * s_{i_r} = e leaves w^{-1} = s_{i_1} ... s_{i_r}
-        gens = self.group._gen_matrices
-        matrix = self.matrix
-        inverse = self.group._id_matrix
-        while matrix != self.group._id_matrix:
-            i = _first_descent(matrix, self.group.n)
-            matrix = _mat_mul(matrix, gens[i])
-            inverse = _mat_mul(inverse, gens[i])
-        return WeylElement(self.group, inverse, _length=self._length)
+        letters = self.group._strip(self.heights)
+        heights, _ = self.group._step(self.group._one, letters)
+        return WeylElement(self.group, heights, _length=len(letters))
 
     def reduced_word(self) -> tuple[int, ...]:
         """The lexicographically least reduced word: repeatedly take the
-        least i whose generator shortens the element from the left."""
-        gens = self.group._gen_matrices
-        remaining = self.matrix
-        remaining_inv = self.inverse().matrix
-        word = []
-        while remaining != self.group._id_matrix:
+        least i whose generator shortens the element from the left.  The
+        word is computed once and kept on the element."""
+        if self._word is None:
             # i is a left descent of w exactly when w^{-1} has i as a right one
-            i = _first_descent(remaining_inv, self.group.n)
-            word.append(i)
-            remaining = _mat_mul(gens[i], remaining)
-            remaining_inv = _mat_mul(remaining_inv, gens[i])
-        if self._length is None:
-            self._length = len(word)
-        return tuple(word)
+            self._word = tuple(self.group._strip(self.inverse().heights))
+            self._length = len(self._word)
+        return self._word
 
     def bruhat_leq(self, other: "WeylElement") -> bool:
         """Strong Bruhat order, by greedy right-to-left subword extraction
@@ -269,16 +278,14 @@ class WeylElement:
         self._require_same_group(other)
         if self.length > other.length:
             return False
-        gens = self.group._gen_matrices
-        n = self.group.n
-        current = self.matrix
-        identity = self.group._id_matrix
+        one = self.group._one
+        current = self.heights
         for i in reversed(other.reduced_word()):
-            if current == identity:
+            if current == one:
                 return True
-            if not all(row[i] >= 0 for row in current):
-                current = _mat_mul(current, gens[i])
-        return current == identity
+            if current[i] < 0:
+                current, _ = self.group._step(current, (i,))
+        return current == one
 
     def weak_leq(self, other: "WeylElement") -> bool:
         """Weak right order: lengths add along self^{-1} * other."""
@@ -289,10 +296,3 @@ class WeylElement:
         word = self.reduced_word()
         label = "*".join(f"s{i + 1}" for i in word) if word else "e"
         return f"<WeylElement {label}>"
-
-
-def _first_descent(matrix, n):
-    for i in range(n):
-        if not all(row[i] >= 0 for row in matrix):
-            return i
-    raise AssertionError("non-identity element with no descent")

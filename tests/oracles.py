@@ -4,8 +4,8 @@ Everything here is deliberately written against different machinery than
 the package under test: permutations in one-line notation for the type-A
 Coxeter checks, polynomial multiplication for Poincare series, exact
 rational elimination and determinant-divisor gcds for integer linear
-algebra, and a direct brute-force reading of the admissible-colouring
-definition.
+algebra, integer matrix products for the Weyl group, and a direct
+brute-force reading of the admissible-colouring definition.
 """
 
 from __future__ import annotations
@@ -88,6 +88,141 @@ def bruhat_oracle(u, w, cache):
     words_u = all_reduced_words(u, cache)
     words_w = all_reduced_words(w, cache)
     return any(is_subword(a, b) for a in words_u for b in words_w)
+
+
+# ---------------------------------------------------------------------------
+# The Weyl group as integer matrices
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum(row[k] * col[k] for k in range(n)) for col in cols) for row in a
+    )
+
+
+def _mat_vec(a, v):
+    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+
+
+class MatrixWeylGroup:
+    """The Weyl group of a GCM with every element its n x n matrix on the
+    root lattice in the simple-root basis: sigma_i sends e_j to
+    e_j - a[i][j] e_i.  Column i of w is w(alpha_i), and w * sigma_i is
+    longer than w exactly when that column is positive.  Products are full
+    matrix products, so nothing is shared with ``kmfg.coxeter``'s heights
+    vectors.  Elements are plain matrices (tuples of row tuples)."""
+
+    def __init__(self, cartan):
+        n = cartan.n
+        self.n = n
+        self.one = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        # sigma_i is the identity except in row i, which is delta_ij - a[i][j]
+        self.gens = tuple(
+            tuple(
+                tuple(int(k == j) - (cartan.entry(i, j) if k == i else 0) for j in range(n))
+                for k in range(n)
+            )
+            for i in range(n)
+        )
+
+    def from_word(self, word):
+        matrix = self.one
+        for letter in word:
+            matrix = _mat_mul(matrix, self.gens[letter])
+        return matrix
+
+    @staticmethod
+    def act(matrix, vector):
+        return _mat_vec(matrix, vector)
+
+    @staticmethod
+    def mul(a, b):
+        return _mat_mul(a, b)
+
+    def descends(self, matrix, i):
+        return not all(row[i] >= 0 for row in matrix)
+
+    def _first_descent(self, matrix):
+        return next(i for i in range(self.n) if self.descends(matrix, i))
+
+    def _strip(self, matrix):
+        """Letters i_1, ..., i_r with matrix * s_{i_1} ... s_{i_r} = 1,
+        each the least right descent of what remains."""
+        letters = []
+        while matrix != self.one:
+            i = self._first_descent(matrix)
+            letters.append(i)
+            matrix = _mat_mul(matrix, self.gens[i])
+        return letters
+
+    def length(self, matrix):
+        return len(self._strip(matrix))
+
+    def inverse(self, matrix):
+        return self.from_word(self._strip(matrix))
+
+    def reduced_word(self, matrix):
+        """Lexicographically least: strip the least left descent each time."""
+        remaining_inv = self.inverse(matrix)
+        word = []
+        while remaining_inv != self.one:
+            i = self._first_descent(remaining_inv)
+            word.append(i)
+            remaining_inv = _mat_mul(remaining_inv, self.gens[i])
+        return tuple(word)
+
+    def root_sequence(self, word):
+        prefix = self.one
+        out = []
+        for letter in word:
+            out.append(tuple(row[letter] for row in prefix))
+            prefix = _mat_mul(prefix, self.gens[letter])
+        return out
+
+    def elements_up_to(self, length):
+        """(matrix, length) pairs breadth-first, each layer in the order
+        its elements are first reached from the previous one."""
+        seen = {self.one}
+        out = [(self.one, 0)]
+        layer = [self.one]
+        for level in range(1, length + 1):
+            next_layer = []
+            for matrix in layer:
+                for i in range(self.n):
+                    if self.descends(matrix, i):
+                        continue
+                    grown = _mat_mul(matrix, self.gens[i])
+                    if grown not in seen:
+                        seen.add(grown)
+                        next_layer.append(grown)
+                        out.append((grown, level))
+            layer = next_layer
+        return out
+
+    def cell_counts(self, parabolic, length):
+        histogram = {}
+        for matrix, level in self.elements_up_to(length):
+            if not any(self.descends(matrix, j) for j in parabolic):
+                histogram[level] = histogram.get(level, 0) + 1
+        return dict(sorted(histogram.items()))
+
+    def bruhat_leq(self, u, w):
+        """Greedy right-to-left subword extraction of u from the least
+        reduced word of w."""
+        if self.length(u) > self.length(w):
+            return False
+        current = u
+        for i in reversed(self.reduced_word(w)):
+            if self.descends(current, i):
+                current = _mat_mul(current, self.gens[i])
+        return current == self.one
+
+    def weak_leq(self, u, w):
+        return self.length(w) == self.length(u) + self.length(
+            _mat_mul(self.inverse(u), w)
+        )
 
 
 # ---------------------------------------------------------------------------

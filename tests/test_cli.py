@@ -237,6 +237,36 @@ class TestWeylCommand:
         assert err.startswith("error[E401]:")
 
 
+class TestCapValidation:
+    """A cap below 1 is a usage error, not a resource failure, an input
+    error, or a silent fallback to the default."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weyl", "--type", "A1~", "--max-length", "5", "--cap", "0"],
+            ["weyl", "--type", "A1~", "--max-length", "5", "--cap", "-5"],
+            ["pi1", "--type", "A3", "--full", "--max-cosets", "0"],
+            ["pi1", "--type", "A3", "--full", "--max-cosets", "-3"],
+            ["flag", "--type", "A3", "--max-cosets", "0"],
+            ["verify", "--type", "A3", "--max-cosets", "-3"],
+        ],
+        ids=["cap-0", "cap-neg", "pi1-cosets-0", "pi1-cosets-neg", "flag-cosets-0",
+             "verify-cosets-neg"],
+    )
+    def test_exit_1(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error[E101]:")
+        assert "must be >= 1" in err
+
+    def test_non_integer_cap(self):
+        code, _, err = invoke(["weyl", "--type", "A2", "--max-length", "3", "--cap", "x"])
+        assert code == 1
+        assert "invalid int value: 'x'" in err
+
+
 class TestAdmCommand:
     def test_dot_c3(self):
         code, out, _ = invoke(["adm", "--type", "C3", "--dot"])
