@@ -1,99 +1,14 @@
 """Fundamental groups of split real Kac-Moody groups and their flag
-varieties, computed from a generalized Cartan matrix."""
+varieties, computed from a generalized Cartan matrix.
 
-from .cartan import (
-    GeneralizedCartanMatrix,
-    HypothesisReport,
-    from_named,
-    hypothesis_report,
-    is_irreducible,
-    is_spherical,
-    is_symmetrizable,
-    is_two_spherical,
-    parse_matrix,
-)
-from .adm import (
-    AdmGraph,
-    ColourCounts,
-    KappaColouring,
-    build_adm,
-    counts,
-    enumerate_kappa,
-    kappa_constant,
-    kappa_from_bits,
-    to_dot,
-)
-from .coxeter import WeylElement, WeylGroup
-from .fpgroup import (
-    AbelianInvariants,
-    EnumerationResult,
-    FpPresentation,
-    abelianization,
-    classify_component_group,
-    cw_presentation,
-    flag_presentation,
-    h_j_presentation,
-    smith_normal_form,
-    todd_coxeter,
-    verify_component,
-)
-from .pi1 import (
-    FlagInfo,
-    KPi1Result,
-    Pi1Report,
-    Pi1Type,
-    covering_degree,
-    full_report,
-    pi1_flag,
-    pi1_group,
-    pi1_maximal_compact,
-    pi1_spin,
-)
+The package re-exports the public names of each layer module, as listed
+in that module's ``__all__``."""
+
 from . import errors
+from .adm import *
+from .cartan import *
+from .coxeter import *
+from .fpgroup import *
+from .pi1 import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GeneralizedCartanMatrix",
-    "HypothesisReport",
-    "from_named",
-    "hypothesis_report",
-    "is_irreducible",
-    "is_spherical",
-    "is_symmetrizable",
-    "is_two_spherical",
-    "parse_matrix",
-    "AdmGraph",
-    "ColourCounts",
-    "KappaColouring",
-    "build_adm",
-    "counts",
-    "enumerate_kappa",
-    "kappa_constant",
-    "kappa_from_bits",
-    "to_dot",
-    "WeylElement",
-    "WeylGroup",
-    "AbelianInvariants",
-    "EnumerationResult",
-    "FpPresentation",
-    "abelianization",
-    "classify_component_group",
-    "cw_presentation",
-    "flag_presentation",
-    "h_j_presentation",
-    "smith_normal_form",
-    "todd_coxeter",
-    "verify_component",
-    "FlagInfo",
-    "KPi1Result",
-    "Pi1Report",
-    "Pi1Type",
-    "covering_degree",
-    "full_report",
-    "pi1_flag",
-    "pi1_group",
-    "pi1_maximal_compact",
-    "pi1_spin",
-    "errors",
-]

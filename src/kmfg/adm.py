@@ -87,7 +87,10 @@ class ColourCounts:
         return out
 
 
-def _has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
+def has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
+    """Whether some j has eps(i, j) = +1 and eps(j, i) = -1.  Such a witness
+    colours the component of i red, and in the flag presentations it
+    forces x_i^2 = 1."""
     return any(
         j != i and m.parity(i, j) == 1 and m.parity(j, i) == -1
         for j in range(m.n)
@@ -95,6 +98,11 @@ def _has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
 
 
 def build_adm(m: GeneralizedCartanMatrix) -> AdmGraph:
+    """The matrix's coloured parity graph, computed once and kept on it."""
+    return m._parity_graph
+
+
+def _build_graph(m: GeneralizedCartanMatrix) -> AdmGraph:
     n = m.n
     edges = tuple(
         (i, j)
@@ -125,7 +133,7 @@ def build_adm(m: GeneralizedCartanMatrix) -> AdmGraph:
     components.sort(key=lambda comp: comp[0])
     colours = []
     for comp in components:
-        if any(_has_witness(m, v) for v in comp):
+        if any(has_witness(m, v) for v in comp):
             colours.append("r")
         elif len(comp) == 1:
             colours.append("g")

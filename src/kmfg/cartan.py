@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InvariantViolationError, MatrixFormatError, UnknownNameError
 
@@ -121,6 +122,26 @@ class GeneralizedCartanMatrix:
     def __str__(self) -> str:
         return self.to_plain_text().rstrip("\n")
 
+    # The analysis, computed on first use and kept on the matrix object.
+    # cached_property writes the instance __dict__, which a frozen dataclass
+    # without slots leaves open; equality and hashing read only ``entries``.
+
+    @cached_property
+    def _hypotheses(self) -> "HypothesisReport":
+        d = symmetrizer(self)
+        return HypothesisReport(
+            irreducible=is_irreducible(self),
+            symmetrizable=d is not None,
+            two_spherical=is_two_spherical(self),
+            spherical=d is not None and _positive_definite(self, d),
+        )
+
+    @cached_property
+    def _parity_graph(self):
+        from .adm import _build_graph  # adm imports this module
+
+        return _build_graph(self)
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -130,12 +151,7 @@ class HypothesisReport:
     spherical: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "irreducible": self.irreducible,
-            "symmetrizable": self.symmetrizable,
-            "two_spherical": self.two_spherical,
-            "spherical": self.spherical,
-        }
+        return asdict(self)
 
 
 def _tokenize(text):
@@ -377,18 +393,17 @@ def symmetrizer(m: GeneralizedCartanMatrix):
 
 
 def is_symmetrizable(m: GeneralizedCartanMatrix) -> bool:
-    return symmetrizer(m) is not None
+    return hypothesis_report(m).symmetrizable
 
 
 def is_spherical(m: GeneralizedCartanMatrix) -> bool:
-    """True iff the Weyl group is finite.
+    """True iff the Weyl group is finite: the matrix is symmetrizable with a
+    positive definite symmetrization."""
+    return hypothesis_report(m).spherical
 
-    Equivalent to the matrix being symmetrizable with a positive definite
-    symmetrization; decided exactly via rational LDL^T pivots.
-    """
-    d = symmetrizer(m)
-    if d is None:
-        return False
+
+def _positive_definite(m: GeneralizedCartanMatrix, d) -> bool:
+    """Whether diag(d) * A is positive definite, by rational LDL^T pivots."""
     n = m.n
     s = [[d[i] * m.entries[i][j] for j in range(n)] for i in range(n)]
     for k in range(n):
@@ -405,9 +420,5 @@ def is_spherical(m: GeneralizedCartanMatrix) -> bool:
 
 
 def hypothesis_report(m: GeneralizedCartanMatrix) -> HypothesisReport:
-    return HypothesisReport(
-        irreducible=is_irreducible(m),
-        symmetrizable=is_symmetrizable(m),
-        two_spherical=is_two_spherical(m),
-        spherical=is_spherical(m),
-    )
+    """The matrix's hypotheses, computed once and kept on it."""
+    return m._hypotheses

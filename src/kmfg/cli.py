@@ -5,8 +5,11 @@ comes from ``--type NAME`` or ``--matrix PATH`` (``-`` reads stdin).  All
 indices on the command line and in rendered output are 1-based.
 
 Exit codes: 0 success, 1 usage error, 2 input/validation error,
-3 hypothesis gate refused, 4 resource cap exhausted.  Errors print one
-machine-greppable line ``error[ENNN]: ...`` on stderr.
+3 hypothesis gate refused, 4 resource cap exhausted, 5 internal error (two
+of kmfg's own computations disagree).  Errors print one machine-greppable
+line ``error[ENNN]: ...`` on stderr.  ``weyl --closure`` needs a
+``--max-length`` at least the length of the closure element.  A matrix's
+analysis (hypotheses, parity graph) is computed once and kept on it.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from . import adm, cartan, coxeter, fpgroup, pi1
 from .errors import (
     HypothesisError,
     InadmissibleKappaError,
+    InternalError,
     InvariantViolationError,
     MatrixFormatError,
     ResourceLimitError,
@@ -31,6 +35,12 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
+
+_NOT_SYMMETRIZABLE = (
+    "note: not symmetrizable; the value is established for K, the "
+    "identification with pi1(G) is not"
+)
 
 
 class UsageError(Exception):
@@ -233,10 +243,7 @@ def _render_full_report(report: pi1.Pi1Report, fmt: str, out) -> int:
     lines.append(f"pi1(G) = {report.group}")
     lines.append(f"pi1(K) = {report.maximal_compact.value}")
     if report.maximal_compact.k_only:
-        lines.append(
-            "note: not symmetrizable; the value is established for K, the "
-            "identification with pi1(G) is not"
-        )
+        lines.append(_NOT_SYMMETRIZABLE)
     for bits, value in report.spin:
         lines.append(f"spin kappa={bits or '-'}: pi1 = {value}")
     for J, info in sorted(report.flags.items()):
@@ -254,22 +261,19 @@ def _cmd_pi1(args, out):
     if args.full:
         report = pi1.full_report(m, max_cosets=max_cosets, force=args.force)
         return _render_full_report(report, args.format, out)
-    group = pi1.pi1_group(m, force=args.force)
+    # pi1(G) and pi1(K) have the same value; k_only marks the caveat
     compact = pi1.pi1_maximal_compact(m, force=args.force)
     if args.format == "json":
         payload = {
-            "pi1_G": group.to_json_dict(),
+            "pi1_G": compact.value.to_json_dict(),
             "pi1_K": compact.value.to_json_dict(),
             "pi1_K_caveat": compact.k_only,
         }
         _emit(out, json.dumps(payload, indent=2))
         return EXIT_OK
-    lines = [f"pi1(G) = {group}", f"pi1(K) = {compact.value}"]
+    lines = [f"pi1(G) = {compact.value}", f"pi1(K) = {compact.value}"]
     if compact.k_only:
-        lines.append(
-            "note: not symmetrizable; the value is established for K, the "
-            "identification with pi1(G) is not"
-        )
+        lines.append(_NOT_SYMMETRIZABLE)
     _emit(out, "\n".join(lines))
     return EXIT_OK
 
@@ -283,17 +287,16 @@ def _cmd_spin(args, out):
         colourings = [adm.kappa_from_bits(graph, args.kappa)]
     else:
         colourings = adm.enumerate_kappa(graph)
-    rows = []
-    for kappa in colourings:
-        value = pi1.pi1_spin(m, kappa, force=args.force)
-        rows.append((adm.kappa_bits(graph, kappa), value))
+    pi1.check_hypotheses(m, force=args.force)
+    rows = pi1.spin_rows(graph, colourings)
     if args.format == "json":
         payload = {
             "spin": [{"kappa": bits, **value.to_json_dict()} for bits, value in rows]
         }
         _emit(out, json.dumps(payload, indent=2))
         return EXIT_OK
-    lines = [f"admissible colourings: {len(adm.enumerate_kappa(graph))}"]
+    admissible = colourings if args.kappa is None else adm.enumerate_kappa(graph)
+    lines = [f"admissible colourings: {len(admissible)}"]
     for bits, value in rows:
         lines.append(f"kappa {bits or '-'}: pi1(Spin) = {value}")
     _emit(out, "\n".join(lines))
@@ -340,6 +343,11 @@ def _cmd_weyl(args, out):
     if args.closure is not None:
         word = _parse_index_list(args.closure, m.n, "--closure")
         element = group.from_word(word)
+        if args.max_length < element.length:
+            raise UsageError(
+                f"--max-length {args.max_length} is below the length "
+                f"{element.length} of the --closure element"
+            )
         cells = group.closure_cells(element, J, cap=args.cap)
         cells.sort(key=lambda w: (w.length, w.reduced_word()))
         if args.format == "json":
@@ -386,7 +394,6 @@ def _cmd_adm(args, out):
 def _cmd_verify(args, out):
     m = _load_matrix(args)
     max_cosets = args.max_cosets or _default_max_cosets()
-    graph = adm.build_adm(m)
     verifications = fpgroup.component_verifications(m, max_cosets=max_cosets)
 
     failed = False
@@ -520,6 +527,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     except ResourceLimitError as exc:
         err.write(f"error[E401]: {exc}\n")
         return EXIT_RESOURCE
+    except InternalError as exc:
+        err.write(f"error[E501]: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main():

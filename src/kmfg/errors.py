@@ -55,3 +55,8 @@ class ResourceLimitError(KmfgError):
 
 class InadmissibleKappaError(KmfgError):
     """A colouring that violates an admissibility constraint."""
+
+
+class InternalError(KmfgError):
+    """Two of the package's own computations contradict each other: a bug,
+    not a problem with the input."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .adm import build_adm
+from .adm import build_adm, has_witness
 from .cartan import GeneralizedCartanMatrix
 from .coxeter import WeylGroup
 
@@ -537,20 +537,6 @@ def _pair_relator(i, j, parity) -> Word:
     return ((i, 1), (j, parity), (i, -1), (j, -1))
 
 
-def _ambient_witnesses(m: GeneralizedCartanMatrix, vertices) -> list[int]:
-    """Vertices i among ``vertices`` with some j anywhere in the diagram
-    satisfying eps(i, j) = +1 and eps(j, i) = -1.  In the full flag
-    presentation these pairs force x_i^2 = 1."""
-    return [
-        i
-        for i in vertices
-        if any(
-            j != i and m.parity(i, j) == 1 and m.parity(j, i) == -1
-            for j in range(m.n)
-        )
-    ]
-
-
 def h_j_presentation(m: GeneralizedCartanMatrix, J) -> FpPresentation:
     """Presentation of the subgroup of the full flag-variety group carried
     by the vertex set J.
@@ -574,9 +560,7 @@ def h_j_presentation(m: GeneralizedCartanMatrix, J) -> FpPresentation:
         for b in J
         if a != b
     ]
-    relators.extend(
-        ((index[v], 1), (index[v], 1)) for v in _ambient_witnesses(m, J)
-    )
+    relators.extend(((index[v], 1), (index[v], 1)) for v in J if has_witness(m, v))
     return FpPresentation(names, tuple(relators))
 
 
@@ -615,7 +599,7 @@ def cw_presentation(
         for b in range(m.n):
             if a == b:
                 continue
-            product = weyl.generator(a) * weyl.generator(b)
+            product = weyl.from_word((a, b))
             if all(product.sends_simple_root_positive(k) for k in J):
                 relators.append(_pair_relator(a, b, m.parity(a, b)))
     return FpPresentation(names, tuple(relators))

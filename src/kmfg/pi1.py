@@ -9,7 +9,8 @@ cross-check, never as the source of the closed-form answers.
 Formulas are gated: the diagram must be irreducible and either
 symmetrizable or two-spherical, otherwise the computation refuses unless
 forced.  The identification of pi1(G) with pi1(K) carries a caveat flag
-outside the symmetrizable case.
+outside the symmetrizable case.  Each public function passes the gate
+once; the report and the parity graph are computed once per matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import adm, cartan, fpgroup
-from .errors import HypothesisError
+from .errors import HypothesisError, InternalError
 
 __all__ = [
     "Pi1Type",
@@ -126,9 +127,9 @@ def pi1_maximal_compact(
     compact-subgroup structure is established, not the identification with
     the ambient group.
     """
-    check_hypotheses(m, force)
+    report = check_hypotheses(m, force)
     c = adm.counts(adm.build_adm(m))
-    return KPi1Result(Pi1Type(c.n_g, c.n_b), k_only=not cartan.is_symmetrizable(m))
+    return KPi1Result(Pi1Type(c.n_g, c.n_b), k_only=not report.symmetrizable)
 
 
 def pi1_spin(
@@ -139,9 +140,17 @@ def pi1_spin(
     """pi1 of the spin cover attached to an admissible colouring:
     Z^(green) x C2^(blue components with kappa = 1)."""
     check_hypotheses(m, force)
-    graph = adm.build_adm(m)
-    c = adm.counts(graph, kappa)
-    return Pi1Type(c.n_g, c.n_b_kappa1)
+    return spin_rows(adm.build_adm(m), [kappa])[0][1]
+
+
+def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, Pi1Type]]:
+    """(kappa bits, pi1 of the spin cover) per colouring, without the gate:
+    the caller has passed ``check_hypotheses`` once for the whole list."""
+    rows = []
+    for kappa in colourings:
+        c = adm.counts(graph, kappa)
+        rows.append((adm.kappa_bits(graph, kappa), Pi1Type(c.n_g, c.n_b_kappa1)))
+    return rows
 
 
 def covering_degree(n: int, J) -> int:
@@ -167,13 +176,17 @@ def pi1_flag(
     the order is established by coset enumeration under the cap.
     """
     check_hypotheses(m, force)
+    return _flag(m, J, max_cosets)
+
+
+def _flag(m, J, max_cosets) -> FlagInfo:
     J = tuple(sorted(set(J)))
     presentation = fpgroup.flag_presentation(m, J)
     invariants = fpgroup.abelianization(presentation)
     closed_form = None
     # the closed form needs a connected diagram: it spreads x^2 = 1 from J
     # along paths, which cannot reach other diagram components
-    if m.is_simply_laced() and J and cartan.is_irreducible(m):
+    if m.is_simply_laced() and J and cartan.hypothesis_report(m).irreducible:
         closed_form = Pi1Type(0, m.n - len(J))
     if invariants.free_rank > 0:
         order = None
@@ -182,12 +195,12 @@ def pi1_flag(
     if closed_form is not None:
         expected = fpgroup.AbelianInvariants(0, (2,) * closed_form.c2_count)
         if invariants != expected:
-            raise RuntimeError(
+            raise InternalError(
                 f"closed form {closed_form} contradicts computed invariants "
                 f"{invariants} for J = {J}"
             )
         if order is not None and order.is_finite and order.order != 2**closed_form.c2_count:
-            raise RuntimeError(
+            raise InternalError(
                 f"closed form {closed_form} contradicts enumerated order {order}"
             )
     return FlagInfo(J, presentation, invariants, order, closed_form)
@@ -257,18 +270,14 @@ def full_report(
         sum(1 for x in contributions if x == "C2"),
     )
     if summed != group:
-        raise RuntimeError(
+        raise InternalError(
             f"component contributions {summed} disagree with the counts {group}"
         )
     compact = KPi1Result(group, k_only=not hypotheses.symmetrizable)
-    spin = []
-    for kappa in adm.enumerate_kappa(graph):
-        bits = adm.kappa_bits(graph, kappa)
-        counted = adm.counts(graph, kappa)
-        spin.append((bits, Pi1Type(counted.n_g, counted.n_b_kappa1)))
+    spin = spin_rows(graph, adm.enumerate_kappa(graph))
     flags = {}
     for J in [()] + [(k,) for k in range(m.n)]:
-        flags[J] = pi1_flag(m, J, max_cosets=max_cosets, force=True)
+        flags[J] = _flag(m, J, max_cosets)
     return Pi1Report(
         hypotheses=hypotheses,
         graph=graph,

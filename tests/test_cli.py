@@ -332,3 +332,31 @@ class TestDeterminism:
         first = invoke(list(argv))
         second = invoke(list(argv))
         assert first == second
+
+
+class TestClosureMaxLength:
+    def test_bound_below_the_word_is_a_usage_error(self):
+        code, out, err = invoke(
+            ["weyl", "--type", "A2", "--max-length", "1", "--closure", "1,2"]
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error[E101]:")
+
+    def test_bound_equal_to_the_word_length(self):
+        code, out, _ = invoke(
+            ["weyl", "--type", "A2", "--max-length", "2", "--closure", "1,2"]
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 4
+
+
+class TestInternalError:
+    def test_contradiction_exit_5(self, monkeypatch):
+        import kmfg.fpgroup
+
+        wrong = kmfg.fpgroup.AbelianInvariants(1, ())
+        monkeypatch.setattr(kmfg.fpgroup, "abelianization", lambda p: wrong)
+        code, out, err = invoke(["flag", "--type", "A3", "--set", "1"])
+        assert (code, out) == (5, "")
+        assert err.startswith("error[E501]:")
+        assert len(err.splitlines()) == 1
