@@ -5,7 +5,12 @@ Words are tuples of (generator index, exponent) pairs with exponents +1 or
 normal form.  Coset enumeration offers the relator-scanning strategy with
 lookahead (default) and a deduction-driven strategy as an independent
 alternate; both report Finite(order) only for a complete closed table and
-otherwise an explicit Exhausted, never a silent truncation.
+otherwise an explicit Exhausted, never a silent truncation.  Each relator
+is scanned once up to inversion (the enumerator drops repeats and inverses
+from its own working list; presentations keep them), a relator is traced
+before it is scanned, and closure is still certified at every live coset.
+The deduction-driven strategy resumes its search for the next undefined
+entry at the last coset that had one.
 
 The presentation builders turn a generalized Cartan matrix into the
 commutation-type presentations whose shape is
@@ -407,15 +412,29 @@ def todd_coxeter(
     every relator, in which case k is the exact index (the group order for
     the trivial subgroup).  Exhausted(max_cosets) means the table cap was
     reached without a conclusion.
+
+    Each relator is scanned once up to inversion: one equal to an earlier
+    relator or to the inverse of one is dropped from the working list,
+    since on a consistent table r closes at a coset exactly when r^-1 does
+    (r^-1 walks the same cycle backwards).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     count = presentation.generator_count
     for word in subgroup_words:
-        for gen, _ in word:
+        for gen, exp in word:
             if not 0 <= gen < count:
                 raise ValueError(f"subgroup word index {gen} out of range")
-    relators = [_word_to_letters(free_reduce(w)) for w in presentation.relators]
+            if exp not in (1, -1):
+                raise ValueError(f"exponent must be +1 or -1, got {exp}")
+    relators = []
+    seen = set()
+    for word in presentation.relators:
+        letters = _word_to_letters(word)
+        if letters not in seen:
+            seen.add(letters)
+            seen.add(_letters_inverse(letters))
+            relators.append(letters)
     subgroup = [_word_to_letters(free_reduce(w)) for w in subgroup_words]
     if strategy == "hlt":
         runner = _run_hlt
@@ -426,16 +445,30 @@ def todd_coxeter(
     return runner(count, relators, subgroup, max_cosets)
 
 
+def _closes(table, alpha, rel) -> bool:
+    """Whether ``rel`` traced from ``alpha`` is defined throughout and
+    returns to ``alpha``, so that scanning it there would change nothing."""
+    f = alpha
+    for x in rel:
+        f = table[f][x]
+        if f is None:
+            return False
+    return f == alpha
+
+
 def _scan_everywhere(ct, relators):
     """Deduction-only pass over every relator at every live coset;
     coincidences may fire, definitions never happen."""
-    for alpha in range(len(ct.table)):
-        if ct.p[alpha] != alpha:
+    table = ct.table
+    p = ct.p
+    for alpha in range(len(table)):
+        if p[alpha] != alpha:
             continue
         for rel in relators:
-            if ct.p[alpha] != alpha:
+            if p[alpha] != alpha:
                 break
-            ct.scan(alpha, rel, fill=False)
+            if not _closes(table, alpha, rel):
+                ct.scan(alpha, rel, fill=False)
 
 
 def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
@@ -444,16 +477,19 @@ def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
         try:
             for word in subgroup:
                 ct.scan(0, word, fill=True)
+            table = ct.table
+            p = ct.p
             alpha = 0
-            while alpha < len(ct.table):
-                if ct.p[alpha] == alpha:
+            while alpha < len(table):
+                if p[alpha] == alpha:
                     for rel in relators:
-                        if ct.p[alpha] != alpha:
+                        if p[alpha] != alpha:
                             break
-                        ct.scan(alpha, rel, fill=True)
-                    if ct.p[alpha] == alpha:
+                        if not _closes(table, alpha, rel):
+                            ct.scan(alpha, rel, fill=True)
+                    if p[alpha] == alpha:
                         for x in range(ct.width):
-                            if ct.table[alpha][x] is None:
+                            if table[alpha][x] is None:
                                 ct.define(alpha, x)
                 alpha += 1
             # the table is complete; certify closure before reporting, and
@@ -463,14 +499,13 @@ def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
             if ct.n_alive() == alive:
                 return EnumerationResult.finite(alive)
         except _TableFull:
-            # lookahead: collapse what can be collapsed, reclaim the rows
-            before = len(ct.table)
+            # lookahead: collapse what can be collapsed, then reclaim the
+            # dead rows; with none dead there is nothing to reclaim
             _scan_everywhere(ct, relators)
-            ct.compact()
-            if len(ct.table) >= before:
+            if ct.n_alive() == len(ct.table):
                 return EnumerationResult.exhausted(max_cosets)
-            # space was reclaimed: rescan from the start (already-closed
-            # scans terminate immediately)
+            ct.compact()
+            # rescan from the start (already-closed scans cost one trace)
 
 
 def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
@@ -501,28 +536,40 @@ def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
                         break
                     ct.scan(beta, word, fill=False)
 
+    table = ct.table
+    p = ct.p
     try:
         for word in subgroup:
             ct.scan(0, word, fill=True)
             process_deductions()
+        # next-definition pointer: the search for an undefined entry resumes
+        # at the last coset that had one; when it finds none from there, one
+        # sweep from coset 0 must confirm the table complete before closure
+        # is certified, so a Finite result never rests on the pointer
+        start = 0
         while True:
             target = None
-            for alpha in range(len(ct.table)):
-                if ct.p[alpha] != alpha:
+            for alpha in range(start, len(table)):
+                if p[alpha] != alpha:
                     continue
+                row = table[alpha]
                 for x in range(ct.width):
-                    if ct.table[alpha][x] is None:
+                    if row[x] is None:
                         target = (alpha, x)
                         break
                 if target:
                     break
             if target is None:
+                if start:
+                    start = 0
+                    continue
                 alive = ct.n_alive()
                 _scan_everywhere(ct, relators)
                 process_deductions()
                 if ct.n_alive() == alive:
                     return EnumerationResult.finite(alive)
                 continue
+            start = target[0]
             ct.define(*target)
             process_deductions()
     except _TableFull:

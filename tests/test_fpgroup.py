@@ -205,6 +205,44 @@ class TestToddCoxeter:
         p = FpPresentation(("x",), (((0, 1), (0, 1), (0, 1)), ((0, 1), (0, 1))))
         assert todd_coxeter(p, max_cosets=4) == EnumerationResult.finite(1)
 
+    def test_subgroup_word_exponent_checked(self):
+        # an exponent other than +1 or -1 is an error, not an inverse: with
+        # (a^0) read as a^-1 the trivial subgroup of S3 got index 3
+        a, b = (0, 1), (1, 1)
+        p = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
+        for exp in (0, 2, -2):
+            for strategy in ("hlt", "felsch"):
+                with pytest.raises(ValueError):
+                    todd_coxeter(p, subgroup_words=(((0, exp),),), strategy=strategy)
+
+    def test_lookahead_reclaims_dead_cosets(self):
+        # S3 needs 7 rows before its coincidences; at cap 7 it finishes
+        # only because the lookahead reclaims the dead rows
+        a, b = (0, 1), (1, 1)
+        p = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
+        assert todd_coxeter(p, max_cosets=7) == EnumerationResult.finite(6)
+
+    def test_relator_free_exhausts_without_dead_cosets(self):
+        # the lookahead finds nothing to reclaim and reports the cap at once
+        p = FpPresentation(("x", "y"), ())
+        assert todd_coxeter(p, max_cosets=50_000) == EnumerationResult.exhausted(50_000)
+
+    def test_felsch_a8_full_flag(self):
+        m = from_named("A8")
+        perm = list(range(m.n))
+        random.Random(8).shuffle(perm)
+        moved = GeneralizedCartanMatrix(
+            tuple(
+                tuple(m.entry(perm[i], perm[j]) for j in range(m.n))
+                for i in range(m.n)
+            )
+        )
+        for gcm in (m, moved):
+            p = flag_presentation(gcm, ())
+            felsch = todd_coxeter(p, strategy="felsch")
+            assert felsch == EnumerationResult.finite(512)
+            assert todd_coxeter(p, strategy="hlt") == felsch
+
 
 @pytest.mark.slow
 class TestAgainstSympy:

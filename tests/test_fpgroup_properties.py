@@ -1,0 +1,79 @@
+"""Property tests of the coset enumerator and the Smith normal form: the
+two enumeration strategies agree on flag-variety groups of random
+generalized Cartan matrices, repeated and inverted relators change no
+result at any cap, and the Smith normal form matches the determinant
+divisors."""
+
+import pytest
+
+from kmfg import (
+    FpPresentation,
+    GeneralizedCartanMatrix,
+    flag_presentation,
+    smith_normal_form,
+    todd_coxeter,
+)
+
+from oracles import minors_gcd_invariant_factors
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+CAPS = (1, 2, 3, 5, 8, 13, 100, 10_000)
+
+
+@st.composite
+def flag_presentations(draw):
+    """flag_presentation(m, J) for a GCM of rank 1-5 with off-diagonal
+    entries in {0, -1, -2, -3, -4} and a symmetric zero pattern, and J
+    empty or a single vertex."""
+    n = draw(st.integers(1, 5))
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a[i][j] = draw(st.integers(-4, -1))
+                a[j][i] = draw(st.integers(-4, -1))
+    m = GeneralizedCartanMatrix(tuple(tuple(row) for row in a))
+    J = draw(st.sampled_from([()] + [(v,) for v in range(n)]))
+    return flag_presentation(m, J)
+
+
+def _inverse(word):
+    return tuple((gen, -exp) for gen, exp in reversed(word))
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(flag_presentations())
+def test_strategies_agree(p):
+    hlt = todd_coxeter(p, max_cosets=1000, strategy="hlt")
+    felsch = todd_coxeter(p, max_cosets=1000, strategy="felsch")
+    if hlt.is_finite and felsch.is_finite:
+        assert hlt.order == felsch.order
+
+
+@hypothesis.settings(max_examples=12, deadline=None)
+@hypothesis.given(flag_presentations(), st.sampled_from(("hlt", "felsch")))
+def test_repeated_and_inverted_relators_change_nothing(p, strategy):
+    padded = FpPresentation(
+        p.generator_names,
+        p.relators + tuple(_inverse(w) for w in p.relators) + p.relators,
+    )
+    for cap in CAPS:
+        assert todd_coxeter(padded, max_cosets=cap, strategy=strategy) == (
+            todd_coxeter(p, max_cosets=cap, strategy=strategy)
+        )
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    entry = st.integers(-12, 12)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(integer_matrices())
+def test_smith_normal_form_is_determinant_divisors(rows):
+    assert smith_normal_form(rows) == minors_gcd_invariant_factors(rows)
