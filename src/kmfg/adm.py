@@ -67,9 +67,6 @@ class KappaColouring:
 
     values: tuple[int, ...]
 
-    def value_on(self, graph: AdmGraph, vertex: int) -> int:
-        return self.values[graph.component_of(vertex)]
-
 
 @dataclass(frozen=True)
 class ColourCounts:

@@ -143,6 +143,15 @@ class GeneralizedCartanMatrix:
         return _build_graph(self)
 
 
+def vertex_subset(J, n: int) -> tuple[int, ...]:
+    """The vertex set J of a rank-n diagram as a sorted tuple without
+    repeats; raises ValueError for a vertex outside 0..n-1."""
+    J = tuple(sorted(set(J)))
+    if J and not (0 <= J[0] and J[-1] < n):
+        raise ValueError(f"vertex set {list(J)} out of range for rank {n}")
+    return J
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     irreducible: bool

@@ -1,12 +1,16 @@
-"""Command-line frontend.
+"""Command-line frontend: it parses arguments and renders the library's
+answers; checks such as ``verify`` (``fpgroup.verify``) live in the library.
 
 Subcommands: info, pi1, spin, flag, weyl, adm, verify.  The input diagram
 comes from ``--type NAME`` or ``--matrix PATH`` (``-`` reads stdin).  All
-indices on the command line and in rendered output are 1-based.
+indices on the command line and in rendered output are 1-based.  Each
+subcommand writes its JSON payload or its text lines through ``_render``;
+only ``adm`` writes DOT itself.  The parser is built once, on first use.
 
 Exit codes: 0 success, 1 usage error, 2 input/validation error,
 3 hypothesis gate refused, 4 resource cap exhausted, 5 internal error (two
-of kmfg's own computations disagree).  Errors print one machine-greppable
+of kmfg's own computations disagree, a failed ``verify`` among them, or
+the library raised a ValueError).  Errors print one machine-greppable
 line ``error[ENNN]: ...`` on stderr.  ``weyl --closure`` needs a
 ``--max-length`` at least the length of the closure element.  A matrix's
 analysis (hypotheses, parity graph) is computed once and kept on it.
@@ -15,6 +19,7 @@ analysis (hypotheses, parity graph) is computed once and kept on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +28,7 @@ from . import adm, cartan, coxeter, fpgroup, pi1
 from .errors import (
     HypothesisError,
     InadmissibleKappaError,
+    InputError,
     InternalError,
     InvariantViolationError,
     MatrixFormatError,
@@ -160,16 +166,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_matrix(args) -> cartan.GeneralizedCartanMatrix:
     if bool(args.type) == bool(args.matrix):
         raise UsageError("exactly one of --type or --matrix is required")
-    if args.type:
-        return cartan.from_named(args.type)
-    if args.matrix == "-":
-        return cartan.parse_matrix(sys.stdin.read())
     try:
+        if args.type:
+            return cartan.from_named(args.type)
+        if args.matrix == "-":
+            return cartan.parse_matrix(sys.stdin.read())
         with open(args.matrix, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            return cartan.parse_matrix(handle.read())
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {args.matrix}: {exc.strerror}") from None
-    return cartan.parse_matrix(text)
+    except ValueError as exc:
+        # bytes that are not UTF-8, or an integer with more digits than the
+        # interpreter converts: the input is at fault
+        raise InputError(str(exc)) from None
 
 
 def _parse_index_list(raw: str, n: int, what: str) -> tuple[int, ...]:
@@ -182,9 +191,9 @@ def _parse_index_list(raw: str, n: int, what: str) -> tuple[int, ...]:
         try:
             value = int(piece)
         except ValueError:
-            raise ValueError(f"{what} must be a comma list of integers, got {piece!r}")
+            raise InputError(f"{what} must be a comma list of integers, got {piece!r}")
         if not 1 <= value <= n:
-            raise ValueError(f"{what} index {value} out of range 1..{n}")
+            raise InputError(f"{what} index {value} out of range 1..{n}")
         out.append(value - 1)
     return tuple(out)
 
@@ -193,43 +202,37 @@ def _fmt_set(J) -> str:
     return "{" + ",".join(str(v + 1) for v in sorted(J)) + "}"
 
 
-def _emit(out, text):
-    out.write(text)
-    if not text.endswith("\n"):
-        out.write("\n")
+def _component_lines(graph) -> list[str]:
+    return [
+        f"component {_fmt_set(comp)}: colour {graph.colours[idx]}"
+        for idx, comp in enumerate(graph.components)
+    ]
+
+
+def _render(out, fmt, payload, lines):
+    """The output path of every subcommand but ``adm --dot``: ``payload``
+    as indented JSON, or ``lines`` as text."""
+    text = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines)
+    out.write(text + "\n")
 
 
 def _cmd_info(args, out):
     m = _load_matrix(args)
-    report = cartan.hypothesis_report(m)
+    hypotheses = cartan.hypothesis_report(m).to_json_dict()
     graph = adm.build_adm(m)
-    if args.format == "json":
-        payload = {
-            "rank": m.n,
-            "hypotheses": report.to_json_dict(),
-            "adm": adm.report_json(graph),
-        }
-        _emit(out, json.dumps(payload, indent=2))
-        return EXIT_OK
     lines = [f"rank: {m.n}"]
-    for key, value in report.to_json_dict().items():
-        lines.append(f"{key.replace('_', '-')}: {'yes' if value else 'no'}")
-    for idx, comp in enumerate(graph.components):
-        lines.append(f"component {_fmt_set(comp)}: colour {graph.colours[idx]}")
-    _emit(out, "\n".join(lines))
-    return EXIT_OK
+    lines += [f"{k.replace('_', '-')}: {'yes' if v else 'no'}" for k, v in hypotheses.items()]
+    lines += _component_lines(graph)
+    payload = {"rank": m.n, "hypotheses": hypotheses, "adm": adm.report_json(graph)}
+    _render(out, args.format, payload, lines)
 
 
-def _render_full_report(report: pi1.Pi1Report, fmt: str, out) -> int:
-    if fmt == "json":
-        _emit(out, json.dumps(report.to_json_dict(), indent=2))
-        return EXIT_OK
-    lines = []
+def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
     hyp = report.hypotheses.to_json_dict()
-    lines.append(
+    lines = [
         "hypotheses: "
         + " ".join(f"{k.replace('_', '-')}={'yes' if v else 'no'}" for k, v in hyp.items())
-    )
+    ]
     if report.reducible:
         lines.append(
             "note: reducible diagram; the answers are the products over the "
@@ -251,8 +254,7 @@ def _render_full_report(report: pi1.Pi1Report, fmt: str, out) -> int:
         lines.append(
             f"flag J={_fmt_set(J)}: abelianization {info.invariants}, order {order}"
         )
-    _emit(out, "\n".join(lines))
-    return EXIT_OK
+    return lines
 
 
 def _cmd_pi1(args, out):
@@ -260,22 +262,19 @@ def _cmd_pi1(args, out):
     max_cosets = args.max_cosets or _default_max_cosets()
     if args.full:
         report = pi1.full_report(m, max_cosets=max_cosets, force=args.force)
-        return _render_full_report(report, args.format, out)
+        _render(out, args.format, report.to_json_dict(), _full_report_lines(report))
+        return
     # pi1(G) and pi1(K) have the same value; k_only marks the caveat
     compact = pi1.pi1_maximal_compact(m, force=args.force)
-    if args.format == "json":
-        payload = {
-            "pi1_G": compact.value.to_json_dict(),
-            "pi1_K": compact.value.to_json_dict(),
-            "pi1_K_caveat": compact.k_only,
-        }
-        _emit(out, json.dumps(payload, indent=2))
-        return EXIT_OK
+    payload = {
+        "pi1_G": compact.value.to_json_dict(),
+        "pi1_K": compact.value.to_json_dict(),
+        "pi1_K_caveat": compact.k_only,
+    }
     lines = [f"pi1(G) = {compact.value}", f"pi1(K) = {compact.value}"]
     if compact.k_only:
         lines.append(_NOT_SYMMETRIZABLE)
-    _emit(out, "\n".join(lines))
-    return EXIT_OK
+    _render(out, args.format, payload, lines)
 
 
 def _cmd_spin(args, out):
@@ -289,18 +288,11 @@ def _cmd_spin(args, out):
         colourings = adm.enumerate_kappa(graph)
     pi1.check_hypotheses(m, force=args.force)
     rows = pi1.spin_rows(graph, colourings)
-    if args.format == "json":
-        payload = {
-            "spin": [{"kappa": bits, **value.to_json_dict()} for bits, value in rows]
-        }
-        _emit(out, json.dumps(payload, indent=2))
-        return EXIT_OK
-    admissible = colourings if args.kappa is None else adm.enumerate_kappa(graph)
-    lines = [f"admissible colourings: {len(admissible)}"]
-    for bits, value in rows:
-        lines.append(f"kappa {bits or '-'}: pi1(Spin) = {value}")
-    _emit(out, "\n".join(lines))
-    return EXIT_OK
+    payload = {"spin": [{"kappa": bits, **value.to_json_dict()} for bits, value in rows]}
+    # one admissible colouring per choice of 1 or 2 on each free component
+    lines = [f"admissible colourings: {2 ** len(graph.free_components())}"]
+    lines += [f"kappa {bits or '-'}: pi1(Spin) = {value}" for bits, value in rows]
+    _render(out, args.format, payload, lines)
 
 
 def _cmd_flag(args, out):
@@ -308,34 +300,29 @@ def _cmd_flag(args, out):
     J = _parse_index_list(args.set, m.n, "--set")
     max_cosets = args.max_cosets or _default_max_cosets()
     info = pi1.pi1_flag(m, J, max_cosets=max_cosets, force=args.force)
-    capped = info.order is not None and not info.order.is_finite
-    if args.format == "json":
-        payload = {"J": [v + 1 for v in info.parabolic], **info.to_json_dict()}
-        _emit(out, json.dumps(payload, indent=2))
+    lines = []
+    if info.closed_form is not None:
+        lines.append(f"pi1(G/P_J) = {info.closed_form}")
+    lines.append(f"J = {_fmt_set(info.parabolic)}")
+    lines.append(f"abelianization: {info.invariants}")
+    if info.order is None:
+        lines.append("order: infinite (positive free rank)")
+    elif info.order.is_finite:
+        lines.append(f"order: {info.order.order}")
     else:
-        lines = []
-        if info.closed_form is not None:
-            lines.append(f"pi1(G/P_J) = {info.closed_form}")
-        lines.append(f"J = {_fmt_set(info.parabolic)}")
-        lines.append(f"abelianization: {info.invariants}")
-        if info.order is None:
-            lines.append("order: infinite (positive free rank)")
-        elif info.order.is_finite:
-            lines.append(f"order: {info.order.order}")
-        else:
-            lines.append(f"order: undecided, coset table capped at {info.order.limit}")
-        _emit(out, "\n".join(lines))
-    if capped:
+        lines.append(f"order: undecided, coset table capped at {info.order.limit}")
+    payload = {"J": [v + 1 for v in info.parabolic], **info.to_json_dict()}
+    _render(out, args.format, payload, lines)
+    if info.order is not None and not info.order.is_finite:
         raise ResourceLimitError(
             f"coset enumeration exhausted the cap {info.order.limit}", info.order.limit
         )
-    return EXIT_OK
 
 
 def _cmd_weyl(args, out):
     m = _load_matrix(args)
     if args.max_length < 0:
-        raise ValueError("--max-length must be >= 0")
+        raise InputError("--max-length must be >= 0")
     group = coxeter.WeylGroup(m)
     J = _parse_index_list(args.parabolic, m.n, "--parabolic")
     if args.cells and args.closure is not None:
@@ -350,65 +337,50 @@ def _cmd_weyl(args, out):
             )
         cells = group.closure_cells(element, J, cap=args.cap)
         cells.sort(key=lambda w: (w.length, w.reduced_word()))
-        if args.format == "json":
-            payload = {
-                "closure": [[i + 1 for i in w.reduced_word()] for w in cells]
-            }
-            _emit(out, json.dumps(payload, indent=2))
-            return EXIT_OK
-        lines = []
-        for w in cells:
-            label = ",".join(str(i + 1) for i in w.reduced_word()) or "e"
-            lines.append(f"length {w.length}: {label}")
-        _emit(out, "\n".join(lines))
-        return EXIT_OK
-    histogram = group.cell_counts(J, args.max_length, cap=args.cap)
-    if args.format == "json":
-        _emit(out, json.dumps({str(k): v for k, v in histogram.items()}, indent=2))
-        return EXIT_OK
-    lines = [f"length {k}: {v}" for k, v in histogram.items()]
-    lines.append(f"total: {sum(histogram.values())}")
-    _emit(out, "\n".join(lines))
-    return EXIT_OK
+        words = [[i + 1 for i in w.reduced_word()] for w in cells]
+        payload = {"closure": words}
+        lines = [
+            f"length {w.length}: {','.join(map(str, word)) or 'e'}"
+            for w, word in zip(cells, words)
+        ]
+    else:
+        histogram = group.cell_counts(J, args.max_length, cap=args.cap)
+        payload = {str(k): v for k, v in histogram.items()}
+        lines = [f"length {k}: {v}" for k, v in histogram.items()]
+        lines.append(f"total: {sum(histogram.values())}")
+    _render(out, args.format, payload, lines)
 
 
 def _cmd_adm(args, out):
     m = _load_matrix(args)
     graph = adm.build_adm(m)
-    fmt = "dot" if args.dot else args.format
-    if fmt == "dot":
+    if args.dot or args.format == "dot":
         out.write(adm.to_dot(graph))
-        return EXIT_OK
-    if fmt == "json":
-        _emit(out, json.dumps(adm.report_json(graph), indent=2))
-        return EXIT_OK
-    lines = []
-    for idx, comp in enumerate(graph.components):
-        lines.append(f"component {_fmt_set(comp)}: colour {graph.colours[idx]}")
+        return
     edges = ", ".join(f"{i + 1}-{j + 1}" for i, j in sorted(graph.edges)) or "none"
-    lines.append(f"edges: {edges}")
-    _emit(out, "\n".join(lines))
-    return EXIT_OK
+    lines = _component_lines(graph) + [f"edges: {edges}"]
+    _render(out, args.format, adm.report_json(graph), lines)
+
+
+# text labels of the whole-diagram checks of ``fpgroup.verify``
+_CHECK_LABELS = {
+    "product_law_abelian": "product law (abelianization)",
+    "presentation_routes": "presentation routes (abelianization)",
+    "product_law_order": "product law (order)",
+}
 
 
 def _cmd_verify(args, out):
     m = _load_matrix(args)
     max_cosets = args.max_cosets or _default_max_cosets()
-    verifications = fpgroup.component_verifications(m, max_cosets=max_cosets)
-
-    failed = False
-    capped = False
+    report = fpgroup.verify(m, max_cosets)
+    result = report.result
     lines = []
-    payload = {"components": [], "checks": []}
-    for v in verifications:
-        for name, status, detail in v.checks:
-            if status == "fail":
-                failed = True
-            if status == "inconclusive" and v.expected.order is not None:
-                capped = True
+    components = []
+    for v in report.components:
         summary = "; ".join(f"{name} {status} ({detail})" for name, status, detail in v.checks)
         lines.append(f"component {_fmt_set(v.vertices)} colour {v.colour}: {summary}")
-        payload["components"].append(
+        components.append(
             {
                 "vertices": [i + 1 for i in v.vertices],
                 "colour": v.colour,
@@ -418,78 +390,19 @@ def _cmd_verify(args, out):
                 ],
             }
         )
-
-    # product law: the full flag group abelianizes to the direct sum of the
-    # component groups' abelianizations
-    full = fpgroup.abelianization(fpgroup.flag_presentation(m, ()))
-    combined = _direct_sum(v.observed_invariants for v in verifications)
-    status = "pass" if full == combined else "fail"
-    failed = failed or status == "fail"
-    lines.append(f"product law (abelianization): {status} ({full} vs {combined})")
-    payload["checks"].append({"name": "product_law_abelian", "status": status})
-
-    # the two relator routes (all pairs vs two-skeleton) must agree
-    weyl = coxeter.WeylGroup(m)
-    route_status = "pass"
-    for J in [()] + [(k,) for k in range(m.n)]:
-        a_full = fpgroup.abelianization(fpgroup.flag_presentation(m, J))
-        a_cw = fpgroup.abelianization(fpgroup.cw_presentation(m, J, weyl))
-        if a_full != a_cw:
-            route_status = "fail"
-            break
-    failed = failed or route_status == "fail"
-    lines.append(f"presentation routes (abelianization): {route_status}")
-    payload["checks"].append({"name": "presentation_routes", "status": route_status})
-
-    if all(v.expected.order is not None for v in verifications):
-        expected_product = 1
-        conclusive = True
-        for v in verifications:
-            if v.observed_order.is_finite:
-                expected_product *= v.observed_order.order
-            else:
-                conclusive = False
-        total = fpgroup.todd_coxeter(
-            fpgroup.flag_presentation(m, ()), max_cosets=max_cosets
-        )
-        if not conclusive or not total.is_finite:
-            capped = True
-            lines.append("product law (order): inconclusive (cap exhausted)")
-            payload["checks"].append({"name": "product_law_order", "status": "inconclusive"})
-        else:
-            status = "pass" if total.order == expected_product else "fail"
-            failed = failed or status == "fail"
-            lines.append(
-                f"product law (order): {status} ({total.order} vs {expected_product})"
-            )
-            payload["checks"].append({"name": "product_law_order", "status": status})
-
-    overall = "FAIL" if failed else ("INCONCLUSIVE" if capped else "PASS")
-    lines.append(f"result: {overall}")
-    payload["result"] = overall
-    if args.format == "json":
-        _emit(out, json.dumps(payload, indent=2))
-    else:
-        _emit(out, "\n".join(lines))
-    if failed:
-        return EXIT_INPUT
-    if capped:
+    for name, status, detail in report.checks:
+        lines.append(f"{_CHECK_LABELS[name]}: {status}" + (f" ({detail})" if detail else ""))
+    lines.append(f"result: {result}")
+    payload = {
+        "components": components,
+        "checks": [{"name": name, "status": status} for name, status, _ in report.checks],
+        "result": result,
+    }
+    _render(out, args.format, payload, lines)
+    if result == "FAIL":
+        raise InternalError("verification failed: two of kmfg's own computations disagree")
+    if result == "INCONCLUSIVE":
         raise ResourceLimitError(f"coset cap {max_cosets} prevented a conclusion", max_cosets)
-    return EXIT_OK
-
-
-def _direct_sum(invariant_list) -> fpgroup.AbelianInvariants:
-    free = 0
-    torsion = []
-    for inv in invariant_list:
-        free += inv.free_rank
-        torsion.extend(inv.torsion)
-    rows = [
-        [d if i == j else 0 for j in range(len(torsion))]
-        for i, d in enumerate(torsion)
-    ]
-    diag = fpgroup.smith_normal_form(rows) if rows else []
-    return fpgroup.AbelianInvariants(free, tuple(d for d in diag if d > 1))
 
 
 _COMMANDS = {
@@ -503,12 +416,19 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses: built on the first call, then reused."""
+    return build_parser()
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args, out)
+        args = _parser().parse_args(argv)
+        _COMMANDS[args.command](args, out)
+        return EXIT_OK
     except UsageError as exc:
         err.write(f"error[E101]: {exc}\n")
         return EXIT_USAGE
@@ -518,7 +438,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except UnknownNameError as exc:
         err.write(f"error[E202]: {exc}\n")
         return EXIT_INPUT
-    except (ValueError, InadmissibleKappaError) as exc:
+    except (InputError, InadmissibleKappaError) as exc:
         err.write(f"error[E203]: {exc}\n")
         return EXIT_INPUT
     except HypothesisError as exc:
@@ -527,7 +447,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     except ResourceLimitError as exc:
         err.write(f"error[E401]: {exc}\n")
         return EXIT_RESOURCE
-    except InternalError as exc:
+    # any other ValueError comes from inside the library: a bug, not the input
+    except (InternalError, ValueError) as exc:
         err.write(f"error[E501]: {exc}\n")
         return EXIT_INTERNAL
 

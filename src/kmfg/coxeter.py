@@ -18,8 +18,8 @@ bound in indefinite type and must never wrap.
 
 from __future__ import annotations
 
-from .cartan import GeneralizedCartanMatrix
-from .errors import ResourceLimitError
+from .cartan import GeneralizedCartanMatrix, vertex_subset
+from .errors import InputError, ResourceLimitError
 
 __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_root_vector"]
 
@@ -151,12 +151,8 @@ class WeylGroup:
         """Minimal length coset representatives for the parabolic subgroup,
         truncated at ``length``: the elements with no right descent inside
         ``parabolic``."""
-        J = _check_subset(parabolic, self.n)
-        return [
-            w
-            for w in self.elements_up_to(length, cap)
-            if all(w.sends_simple_root_positive(j) for j in J)
-        ]
+        J = vertex_subset(parabolic, self.n)
+        return [w for w in self.elements_up_to(length, cap) if w.is_minimal_rep(J)]
 
     def cell_counts(self, parabolic, length: int, cap: int = DEFAULT_ELEMENT_CAP):
         """Histogram length -> number of minimal representatives, i.e. the
@@ -169,9 +165,9 @@ class WeylGroup:
     def closure_cells(self, w: "WeylElement", parabolic, cap: int = DEFAULT_ELEMENT_CAP):
         """The minimal representatives below ``w`` in the strong order;
         these index the cells in the closure of the cell of ``w``."""
-        J = _check_subset(parabolic, self.n)
-        if not all(w.sends_simple_root_positive(j) for j in J):
-            raise ValueError(
+        J = vertex_subset(parabolic, self.n)
+        if not w.is_minimal_rep(J):
+            raise InputError(
                 "element is not a minimal coset representative for the parabolic"
             )
         return [
@@ -179,13 +175,6 @@ class WeylGroup:
             for x in self.minimal_reps(J, w.length, cap)
             if x.bruhat_leq(w)
         ]
-
-
-def _check_subset(parabolic, n):
-    J = sorted(set(parabolic))
-    if J and not (0 <= J[0] and J[-1] < n):
-        raise ValueError(f"parabolic indices {J} out of range for rank {n}")
-    return tuple(J)
 
 
 class WeylElement:
@@ -245,8 +234,10 @@ class WeylElement:
     def sends_simple_root_positive(self, i: int) -> bool:
         return self.heights[i] > 0
 
-    def right_descents(self):
-        return [i for i, c in enumerate(self.heights) if c < 0]
+    def is_minimal_rep(self, parabolic) -> bool:
+        """Whether w is the minimal-length element of its coset w W_J, for J
+        the vertex list ``parabolic``: w has no right descent in J."""
+        return all(self.heights[j] > 0 for j in parabolic)
 
     @property
     def length(self) -> int:

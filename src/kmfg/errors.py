@@ -53,6 +53,12 @@ class ResourceLimitError(KmfgError):
         self.limit = limit
 
 
+class InputError(KmfgError, ValueError):
+    """An input value the package cannot accept, such as an index above the
+    rank or a closure element that is not a minimal coset representative.
+    Also a ValueError, so callers that catch ValueError keep working."""
+
+
 class InadmissibleKappaError(KmfgError):
     """A colouring that violates an admissibility constraint."""
 

@@ -19,11 +19,12 @@ commutation-type presentations whose shape is
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 from .adm import build_adm, has_witness
-from .cartan import GeneralizedCartanMatrix
+from .cartan import GeneralizedCartanMatrix, vertex_subset
 from .coxeter import WeylGroup
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "EnumerationResult",
     "ComponentClass",
     "ComponentVerification",
+    "Verification",
     "free_reduce",
     "smith_normal_form",
     "abelianization",
@@ -41,6 +43,7 @@ __all__ = [
     "cw_presentation",
     "classify_component_group",
     "verify_component",
+    "verify",
 ]
 
 Word = tuple  # of (generator, exponent) pairs
@@ -259,6 +262,20 @@ def abelianization(presentation: FpPresentation) -> AbelianInvariants:
         free_rank=count - len(nonzero),
         torsion=tuple(d for d in nonzero if d > 1),
     )
+
+
+def _direct_sum(invariant_list) -> AbelianInvariants:
+    free = 0
+    torsion = []
+    for inv in invariant_list:
+        free += inv.free_rank
+        torsion.extend(inv.torsion)
+    rows = [
+        [d if i == j else 0 for j in range(len(torsion))]
+        for i, d in enumerate(torsion)
+    ]
+    diag = smith_normal_form(rows)
+    return AbelianInvariants(free, tuple(d for d in diag if d > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +611,9 @@ def h_j_presentation(m: GeneralizedCartanMatrix, J) -> FpPresentation:
     component of the parity graph this presents exactly the corresponding
     direct factor of the fundamental group of the full flag variety.
     """
-    J = sorted(set(J))
+    J = vertex_subset(J, m.n)
     if not J:
         raise ValueError("J must be nonempty")
-    if J[0] < 0 or J[-1] >= m.n:
-        raise ValueError(f"J = {J} out of range for rank {m.n}")
     index = {v: k for k, v in enumerate(J)}
     names = tuple(f"x{v + 1}" for v in J)
     relators = [
@@ -615,9 +630,7 @@ def flag_presentation(m: GeneralizedCartanMatrix, J) -> FpPresentation:
     """Fundamental-group presentation of the flag variety for the parabolic
     subset J: all pair relators over the whole vertex set, plus x_k = 1
     for k in J."""
-    J = sorted(set(J))
-    if J and (J[0] < 0 or J[-1] >= m.n):
-        raise ValueError(f"J = {J} out of range for rank {m.n}")
+    J = vertex_subset(J, m.n)
     names = tuple(f"x{v + 1}" for v in range(m.n))
     relators = [
         _pair_relator(a, b, m.parity(a, b))
@@ -635,9 +648,7 @@ def cw_presentation(
     """The presentation read off the two-skeleton: one killer relator per
     k in J, and a pair relator for (i, j) only when sigma_i sigma_j is a
     minimal coset representative for the parabolic (no right descent in J)."""
-    J = sorted(set(J))
-    if J and (J[0] < 0 or J[-1] >= m.n):
-        raise ValueError(f"J = {J} out of range for rank {m.n}")
+    J = vertex_subset(J, m.n)
     if weyl is None:
         weyl = WeylGroup(m)
     names = tuple(f"x{v + 1}" for v in range(m.n))
@@ -646,8 +657,7 @@ def cw_presentation(
         for b in range(m.n):
             if a == b:
                 continue
-            product = weyl.from_word((a, b))
-            if all(product.sends_simple_root_positive(k) for k in J):
+            if weyl.from_word((a, b)).is_minimal_rep(J):
                 relators.append(_pair_relator(a, b, m.parity(a, b)))
     return FpPresentation(names, tuple(relators))
 
@@ -666,7 +676,6 @@ class ComponentClass:
     size: int
     order: int | None
     invariants: AbelianInvariants | None
-    description: str
 
 
 def classify_component_group(colour: str, size: int) -> ComponentClass:
@@ -678,22 +687,13 @@ def classify_component_group(colour: str, size: int) -> ComponentClass:
             size,
             order=2**size,
             invariants=AbelianInvariants(0, (2,) * size),
-            description=f"C2^{size}" if size > 1 else "C2",
         )
     if colour == "g":
         if size != 1:
             raise ValueError("a g-coloured component must be a single vertex")
-        return ComponentClass(
-            colour, size, order=None, invariants=AbelianInvariants(1, ()), description="Z"
-        )
+        return ComponentClass(colour, size, order=None, invariants=AbelianInvariants(1, ()))
     if colour == "b":
-        return ComponentClass(
-            colour,
-            size,
-            order=2 ** (size + 1),
-            invariants=None,
-            description=f"group of order {2 ** (size + 1)}",
-        )
+        return ComponentClass(colour, size, order=2 ** (size + 1), invariants=None)
     raise ValueError(f"unknown colour {colour!r}")
 
 
@@ -725,7 +725,7 @@ def verify_component(
     """Run coset enumeration and abelianization on a component's group and
     compare both against the classification.  Exhausted enumerations yield
     an inconclusive check, not a failure."""
-    vertices = tuple(sorted(set(J)))
+    vertices = vertex_subset(J, m.n)
     expected = classify_component_group(colour, len(vertices))
     presentation = h_j_presentation(m, vertices)
     invariants = abelianization(presentation)
@@ -770,3 +770,69 @@ def component_verifications(
         verify_component(m, comp, graph.colours[idx], max_cosets)
         for idx, comp in enumerate(graph.components)
     ]
+
+
+@dataclass
+class Verification:
+    """What ``verify`` found: each parity component's checks, then the
+    whole-diagram checks, each a (name, status, detail) record like a
+    component's; an empty detail means the check has none."""
+
+    components: list[ComponentVerification]
+    checks: list
+
+    @property
+    def result(self) -> str:
+        """FAIL when a check failed, INCONCLUSIVE when a coset cap left one
+        open, PASS otherwise."""
+        statuses = [status for _, status, _ in self.checks]
+        if "fail" in statuses or not all(v.passed for v in self.components):
+            return "FAIL"
+        # a green component's group is infinite, so its enumeration can only
+        # end capped; that order check leaves nothing open
+        if "inconclusive" in statuses or any(
+            v.inconclusive for v in self.components if v.expected.order is not None
+        ):
+            return "INCONCLUSIVE"
+        return "PASS"
+
+
+def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> Verification:
+    """The enumeration-side counterpart of ``pi1.full_report``: the
+    component checks of ``component_verifications``, then the whole-diagram
+    checks ``product_law_abelian`` (the full flag group abelianizes to the
+    direct sum of the components'), ``presentation_routes`` (the all-pairs
+    and two-skeleton presentations abelianize alike for the empty and every
+    singleton parabolic) and, with no green component, ``product_law_order``
+    (the full flag group's order is the product of the components')."""
+    components = component_verifications(m, max_cosets)
+    full = flag_presentation(m, ())
+    observed = abelianization(full)
+    combined = _direct_sum(v.observed_invariants for v in components)
+    checks = [
+        (
+            "product_law_abelian",
+            "pass" if observed == combined else "fail",
+            f"{observed} vs {combined}",
+        )
+    ]
+    weyl = WeylGroup(m)
+    routes_agree = all(
+        abelianization(flag_presentation(m, J))
+        == abelianization(cw_presentation(m, J, weyl))
+        for J in [()] + [(k,) for k in range(m.n)]
+    )
+    checks.append(("presentation_routes", "pass" if routes_agree else "fail", ""))
+    if all(v.expected.order is not None for v in components):
+        orders = [v.observed_order for v in components]
+        total = None
+        # with a component's order open there is no product to compare against
+        if all(o.is_finite for o in orders):
+            total = todd_coxeter(full, max_cosets=max_cosets)
+        if total is None or not total.is_finite:
+            checks.append(("product_law_order", "inconclusive", "cap exhausted"))
+        else:
+            product = math.prod(o.order for o in orders)
+            status = "pass" if total.order == product else "fail"
+            checks.append(("product_law_order", status, f"{total.order} vs {product}"))
+    return Verification(components, checks)

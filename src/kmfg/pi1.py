@@ -155,10 +155,7 @@ def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, Pi1Type]]:
 
 def covering_degree(n: int, J) -> int:
     """Degree 2^(n - |J|) of the covering of the quotient flag space."""
-    J = set(J)
-    if any(not 0 <= k < n for k in J):
-        raise ValueError(f"J = {sorted(J)} out of range for rank {n}")
-    return 2 ** (n - len(J))
+    return 2 ** (n - len(cartan.vertex_subset(J, n)))
 
 
 def pi1_flag(
@@ -180,7 +177,7 @@ def pi1_flag(
 
 
 def _flag(m, J, max_cosets) -> FlagInfo:
-    J = tuple(sorted(set(J)))
+    J = cartan.vertex_subset(J, m.n)
     presentation = fpgroup.flag_presentation(m, J)
     invariants = fpgroup.abelianization(presentation)
     closed_form = None

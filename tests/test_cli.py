@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from kmfg.cli import run
+import kmfg
+import kmfg.cli
+import kmfg.fpgroup
+from kmfg.cli import build_parser, run
 
 
 def invoke(argv, stdin=None, monkeypatch=None):
@@ -81,6 +87,18 @@ class TestInputHandling:
         code, _, err = invoke(["pi1", "--matrix", "/nonexistent/m.txt"])
         assert code == 2
         assert err.startswith("error[E201]:")
+
+    def test_undecodable_file_exit_2(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"2\n2 -1\n-1 2\xff\n")
+        code, out, err = invoke(["info", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error[E203]: 'utf-8' codec can't decode")
+
+    def test_integer_past_the_digit_limit_exit_2(self):
+        code, out, err = invoke(["info", "--type", "A" + "1" * 5000])
+        assert (code, out) == (2, "")
+        assert err.startswith("error[E203]: Exceeds the limit")
 
     def test_unknown_name_exit_2(self):
         code, _, err = invoke(["pi1", "--type", "H3"])
@@ -316,6 +334,127 @@ class TestVerifyCommand:
         assert err.startswith("error[E401]:")
         assert "result: INCONCLUSIVE" in out
 
+    # exact output: red + green (no order product law), blue + red (order
+    # product law) and a capped run
+    C3 = ["verify", "--type", "C3", "--max-cosets", "2000"]
+
+    def test_c3_text_exact(self):
+        assert invoke(self.C3) == (
+            0,
+            "component {1,2} colour r: order pass (expected 4, got 4); "
+            "abelianization pass (expected C2 x C2, got C2 x C2)\n"
+            "component {3} colour g: order inconclusive (infinite group "
+            "predicted; enumeration gave Exhausted(2000)); abelianization pass "
+            "(expected Z, got Z)\n"
+            "product law (abelianization): pass (Z x C2 x C2 vs Z x C2 x C2)\n"
+            "presentation routes (abelianization): pass\n"
+            "result: PASS\n",
+            "",
+        )
+
+    def test_c3_json_exact(self):
+        expected = {
+            "components": [
+                {
+                    "vertices": [1, 2],
+                    "colour": "r",
+                    "checks": [
+                        {"name": "order", "status": "pass", "detail": "expected 4, got 4"},
+                        {
+                            "name": "abelianization",
+                            "status": "pass",
+                            "detail": "expected C2 x C2, got C2 x C2",
+                        },
+                    ],
+                },
+                {
+                    "vertices": [3],
+                    "colour": "g",
+                    "checks": [
+                        {
+                            "name": "order",
+                            "status": "inconclusive",
+                            "detail": "infinite group predicted; enumeration gave "
+                            "Exhausted(2000)",
+                        },
+                        {
+                            "name": "abelianization",
+                            "status": "pass",
+                            "detail": "expected Z, got Z",
+                        },
+                    ],
+                },
+            ],
+            "checks": [
+                {"name": "product_law_abelian", "status": "pass"},
+                {"name": "presentation_routes", "status": "pass"},
+            ],
+            "result": "PASS",
+        }
+        code, out, err = invoke(self.C3 + ["--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_b3_text_exact(self):
+        assert invoke(["verify", "--type", "B3"]) == (
+            0,
+            "component {1,2} colour b: order pass (expected 8, got 8)\n"
+            "component {3} colour r: order pass (expected 2, got 2); "
+            "abelianization pass (expected C2, got C2)\n"
+            "product law (abelianization): pass (C2 x C2 x C2 vs C2 x C2 x C2)\n"
+            "presentation routes (abelianization): pass\n"
+            "product law (order): pass (16 vs 16)\n"
+            "result: PASS\n",
+            "",
+        )
+
+    def test_b3_json_exact(self):
+        expected = {
+            "components": [
+                {
+                    "vertices": [1, 2],
+                    "colour": "b",
+                    "checks": [
+                        {"name": "order", "status": "pass", "detail": "expected 8, got 8"},
+                    ],
+                },
+                {
+                    "vertices": [3],
+                    "colour": "r",
+                    "checks": [
+                        {"name": "order", "status": "pass", "detail": "expected 2, got 2"},
+                        {
+                            "name": "abelianization",
+                            "status": "pass",
+                            "detail": "expected C2, got C2",
+                        },
+                    ],
+                },
+            ],
+            "checks": [
+                {"name": "product_law_abelian", "status": "pass"},
+                {"name": "presentation_routes", "status": "pass"},
+                {"name": "product_law_order", "status": "pass"},
+            ],
+            "result": "PASS",
+        }
+        code, out, err = invoke(["verify", "--type", "B3", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_a4_capped_exact(self):
+        assert invoke(["verify", "--type", "A4", "--max-cosets", "8"]) == (
+            4,
+            "component {1,2,3,4} colour b: order inconclusive (expected 32, got "
+            "Exhausted(8))\n"
+            "product law (abelianization): pass (C2 x C2 x C2 x C2 vs "
+            "C2 x C2 x C2 x C2)\n"
+            "presentation routes (abelianization): pass\n"
+            "product law (order): inconclusive (cap exhausted)\n"
+            "result: INCONCLUSIVE\n",
+            "error[E401]: coset cap 8 prevented a conclusion\n",
+        )
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -360,3 +499,57 @@ class TestInternalError:
         assert (code, out) == (5, "")
         assert err.startswith("error[E501]:")
         assert len(err.splitlines()) == 1
+
+    def test_unexpected_value_error_exit_5(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", boom)
+        assert invoke(["flag", "--type", "A3"]) == (5, "", "error[E501]: boom\n")
+
+    def test_failed_verify_exit_5(self, monkeypatch):
+        def relator_free(m, J, weyl=None):
+            return kmfg.fpgroup.FpPresentation(tuple(f"x{v + 1}" for v in range(m.n)), ())
+
+        monkeypatch.setattr(kmfg.fpgroup, "cw_presentation", relator_free)
+        code, out, err = invoke(["verify", "--type", "B3"])
+        assert code == 5
+        assert "presentation routes (abelianization): fail\n" in out
+        assert out.endswith("result: FAIL\n")
+        assert err.startswith("error[E501]:")
+        assert len(err.splitlines()) == 1
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch):
+        calls = []
+
+        def counting():
+            calls.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(kmfg.cli, "build_parser", counting)
+        kmfg.cli._parser.cache_clear()
+        try:
+            assert invoke(["info", "--type", "A3"])[0] == 0
+            assert invoke(["adm", "--type", "B3", "--format", "json"])[0] == 0
+            assert invoke(["nosuch"])[0] == 1
+        finally:
+            kmfg.cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(kmfg.__file__))
+        probe = "import kmfg.cli; print(kmfg.cli._parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert done.stdout == "0\n"
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()

@@ -4,7 +4,7 @@ import pytest
 
 from kmfg import WeylGroup, from_named
 from kmfg.coxeter import is_negative_root_vector, is_positive_root_vector
-from kmfg.errors import ResourceLimitError
+from kmfg.errors import InputError, ResourceLimitError
 
 from oracles import (
     all_permutations,
@@ -275,6 +275,14 @@ class TestMinimalReps:
         with pytest.raises(ValueError):
             a2.minimal_reps((5,), 3)
 
+    def test_is_minimal_rep_by_lengths(self):
+        # w is minimal in w W_J exactly when every w * s_j, j in J, is longer
+        group = WeylGroup(from_named("B3"))
+        for w in group.elements_up_to(4):
+            for J in [(), (0,), (1, 2), (0, 1, 2)]:
+                longer = all((w * group.generator(j)).length > w.length for j in J)
+                assert w.is_minimal_rep(J) == longer
+
 
 class TestCellCounts:
     def test_a2_full_flag(self, a2):
@@ -323,5 +331,5 @@ class TestClosure:
         assert {w.reduced_word() for w in cells} == {(), (0,)}
 
     def test_rejects_non_minimal(self, a2):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             a2.closure_cells(a2.generator(1), (1,))

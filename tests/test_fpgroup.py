@@ -18,9 +18,12 @@ from kmfg import (
     h_j_presentation,
     smith_normal_form,
     todd_coxeter,
+    verify,
     verify_component,
 )
+from kmfg.cartan import vertex_subset
 from kmfg.fpgroup import component_verifications, free_reduce
+from kmfg.pi1 import covering_degree
 
 from oracles import minors_gcd_invariant_factors
 
@@ -433,3 +436,60 @@ class TestVerifyComponent:
     def test_whole_corpus_verifies(self, name):
         for v in component_verifications(from_named(name), max_cosets=5000):
             assert v.passed, (name, v.vertices, v.checks)
+
+
+class TestVerify:
+    def test_c3_red_and_green(self):
+        report = verify(from_named("C3"), max_cosets=2000)
+        assert report.result == "PASS"
+        # the green component's capped order check leaves nothing open
+        assert [v.inconclusive for v in report.components] == [False, True]
+        assert [name for name, _, _ in report.checks] == [
+            "product_law_abelian",
+            "presentation_routes",
+        ]
+
+    def test_b3_order_product_law(self):
+        report = verify(from_named("B3"))
+        assert report.result == "PASS"
+        assert report.checks[-1] == ("product_law_order", "pass", "16 vs 16")
+
+    def test_a4_capped(self):
+        report = verify(from_named("A4"), max_cosets=8)
+        assert report.result == "INCONCLUSIVE"
+        assert report.checks[-1] == ("product_law_order", "inconclusive", "cap exhausted")
+
+    @pytest.mark.parametrize("name, cap", [("B3", 100_000), ("A4", 8)])
+    def test_disagreeing_routes_fail(self, monkeypatch, name, cap):
+        import kmfg.fpgroup
+
+        def relator_free(m, J, weyl=None):
+            return FpPresentation(tuple(f"x{v + 1}" for v in range(m.n)), ())
+
+        monkeypatch.setattr(kmfg.fpgroup, "cw_presentation", relator_free)
+        report = verify(from_named(name), max_cosets=cap)
+        assert ("presentation_routes", "fail", "") in report.checks
+        # a failure outranks a check the cap left open
+        assert report.result == "FAIL"
+
+
+class TestVertexSubset:
+    """Every builder that takes a vertex set checks it the same way."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: h_j_presentation(m, (5,)),
+            lambda m: flag_presentation(m, (5,)),
+            lambda m: cw_presentation(m, (5,)),
+            lambda m: WeylGroup(m).minimal_reps((5,), 2),
+            lambda m: covering_degree(m.n, (5,)),
+        ],
+    )
+    def test_out_of_range(self, call):
+        with pytest.raises(ValueError, match=r"^vertex set \[5\] out of range for rank 3$"):
+            call(from_named("A3"))
+
+    def test_sorted_without_repeats(self):
+        assert vertex_subset((2, 0, 2), 3) == (0, 2)
+        assert vertex_subset((), 1) == ()
