@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvariantViolationError, MatrixFormatError, UnknownNameError
+from .errors import InputError, InvariantViolationError, MatrixFormatError, UnknownNameError
 
 __all__ = [
     "GeneralizedCartanMatrix",
@@ -206,6 +206,8 @@ def _parse_json(text: str) -> GeneralizedCartanMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise InputError("JSON input nested too deeply") from None
     if not isinstance(data, dict):
         raise MatrixFormatError("JSON input must be an object")
     for key in ("size", "entries"):

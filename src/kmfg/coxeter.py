@@ -10,10 +10,11 @@ of w exactly when w alpha_i is a positive root, i.e. when c_i > 0.  So the
 right descents are the coordinates with c_i < 0, and stripping the least
 one until none is left spells a reduced word, which is why the vector
 determines w.  Right multiplication by sigma_i is c_i -> -c_i,
-c_j -> c_j - a[i][j] * c_i over the neighbours j of i, at O(degree) cost.
-The action on vectors and its matrix are built on demand from a reduced
-word.  All arithmetic is exact Python integers; coordinates grow without
-bound in indefinite type and must never wrap.
+c_j -> c_j - a[i][j] * c_i over the neighbours j of i, at O(degree) cost;
+from 0 on J and 1 elsewhere the same moves walk the cells of G/P_J.  The
+action on vectors and its matrix are built on demand from a reduced word.
+All arithmetic is exact Python integers; coordinates grow without bound in
+indefinite type and must never wrap.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .errors import InputError, ResourceLimitError
 
 __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_root_vector"]
 
-# An element holds about 200 bytes (E8 to length 9, E10 to length 12), so
-# the cap bounds an enumeration at about 250 MB of process memory.
+# Positions a walk visits, or elements of a closure's interval: each costs at
+# most about 300 bytes, so the cap bounds a run at about 300 MB of memory.
 DEFAULT_ELEMENT_CAP = 1_000_000
 
 
@@ -81,9 +82,6 @@ class WeylGroup:
     def generator(self, i: int) -> "WeylElement":
         return self.from_word((i,))
 
-    def generators(self) -> list["WeylElement"]:
-        return [self.generator(i) for i in range(self.n)]
-
     def simple_root(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.n:
             raise ValueError(f"simple root index {i} out of range")
@@ -110,71 +108,76 @@ class WeylGroup:
     def is_reduced(self, word) -> bool:
         return self._step(self._one, word)[1] == len(word)
 
-    def elements_up_to(self, length: int, cap: int = DEFAULT_ELEMENT_CAP):
-        """All elements of length <= ``length``, breadth-first by length.
-
-        Raises ResourceLimitError once more than ``cap`` elements appear;
-        never truncates silently.
-        """
+    def _walk(self, start, length: int, cap: int):
+        """Yield the layers of the numbers game from ``start``, firing only
+        coordinates > 0, up to ``length`` firings.  No position is reached by
+        two numbers of firings (Bjorner & Brenti, ch. 4), so each layer is
+        deduplicated alone.  Raises ResourceLimitError past ``cap`` visits."""
         if length < 0:
             raise ValueError("length bound must be >= 0")
         neighbours = self._neighbours
-        out = [self.identity()]
-        layer = (self._one,)
+        layer = (start,)
+        visited = 1
+        yield layer
         for level in range(1, length + 1):
-            # w * sigma_i with c_i > 0 has length ``level``, so it can only equal
-            # an element of this layer; the dict keeps the discovery order
-            grown_layer = {}
+            grown_layer = {}  # a dict keeps the discovery order
             for c in layer:
                 for i, ci in enumerate(c):
-                    if ci < 0:
+                    if ci <= 0:
                         continue
                     grown = list(c)
                     grown[i] = -ci
                     for j, a in neighbours[i]:
                         grown[j] -= a * ci
                     grown = tuple(grown)
-                    if grown in grown_layer:
-                        continue
-                    if len(out) >= cap:
-                        raise ResourceLimitError(
-                            f"element cap {cap} exceeded at length {level}", cap
-                        )
-                    grown_layer[grown] = None
-                    out.append(WeylElement(self, grown, _length=level))
+                    if grown not in grown_layer:
+                        if visited >= cap:
+                            raise ResourceLimitError(
+                                f"element cap {cap} exceeded at length {level}", cap
+                            )
+                        visited += 1
+                        grown_layer[grown] = None
             if not grown_layer:
-                break
+                return
             layer = grown_layer
-        return out
+            yield layer
 
-    def minimal_reps(self, parabolic, length: int, cap: int = DEFAULT_ELEMENT_CAP):
-        """Minimal length coset representatives for the parabolic subgroup,
-        truncated at ``length``: the elements with no right descent inside
-        ``parabolic``."""
-        J = vertex_subset(parabolic, self.n)
-        return [w for w in self.elements_up_to(length, cap) if w.is_minimal_rep(J)]
+    def elements_up_to(self, length: int, cap: int = DEFAULT_ELEMENT_CAP):
+        """All elements of length <= ``length``, breadth-first by length."""
+        return [
+            WeylElement(self, c, _length=level)
+            for level, layer in enumerate(self._walk(self._one, length, cap))
+            for c in layer
+        ]
 
     def cell_counts(self, parabolic, length: int, cap: int = DEFAULT_ELEMENT_CAP):
-        """Histogram length -> number of minimal representatives, i.e. the
-        number of cells of each dimension in the flag-variety CW structure."""
-        histogram: dict[int, int] = {}
-        for w in self.minimal_reps(parabolic, length, cap):
-            histogram[w.length] = histogram.get(w.length, 0) + 1
-        return dict(sorted(histogram.items()))
+        """Histogram length -> number of cells of that dimension in G/P_J, i.e.
+        of minimal representatives of W_J w (inverses of those of w W_J)."""
+        J = vertex_subset(parabolic, self.n)
+        start = tuple(0 if i in J else 1 for i in range(self.n))
+        return {level: len(layer) for level, layer in enumerate(self._walk(start, length, cap))}
 
     def closure_cells(self, w: "WeylElement", parabolic, cap: int = DEFAULT_ELEMENT_CAP):
-        """The minimal representatives below ``w`` in the strong order;
-        these index the cells in the closure of the cell of ``w``."""
+        """The minimal representatives below ``w`` in the strong order, which
+        index the cells in the closure of the cell of ``w``.  [e, w] is the
+        set of subword products of a reduced word of w (Bjorner & Brenti,
+        Thm 2.2.2), grown a letter at a time; ``cap`` bounds its size."""
         J = vertex_subset(parabolic, self.n)
         if not w.is_minimal_rep(J):
             raise InputError(
                 "element is not a minimal coset representative for the parabolic"
             )
-        return [
-            x
-            for x in self.minimal_reps(J, w.length, cap)
-            if x.bruhat_leq(w)
-        ]
+        interval = {self._one: self.identity()}  # heights -> element
+        for level, i in enumerate(w.reduced_word(), 1):
+            for x in list(interval.values()):
+                grown, change = self._step(x.heights, (i,))
+                if grown not in interval:
+                    if len(interval) >= cap:
+                        raise ResourceLimitError(
+                            f"element cap {cap} exceeded at length {level}", cap
+                        )
+                    interval[grown] = WeylElement(self, grown, _length=x.length + change)
+        return [x for x in interval.values() if x.is_minimal_rep(J)]
 
 
 class WeylElement:
@@ -230,9 +233,6 @@ class WeylElement:
         """The action matrix, built on demand; column j is w alpha_j."""
         group = self.group
         return tuple(zip(*(self.act(group.simple_root(j)) for j in range(group.n))))
-
-    def sends_simple_root_positive(self, i: int) -> bool:
-        return self.heights[i] > 0
 
     def is_minimal_rep(self, parabolic) -> bool:
         """Whether w is the minimal-length element of its coset w W_J, for J

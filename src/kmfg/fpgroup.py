@@ -701,7 +701,6 @@ def classify_component_group(colour: str, size: int) -> ComponentClass:
 class ComponentVerification:
     vertices: tuple[int, ...]
     colour: str
-    presentation: FpPresentation
     expected: ComponentClass
     observed_invariants: AbelianInvariants
     observed_order: EnumerationResult
@@ -757,7 +756,7 @@ def verify_component(
             )
         )
     return ComponentVerification(
-        vertices, colour, presentation, expected, invariants, order, checks
+        vertices, colour, expected, invariants, order, checks
     )
 
 

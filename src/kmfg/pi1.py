@@ -68,7 +68,6 @@ class KPi1Result(NamedTuple):
 @dataclass
 class FlagInfo:
     parabolic: tuple[int, ...]
-    presentation: fpgroup.FpPresentation
     invariants: fpgroup.AbelianInvariants
     order: fpgroup.EnumerationResult | None  # None: infinite, settled without enumeration
     closed_form: Pi1Type | None
@@ -200,7 +199,7 @@ def _flag(m, J, max_cosets) -> FlagInfo:
             raise InternalError(
                 f"closed form {closed_form} contradicts enumerated order {order}"
             )
-    return FlagInfo(J, presentation, invariants, order, closed_form)
+    return FlagInfo(J, invariants, order, closed_form)
 
 
 @dataclass

@@ -95,6 +95,13 @@ class TestInputHandling:
         assert (code, out) == (2, "")
         assert err.startswith("error[E203]: 'utf-8' codec can't decode")
 
+    def test_json_nested_past_the_recursion_limit_exit_2(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"size": ' + "[" * 100_000)
+        code, out, err = invoke(["info", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "error[E203]: JSON input nested too deeply\n"
+
     def test_integer_past_the_digit_limit_exit_2(self):
         code, out, err = invoke(["info", "--type", "A" + "1" * 5000])
         assert (code, out) == (2, "")
@@ -253,6 +260,63 @@ class TestWeylCommand:
         )
         assert code == 4
         assert err.startswith("error[E401]:")
+
+    D4_CELLS = ["weyl", "--type", "D4", "--parabolic", "1,3", "--max-length", "8"]
+    A3_AFFINE_CLOSURE = [
+        "weyl", "--type", "A3~", "--parabolic", "2", "--closure", "2,1,3,4",
+        "--max-length", "4",
+    ]
+    A3_AFFINE_CLOSURE_WORDS = [
+        [], [1], [3], [4], [1, 3], [1, 4], [2, 1], [2, 3], [3, 4], [1, 3, 4],
+        [2, 1, 3], [2, 1, 4], [2, 3, 4], [2, 1, 3, 4],
+    ]
+
+    def test_parabolic_histogram_text_exact(self):
+        assert invoke(self.D4_CELLS) == (
+            0,
+            "length 0: 1\nlength 1: 2\nlength 2: 4\nlength 3: 6\nlength 4: 7\n"
+            "length 5: 8\nlength 6: 7\nlength 7: 6\nlength 8: 4\ntotal: 45\n",
+            "",
+        )
+
+    def test_parabolic_histogram_json_exact(self):
+        expected = {str(k): v for k, v in enumerate([1, 2, 4, 6, 7, 8, 7, 6, 4])}
+        assert invoke(self.D4_CELLS + ["--format", "json"]) == (
+            0, json.dumps(expected, indent=2) + "\n", ""
+        )
+
+    def test_parabolic_closure_text_exact(self):
+        assert invoke(self.A3_AFFINE_CLOSURE) == (
+            0,
+            "length 0: e\nlength 1: 1\nlength 1: 3\nlength 1: 4\n"
+            "length 2: 1,3\nlength 2: 1,4\nlength 2: 2,1\nlength 2: 2,3\nlength 2: 3,4\n"
+            "length 3: 1,3,4\nlength 3: 2,1,3\nlength 3: 2,1,4\nlength 3: 2,3,4\n"
+            "length 4: 2,1,3,4\n",
+            "",
+        )
+
+    def test_parabolic_closure_json_exact(self):
+        expected = {"closure": self.A3_AFFINE_CLOSURE_WORDS}
+        assert invoke(self.A3_AFFINE_CLOSURE + ["--format", "json"]) == (
+            0, json.dumps(expected, indent=2) + "\n", ""
+        )
+
+    def test_cap_counts_cosets_not_elements(self):
+        # 183 cells, where W(E8) has thousands of elements by length 5
+        argv = ["weyl", "--type", "E8", "--parabolic", "1,2,3,4,5,6,7", "--max-length", "14"]
+        code, out, err = invoke(argv + ["--cap", "1000"])
+        assert (code, err) == (0, "")
+        assert out.endswith("length 14: 38\ntotal: 183\n")
+        assert invoke(argv) == (code, out, err)
+
+    def test_cap_counts_the_closure_interval(self):
+        # 2,916 elements lie below this one; W(E8) passes 5,000 at length 7
+        argv = ["weyl", "--type", "E8", "--closure", "1,2,3,4,5,6,7,8,2,3,4,5,6,7",
+                "--max-length", "14"]
+        code, out, err = invoke(argv + ["--cap", "5000"])
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2916
+        assert invoke(argv) == (code, out, err)
 
 
 class TestCapValidation:

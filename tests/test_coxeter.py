@@ -99,7 +99,7 @@ class TestLength:
                 assert (u * v).length <= u.length + v.length
         for w in sample:
             for i in range(a3.n):
-                expected = 1 if w.sends_simple_root_positive(i) else -1
+                expected = 1 if w.heights[i] > 0 else -1
                 assert (w * a3.generator(i)).length == w.length + expected
 
 
@@ -258,22 +258,40 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             affine.elements_up_to(100, cap=10)
 
+    def test_cap_boundary(self):
+        # W(E8) has 2,508 elements of length <= 6; the cap counts all of them
+        group = WeylGroup(from_named("E8"))
+        assert len(group.elements_up_to(6, cap=2508)) == 2508
+        assert sum(group.cell_counts((), 6, cap=2508).values()) == 2508
+        with pytest.raises(ResourceLimitError, match=r"^element cap 2507 exceeded at length 6$"):
+            group.elements_up_to(6, cap=2507)
+        with pytest.raises(ResourceLimitError, match=r"^element cap 2507 exceeded at length 6$"):
+            group.cell_counts((), 6, cap=2507)
+
+
+def minimal_reps(group, J, length):
+    """The definition: the elements up to ``length`` with no right descent
+    in J."""
+    return [w for w in group.elements_up_to(length) if w.is_minimal_rep(J)]
+
 
 class TestMinimalReps:
     def test_full_parabolic(self, a2):
-        assert a2.minimal_reps((0, 1), 10) == [a2.identity()]
+        assert minimal_reps(a2, (0, 1), 10) == [a2.identity()]
+        assert a2.cell_counts((0, 1), 10) == {0: 1}
 
     def test_a2_one_generator(self, a2):
-        reps = a2.minimal_reps((1,), 3)
+        reps = minimal_reps(a2, (1,), 3)
         assert sorted(w.length for w in reps) == [0, 1, 2]
+        assert a2.cell_counts((1,), 3) == {0: 1, 1: 1, 2: 1}
 
     def test_a3_cosets(self, a3):
-        reps = a3.minimal_reps((1, 2), 6)
-        assert len(reps) == 4
+        assert len(minimal_reps(a3, (1, 2), 6)) == 4
+        assert a3.cell_counts((1, 2), 6) == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_out_of_range(self, a2):
         with pytest.raises(ValueError):
-            a2.minimal_reps((5,), 3)
+            a2.cell_counts((5,), 3)
 
     def test_is_minimal_rep_by_lengths(self):
         # w is minimal in w W_J exactly when every w * s_j, j in J, is longer

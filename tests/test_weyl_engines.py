@@ -45,6 +45,16 @@ def test_cell_counts(engines):
         assert group.cell_counts(J, length) == oracle.cell_counts(J, length)
 
 
+def test_closure_cells(engines):
+    group, oracle, elements, _ = engines
+    matrices = {x: x.matrix for x in elements}
+    for w in _sample(elements, 6, 6):
+        below = [x for x in elements if oracle.bruhat_leq(matrices[x], matrices[w])]
+        for J in [()] + [J for J in PARABOLICS if max(J) < group.n and w.is_minimal_rep(J)]:
+            expected = {x for x in below if x.is_minimal_rep(J)}
+            assert set(group.closure_cells(w, J)) == expected
+
+
 def test_reduced_word_length_inverse(engines):
     group, oracle, elements, _ = engines
     for w in elements:

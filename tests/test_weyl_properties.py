@@ -36,3 +36,39 @@ def test_engines_agree_on_random_gcms(m):
     assert [(w.matrix, w.length) for w in elements] == expected
     for w, (matrix, _) in zip(elements, expected):
         assert w.reduced_word() == oracle.reduced_word(matrix)
+
+
+@st.composite
+def gcms_with_parabolic(draw):
+    m = draw(gcms())
+    return m, tuple(j for j in range(m.n) if draw(st.booleans()))
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(gcms_with_parabolic())
+def test_cell_counts_by_definition(case):
+    """The numbers-game walk counts the minimal representatives of w W_J."""
+    m, J = case
+    group = WeylGroup(m)
+    expected = {}
+    for w in group.elements_up_to(LENGTH):
+        if w.is_minimal_rep(J):
+            expected[w.length] = expected.get(w.length, 0) + 1
+    assert group.cell_counts(J, LENGTH) == expected
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(gcms_with_parabolic(), st.lists(st.integers(0, 5), max_size=LENGTH))
+def test_closure_cells_by_definition(case, letters):
+    """Subword products give the minimal representatives below w in the
+    Bruhat order."""
+    m, J = case
+    group = WeylGroup(m)
+    w = group.from_word([i % m.n for i in letters])
+    J = tuple(j for j in J if w.is_minimal_rep((j,)))
+    expected = [
+        x for x in group.elements_up_to(w.length) if x.is_minimal_rep(J) and x.bruhat_leq(w)
+    ]
+    assert sorted(group.closure_cells(w, J), key=lambda x: x.heights) == sorted(
+        expected, key=lambda x: x.heights
+    )
