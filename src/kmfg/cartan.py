@@ -215,7 +215,7 @@ def _parse_json(text: str) -> GeneralizedCartanMatrix:
             raise MatrixFormatError(f"missing JSON field {key!r}")
     n = data["size"]
     entries = data["entries"]
-    if not isinstance(n, int) or n <= 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
         raise MatrixFormatError(f"'size' must be a positive integer, got {n!r}")
     if not isinstance(entries, list) or len(entries) != n:
         raise MatrixFormatError(f"'entries' must be a list of {n} rows")

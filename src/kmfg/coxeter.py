@@ -162,12 +162,14 @@ class WeylGroup:
         index the cells in the closure of the cell of ``w``.  [e, w] is the
         set of subword products of a reduced word of w (Bjorner & Brenti,
         Thm 2.2.2), grown a letter at a time; ``cap`` bounds its size."""
+        e = self.identity()
+        e._require_same_group(w)
         J = vertex_subset(parabolic, self.n)
         if not w.is_minimal_rep(J):
             raise InputError(
                 "element is not a minimal coset representative for the parabolic"
             )
-        interval = {self._one: self.identity()}  # heights -> element
+        interval = {self._one: e}  # heights -> element
         for level, i in enumerate(w.reduced_word(), 1):
             for x in list(interval.values()):
                 grown, change = self._step(x.heights, (i,))

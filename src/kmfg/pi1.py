@@ -3,8 +3,9 @@ the spin covers, and the generalized flag varieties.
 
 The closed forms are driven entirely by the coloured parity graph: a green
 component contributes a Z factor, a blue component a C2 factor, a red
-component nothing.  The finitely-presented-group engine is wired in as a
-cross-check, never as the source of the closed-form answers.
+component nothing (``_pi1``), and pi1(G) is their product.  The
+finitely-presented-group engine is wired in as a cross-check, never as the
+source of the closed-form answers.
 
 Formulas are gated: the diagram must be irreducible and either
 symmetrizable or two-spherical, otherwise the computation refuses unless
@@ -34,9 +35,6 @@ __all__ = [
     "full_report",
 ]
 
-_CONTRIBUTION = {"r": "1", "g": "Z", "b": "C2"}
-
-
 @dataclass(frozen=True)
 class Pi1Type:
     """The isomorphism type Z^free_rank x C2^c2_count."""
@@ -58,6 +56,11 @@ class Pi1Type:
 
     def to_json_dict(self) -> dict:
         return {"z": self.free_rank, "c2": self.c2_count}
+
+
+def _pi1(colours) -> Pi1Type:
+    """The product of what components of these colours contribute."""
+    return Pi1Type(colours.count("g"), colours.count("b"))
 
 
 class KPi1Result(NamedTuple):
@@ -111,10 +114,9 @@ def check_hypotheses(
 
 
 def pi1_group(m: cartan.GeneralizedCartanMatrix, force: bool = False) -> Pi1Type:
-    """pi1 of the split real Kac-Moody group: Z^(green) x C2^(blue)."""
+    """pi1 of the split real Kac-Moody group."""
     check_hypotheses(m, force)
-    c = adm.counts(adm.build_adm(m))
-    return Pi1Type(c.n_g, c.n_b)
+    return _pi1(adm.build_adm(m).colours)
 
 
 def pi1_maximal_compact(
@@ -126,9 +128,11 @@ def pi1_maximal_compact(
     compact-subgroup structure is established, not the identification with
     the ambient group.
     """
-    report = check_hypotheses(m, force)
-    c = adm.counts(adm.build_adm(m))
-    return KPi1Result(Pi1Type(c.n_g, c.n_b), k_only=not report.symmetrizable)
+    return _maximal_compact(check_hypotheses(m, force), adm.build_adm(m))
+
+
+def _maximal_compact(hypotheses, graph) -> KPi1Result:
+    return KPi1Result(_pi1(graph.colours), k_only=not hypotheses.symmetrizable)
 
 
 def pi1_spin(
@@ -204,14 +208,29 @@ def _flag(m, J, max_cosets) -> FlagInfo:
 
 @dataclass
 class Pi1Report:
+    """What ``full_report`` computes; the closed forms are derived."""
+
     hypotheses: cartan.HypothesisReport
     graph: adm.AdmGraph
-    contributions: tuple[str, ...]  # per component: "1", "Z" or "C2"
-    group: Pi1Type
-    maximal_compact: KPi1Result
     spin: list[tuple[str, Pi1Type]]  # (kappa bits, type)
     flags: dict[tuple[int, ...], FlagInfo]
-    reducible: bool
+
+    @property
+    def contributions(self) -> tuple[str, ...]:
+        """Per component: "1", "Z" or "C2"."""
+        return tuple(str(_pi1((colour,))) for colour in self.graph.colours)
+
+    @property
+    def group(self) -> Pi1Type:
+        return _pi1(self.graph.colours)
+
+    @property
+    def maximal_compact(self) -> KPi1Result:
+        return _maximal_compact(self.hypotheses, self.graph)
+
+    @property
+    def reducible(self) -> bool:
+        return not self.hypotheses.irreducible
 
     def to_json_dict(self) -> dict:
         components = []
@@ -258,29 +277,8 @@ def full_report(
     """
     hypotheses = check_hypotheses(m, force, require_irreducible=False)
     graph = adm.build_adm(m)
-    c = adm.counts(graph)
-    group = Pi1Type(c.n_g, c.n_b)
-    contributions = tuple(_CONTRIBUTION[colour] for colour in graph.colours)
-    summed = Pi1Type(
-        sum(1 for x in contributions if x == "Z"),
-        sum(1 for x in contributions if x == "C2"),
-    )
-    if summed != group:
-        raise InternalError(
-            f"component contributions {summed} disagree with the counts {group}"
-        )
-    compact = KPi1Result(group, k_only=not hypotheses.symmetrizable)
     spin = spin_rows(graph, adm.enumerate_kappa(graph))
     flags = {}
     for J in [()] + [(k,) for k in range(m.n)]:
         flags[J] = _flag(m, J, max_cosets)
-    return Pi1Report(
-        hypotheses=hypotheses,
-        graph=graph,
-        contributions=contributions,
-        group=group,
-        maximal_compact=compact,
-        spin=spin,
-        flags=flags,
-        reducible=not hypotheses.irreducible,
-    )
+    return Pi1Report(hypotheses=hypotheses, graph=graph, spin=spin, flags=flags)

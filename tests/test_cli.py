@@ -55,6 +55,129 @@ class TestPi1Command:
         assert len(data["spin"]) == 2
 
 
+class TestPi1FullExact:
+    """Exact ``pi1 --full`` output where the caveat and reducible fields
+    show."""
+
+    # two-spherical, not symmetrizable: pi1(K) carries the caveat
+    NOT_SYMMETRIZABLE = "3\n2 -1 -1\n-3 2 -1\n-1 -1 2\n"
+    # A2 + A1
+    REDUCIBLE = "3\n2 -1 0\n-1 2 0\n0 0 2\n"
+
+    @staticmethod
+    def _flags(rows):
+        """JSON ``flags`` from (label, torsion, free rank, order or None)."""
+        return {
+            label: {
+                "abelian": {"z": z, "torsion": torsion},
+                "order": (
+                    {"status": "infinite"}
+                    if order is None
+                    else {"status": "finite", "order": order}
+                ),
+                "closed_form": None,
+            }
+            for label, torsion, z, order in rows
+        }
+
+    def _run(self, tmp_path, rows, *argv):
+        path = tmp_path / "m.txt"
+        path.write_text(rows)
+        return invoke(["pi1", "--full", "--matrix", str(path), *argv])
+
+    def test_not_symmetrizable_text(self, tmp_path):
+        assert self._run(tmp_path, self.NOT_SYMMETRIZABLE) == (
+            0,
+            "hypotheses: irreducible=yes symmetrizable=no two-spherical=yes "
+            "spherical=no\n"
+            "component {1,2,3}: colour b, contributes C2\n"
+            "pi1(G) = C2\n"
+            "pi1(K) = C2\n"
+            "note: not symmetrizable; the value is established for K, the "
+            "identification with pi1(G) is not\n"
+            "spin kappa=1: pi1 = C2\n"
+            "spin kappa=2: pi1 = 1\n"
+            "flag J={}: abelianization C2 x C2 x C2, order Finite(16)\n"
+            "flag J={1}: abelianization C2 x C2, order Finite(4)\n"
+            "flag J={2}: abelianization C2 x C2, order Finite(4)\n"
+            "flag J={3}: abelianization C2 x C2, order Finite(4)\n",
+            "",
+        )
+
+    def test_not_symmetrizable_json(self, tmp_path):
+        expected = {
+            "hypotheses": {
+                "irreducible": True,
+                "symmetrizable": False,
+                "two_spherical": True,
+                "spherical": False,
+            },
+            "components": [{"vertices": [1, 2, 3], "colour": "b", "contribution": "C2"}],
+            "pi1_G": {"z": 0, "c2": 1},
+            "pi1_K": {"z": 0, "c2": 1},
+            "pi1_K_caveat": True,
+            "spin": [{"kappa": "1", "z": 0, "c2": 1}, {"kappa": "2", "z": 0, "c2": 0}],
+            "flags": self._flags(
+                [("", [2, 2, 2], 0, 16)]
+                + [(label, [2, 2], 0, 4) for label in ("1", "2", "3")]
+            ),
+        }
+        code, out, err = self._run(tmp_path, self.NOT_SYMMETRIZABLE, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+    def test_reducible_text(self, tmp_path):
+        assert self._run(tmp_path, self.REDUCIBLE) == (
+            0,
+            "hypotheses: irreducible=no symmetrizable=yes two-spherical=yes "
+            "spherical=yes\n"
+            "note: reducible diagram; the answers are the products over the "
+            "irreducible factors\n"
+            "component {1,2}: colour b, contributes C2\n"
+            "component {3}: colour g, contributes Z\n"
+            "pi1(G) = Z x C2\n"
+            "pi1(K) = Z x C2\n"
+            "spin kappa=11: pi1 = Z x C2\n"
+            "spin kappa=21: pi1 = Z\n"
+            "spin kappa=12: pi1 = Z x C2\n"
+            "spin kappa=22: pi1 = Z\n"
+            "flag J={}: abelianization Z x C2 x C2, order infinite\n"
+            "flag J={1}: abelianization Z x C2, order infinite\n"
+            "flag J={2}: abelianization Z x C2, order infinite\n"
+            "flag J={3}: abelianization C2 x C2, order Finite(8)\n",
+            "",
+        )
+
+    def test_reducible_json(self, tmp_path):
+        expected = {
+            "hypotheses": {
+                "irreducible": False,
+                "symmetrizable": True,
+                "two_spherical": True,
+                "spherical": True,
+            },
+            "components": [
+                {"vertices": [1, 2], "colour": "b", "contribution": "C2"},
+                {"vertices": [3], "colour": "g", "contribution": "Z"},
+            ],
+            "pi1_G": {"z": 1, "c2": 1},
+            "pi1_K": {"z": 1, "c2": 1},
+            "pi1_K_caveat": False,
+            "spin": [
+                {"kappa": bits, "z": 1, "c2": c2}
+                for bits, c2 in (("11", 1), ("21", 0), ("12", 1), ("22", 0))
+            ],
+            "flags": self._flags(
+                [("", [2, 2], 1, None), ("1", [2], 1, None), ("2", [2], 1, None),
+                 ("3", [2, 2], 0, 8)]
+            ),
+            "reducible": True,
+        }
+        code, out, err = self._run(tmp_path, self.REDUCIBLE, "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
+
+
 class TestInputHandling:
     def test_matrix_file(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -75,6 +198,16 @@ class TestInputHandling:
         path.write_text('{"size": 2, "entries": [[2, -3], [-1, 2]]}')
         code, out, _ = invoke(["pi1", "--matrix", str(path)])
         assert code == 0
+
+    def test_json_boolean_size_exit_2(self, tmp_path):
+        # a JSON true is not a rank, as it is not an entry
+        path = tmp_path / "m.json"
+        path.write_text('{"size": true, "entries": [[2]]}')
+        assert invoke(["info", "--matrix", str(path)]) == (
+            2,
+            "",
+            "error[E201]: 'size' must be a positive integer, got True\n",
+        )
 
     def test_invalid_matrix_exit_2(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -351,3 +351,12 @@ class TestClosure:
     def test_rejects_non_minimal(self, a2):
         with pytest.raises(InputError):
             a2.closure_cells(a2.generator(1), (1,))
+
+    def test_rejects_an_element_of_another_group(self, a3):
+        # stepping the B3 reduced word s3 s2 s3 s2 in A3 would give six
+        # elements of A3, not the eight of B3's interval
+        b3 = WeylGroup(from_named("B3"))
+        w = b3.from_word((2, 1, 2, 1))
+        assert len(b3.closure_cells(w, ())) == 8
+        with pytest.raises(ValueError, match="different Weyl groups"):
+            a3.closure_cells(w, ())

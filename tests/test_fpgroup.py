@@ -11,7 +11,6 @@ from kmfg import (
     WeylGroup,
     abelianization,
     build_adm,
-    classify_component_group,
     cw_presentation,
     flag_presentation,
     from_named,
@@ -390,51 +389,46 @@ class TestCwPresentation:
                 )
 
 
-class TestClassify:
-    def test_red(self):
-        c = classify_component_group("r", 3)
-        assert c.order == 8
-        assert c.invariants == AbelianInvariants(0, (2, 2, 2))
-
-    def test_green(self):
-        c = classify_component_group("g", 1)
-        assert c.order is None
-        assert c.invariants == AbelianInvariants(1, ())
-
-    def test_blue(self):
-        c = classify_component_group("b", 2)
-        assert c.order == 8
-        assert c.invariants is None
-
-    def test_green_must_be_singleton(self):
-        with pytest.raises(ValueError):
-            classify_component_group("g", 2)
-
-    def test_bad_size(self):
-        with pytest.raises(ValueError):
-            classify_component_group("r", 0)
-
-
 class TestVerifyComponent:
     def test_a2_blue(self):
         v = verify_component(from_named("A2"), (0, 1), "b")
         assert v.passed
         assert v.observed_order == EnumerationResult.finite(8)
+        # no abelianization is predicted for a blue component
+        assert v.checks == [("order", "pass", "expected 8, got 8")]
 
     def test_c4_red(self):
         v = verify_component(from_named("C4"), (0, 1, 2), "r")
         assert v.passed
         assert v.observed_order == EnumerationResult.finite(8)
         assert v.observed_invariants == AbelianInvariants(0, (2, 2, 2))
+        assert v.checks == [
+            ("order", "pass", "expected 8, got 8"),
+            ("abelianization", "pass", "expected C2 x C2 x C2, got C2 x C2 x C2"),
+        ]
 
     def test_a1_green_inconclusive_order(self):
         v = verify_component(from_named("A1"), (0,), "g", max_cosets=500)
         assert v.passed
         assert v.inconclusive
         assert v.observed_invariants == AbelianInvariants(1, ())
-        statuses = {name: status for name, status, _ in v.checks}
-        assert statuses["order"] == "inconclusive"
-        assert statuses["abelianization"] == "pass"
+        assert v.checks == [
+            ("order", "inconclusive", "infinite group predicted; enumeration gave "
+             "Exhausted(500)"),
+            ("abelianization", "pass", "expected Z, got Z"),
+        ]
+
+    def test_green_must_be_singleton(self):
+        with pytest.raises(ValueError, match="single vertex"):
+            verify_component(from_named("A2"), (0, 1), "g")
+
+    def test_empty_component(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            verify_component(from_named("A2"), (), "r")
+
+    def test_unknown_colour(self):
+        with pytest.raises(ValueError, match="unknown colour 'x'"):
+            verify_component(from_named("A2"), (0, 1), "x")
 
     @pytest.mark.parametrize("name", CORPUS_RANK_LE_5 + ["E10", "A1~"])
     def test_whole_corpus_verifies(self, name):
