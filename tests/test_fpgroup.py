@@ -389,6 +389,56 @@ class TestCwPresentation:
                 )
 
 
+def _corpus_components(colour):
+    """(diagram, component) for every corpus component of this colour."""
+    for name in CORPUS_RANK_LE_5 + ["E10", "A1~"]:
+        m = from_named(name)
+        graph = build_adm(m)
+        for comp, c in zip(graph.components, graph.colours):
+            if c == colour:
+                yield m, comp
+
+
+class TestClassify:
+    """The group verify_component predicts for each colour, read from the
+    expectations its checks report on every corpus component."""
+
+    def test_red(self):
+        sizes = set()
+        for m, comp in _corpus_components("r"):
+            size = len(comp)
+            sizes.add(size)
+            v = verify_component(m, comp, "r", max_cosets=5000)
+            c2s = AbelianInvariants(0, (2,) * size)
+            assert v.checks == [
+                ("order", "pass", f"expected {2**size}, got {2**size}"),
+                ("abelianization", "pass", f"expected {c2s}, got {c2s}"),
+            ]
+        assert sizes == {1, 2, 3, 4}
+
+    def test_green(self):
+        seen = 0
+        for m, comp in _corpus_components("g"):
+            seen += 1
+            v = verify_component(m, comp, "g", max_cosets=500)
+            assert v.checks == [
+                ("order", "inconclusive", "infinite group predicted; enumeration gave "
+                 "Exhausted(500)"),
+                ("abelianization", "pass", "expected Z, got Z"),
+            ]
+        assert seen == 8
+
+    def test_blue(self):
+        sizes = set()
+        for m, comp in _corpus_components("b"):
+            size = len(comp)
+            sizes.add(size)
+            v = verify_component(m, comp, "b", max_cosets=5000)
+            order = 2 ** (size + 1)
+            assert v.checks == [("order", "pass", f"expected {order}, got {order}")]
+        assert sizes == {2, 3, 4, 5, 10}
+
+
 class TestVerifyComponent:
     def test_a2_blue(self):
         v = verify_component(from_named("A2"), (0, 1), "b")
