@@ -12,7 +12,7 @@ colours:
 Admissible colourings assign 1 or 2 per component, with every ``r``
 component forced to 1.  Components are always ordered by their smallest
 vertex; that order fixes the bit order used to enumerate colourings and
-the layout of all serialized output.
+the order in which the CLI prints components as text, JSON or DOT.
 """
 
 from __future__ import annotations
@@ -25,19 +25,13 @@ from .errors import InadmissibleKappaError
 __all__ = [
     "AdmGraph",
     "KappaColouring",
-    "ColourCounts",
     "build_adm",
     "enumerate_kappa",
     "kappa_from_bits",
     "kappa_constant",
     "kappa_bits",
     "validate_kappa",
-    "counts",
-    "to_dot",
-    "report_json",
 ]
-
-_DOT_COLOURS = {"r": "red", "g": "green", "b": "blue"}
 
 
 @dataclass(frozen=True)
@@ -46,15 +40,6 @@ class AdmGraph:
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
     colours: tuple[str, ...]
-
-    def component_of(self, vertex: int) -> int:
-        for idx, comp in enumerate(self.components):
-            if vertex in comp:
-                return idx
-        raise ValueError(f"vertex {vertex} out of range")
-
-    def colour_of(self, vertex: int) -> str:
-        return self.colours[self.component_of(vertex)]
 
     def free_components(self) -> tuple[int, ...]:
         """Indices of the components not forced to kappa = 1."""
@@ -66,22 +51,6 @@ class KappaColouring:
     """Value 1 or 2 per component, aligned with AdmGraph.components."""
 
     values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ColourCounts:
-    n_r: int
-    n_g: int
-    n_b: int
-    n_b_kappa1: int | None = None
-    c: int | None = None
-
-    def to_json_dict(self) -> dict:
-        out = {"n_r": self.n_r, "n_g": self.n_g, "n_b": self.n_b}
-        if self.n_b_kappa1 is not None:
-            out["n_b_kappa1"] = self.n_b_kappa1
-            out["c"] = self.c
-        return out
 
 
 def has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
@@ -198,48 +167,3 @@ def kappa_constant(graph: AdmGraph, value: int) -> KappaColouring:
 def kappa_bits(graph: AdmGraph, kappa: KappaColouring) -> str:
     """Inverse of kappa_from_bits."""
     return "".join(str(kappa.values[idx]) for idx in graph.free_components())
-
-
-def counts(graph: AdmGraph, kappa: KappaColouring | None = None) -> ColourCounts:
-    n_r = graph.colours.count("r")
-    n_g = graph.colours.count("g")
-    n_b = graph.colours.count("b")
-    if kappa is None:
-        return ColourCounts(n_r, n_g, n_b)
-    validate_kappa(graph, kappa)
-    n_b_kappa1 = sum(
-        1
-        for idx, colour in enumerate(graph.colours)
-        if colour == "b" and kappa.values[idx] == 1
-    )
-    c = sum(1 for value in kappa.values if value == 2)
-    return ColourCounts(n_r, n_g, n_b, n_b_kappa1, c)
-
-
-def to_dot(graph: AdmGraph) -> str:
-    """Graphviz DOT text; vertices are labelled 1-based and filled with the
-    component colour."""
-    lines = ["graph adm {", "  node [style=filled];"]
-    for v in range(graph.n):
-        colour = _DOT_COLOURS[graph.colour_of(v)]
-        lines.append(f'  v{v + 1} [label="{v + 1}", fillcolor={colour}];')
-    for i, j in sorted(graph.edges):
-        lines.append(f"  v{i + 1} -- v{j + 1};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def report_json(graph: AdmGraph, kappa: KappaColouring | None = None) -> dict:
-    component_list = []
-    for idx, comp in enumerate(graph.components):
-        entry = {
-            "vertices": [v + 1 for v in comp],
-            "colour": graph.colours[idx],
-        }
-        if kappa is not None:
-            entry["kappa"] = kappa.values[idx]
-        component_list.append(entry)
-    return {
-        "components": component_list,
-        "counts": counts(graph, kappa).to_json_dict(),
-    }

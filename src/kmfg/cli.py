@@ -3,9 +3,9 @@ answers; checks such as ``verify`` (``fpgroup.verify``) live in the library.
 
 Subcommands: info, pi1, spin, flag, weyl, adm, verify.  The input diagram
 comes from ``--type NAME`` or ``--matrix PATH`` (``-`` reads stdin).  All
-indices on the command line and in rendered output are 1-based.  Each
-subcommand writes its JSON payload or its text lines through ``_render``;
-only ``adm`` writes DOT itself.  The parser is built once, on first use.
+indices on the command line and in rendered output are 1-based.  Only this
+module renders: each subcommand turns the library's values into a JSON
+payload and text or DOT lines for ``_render``.  The parser is built once.
 
 Exit codes: 0 success, 1 usage error, 2 input/validation error,
 3 hypothesis gate refused, 4 resource cap exhausted, 5 internal error (two
@@ -210,10 +210,53 @@ def _component_lines(graph) -> list[str]:
 
 
 def _render(out, fmt, payload, lines):
-    """The output path of every subcommand but ``adm --dot``: ``payload``
-    as indented JSON, or ``lines`` as text."""
+    """The output path of every subcommand: ``payload`` as indented JSON,
+    or ``lines`` as text or DOT."""
     text = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines)
     out.write(text + "\n")
+
+
+def _type_json(value: pi1.Pi1Type) -> dict:
+    return {"z": value.free_rank, "c2": value.c2_count}
+
+
+def _spin_json(rows) -> list[dict]:
+    return [{"kappa": bits, **_type_json(value)} for bits, value in rows]
+
+
+def _graph_json(graph) -> dict:
+    return {
+        "components": [
+            {"vertices": [v + 1 for v in comp], "colour": colour}
+            for comp, colour in zip(graph.components, graph.colours)
+        ],
+        "counts": {f"n_{c}": graph.colours.count(c) for c in "rgb"},
+    }
+
+
+_DOT_COLOURS = {"r": "red", "g": "green", "b": "blue"}
+
+
+def _dot_lines(graph) -> list[str]:
+    """Graphviz DOT, each vertex filled with its component's colour."""
+    fill = {v: _DOT_COLOURS[c] for vs, c in zip(graph.components, graph.colours) for v in vs}
+    vertices = [f'  v{v + 1} [label="{v + 1}", fillcolor={fill[v]}];' for v in range(graph.n)]
+    edges = [f"  v{i + 1} -- v{j + 1};" for i, j in sorted(graph.edges)]
+    return ["graph adm {", "  node [style=filled];", *vertices, *edges, "}"]
+
+
+def _flag_json(info: pi1.FlagInfo) -> dict:
+    if info.order is None:
+        order = {"status": "infinite"}
+    elif info.order.is_finite:
+        order = {"status": "finite", "order": info.order.order}
+    else:
+        order = {"status": "exhausted", "limit": info.order.limit}
+    return {
+        "abelian": {"z": info.invariants.free_rank, "torsion": list(info.invariants.torsion)},
+        "order": order,
+        "closed_form": None if info.closed_form is None else _type_json(info.closed_form),
+    }
 
 
 def _cmd_info(args, out):
@@ -223,7 +266,7 @@ def _cmd_info(args, out):
     lines = [f"rank: {m.n}"]
     lines += [f"{k.replace('_', '-')}: {'yes' if v else 'no'}" for k, v in hypotheses.items()]
     lines += _component_lines(graph)
-    payload = {"rank": m.n, "hypotheses": hypotheses, "adm": adm.report_json(graph)}
+    payload = {"rank": m.n, "hypotheses": hypotheses, "adm": _graph_json(graph)}
     _render(out, args.format, payload, lines)
 
 
@@ -257,18 +300,40 @@ def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
     return lines
 
 
+def _full_report_json(report: pi1.Pi1Report) -> dict:
+    components = _graph_json(report.graph)["components"]
+    payload = {
+        "hypotheses": report.hypotheses.to_json_dict(),
+        "components": [
+            {**entry, "contribution": contribution}
+            for entry, contribution in zip(components, report.contributions)
+        ],
+        "pi1_G": _type_json(report.group),
+        "pi1_K": _type_json(report.maximal_compact.value),
+        "pi1_K_caveat": report.maximal_compact.k_only,
+        "spin": _spin_json(report.spin),
+        "flags": {
+            ",".join(str(v + 1) for v in J): _flag_json(info)
+            for J, info in sorted(report.flags.items())
+        },
+    }
+    if report.reducible:
+        payload["reducible"] = True
+    return payload
+
+
 def _cmd_pi1(args, out):
     m = _load_matrix(args)
     max_cosets = args.max_cosets or _default_max_cosets()
     if args.full:
         report = pi1.full_report(m, max_cosets=max_cosets, force=args.force)
-        _render(out, args.format, report.to_json_dict(), _full_report_lines(report))
+        _render(out, args.format, _full_report_json(report), _full_report_lines(report))
         return
     # pi1(G) and pi1(K) have the same value; k_only marks the caveat
     compact = pi1.pi1_maximal_compact(m, force=args.force)
     payload = {
-        "pi1_G": compact.value.to_json_dict(),
-        "pi1_K": compact.value.to_json_dict(),
+        "pi1_G": _type_json(compact.value),
+        "pi1_K": _type_json(compact.value),
         "pi1_K_caveat": compact.k_only,
     }
     lines = [f"pi1(G) = {compact.value}", f"pi1(K) = {compact.value}"]
@@ -288,7 +353,7 @@ def _cmd_spin(args, out):
         colourings = adm.enumerate_kappa(graph)
     pi1.check_hypotheses(m, force=args.force)
     rows = pi1.spin_rows(graph, colourings)
-    payload = {"spin": [{"kappa": bits, **value.to_json_dict()} for bits, value in rows]}
+    payload = {"spin": _spin_json(rows)}
     # one admissible colouring per choice of 1 or 2 on each free component
     lines = [f"admissible colourings: {2 ** len(graph.free_components())}"]
     lines += [f"kappa {bits or '-'}: pi1(Spin) = {value}" for bits, value in rows]
@@ -311,7 +376,7 @@ def _cmd_flag(args, out):
         lines.append(f"order: {info.order.order}")
     else:
         lines.append(f"order: undecided, coset table capped at {info.order.limit}")
-    payload = {"J": [v + 1 for v in info.parabolic], **info.to_json_dict()}
+    payload = {"J": [v + 1 for v in info.parabolic], **_flag_json(info)}
     _render(out, args.format, payload, lines)
     if info.order is not None and not info.order.is_finite:
         raise ResourceLimitError(
@@ -354,12 +419,13 @@ def _cmd_weyl(args, out):
 def _cmd_adm(args, out):
     m = _load_matrix(args)
     graph = adm.build_adm(m)
-    if args.dot or args.format == "dot":
-        out.write(adm.to_dot(graph))
-        return
-    edges = ", ".join(f"{i + 1}-{j + 1}" for i, j in sorted(graph.edges)) or "none"
-    lines = _component_lines(graph) + [f"edges: {edges}"]
-    _render(out, args.format, adm.report_json(graph), lines)
+    fmt = "dot" if args.dot else args.format
+    if fmt == "dot":
+        lines = _dot_lines(graph)
+    else:
+        edges = ", ".join(f"{i + 1}-{j + 1}" for i, j in sorted(graph.edges)) or "none"
+        lines = _component_lines(graph) + [f"edges: {edges}"]
+    _render(out, fmt, _graph_json(graph), lines)
 
 
 # text labels of the whole-diagram checks of ``fpgroup.verify``

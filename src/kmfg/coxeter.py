@@ -87,8 +87,16 @@ class WeylGroup:
             raise ValueError(f"simple root index {i} out of range")
         return tuple(1 if j == i else 0 for j in range(self.n))
 
+    def _letters(self, word) -> tuple[int, ...]:
+        """``word`` as a tuple, each letter checked to be a vertex index."""
+        word = tuple(word)
+        for i in word:
+            if not 0 <= i < self.n:
+                raise ValueError(f"word letter {i} out of range")
+        return word
+
     def from_word(self, word) -> "WeylElement":
-        heights, length = self._step(self._one, word)
+        heights, length = self._step(self._one, self._letters(word))
         return WeylElement(self, heights, _length=length)
 
     def root_sequence(self, word) -> list[tuple[int, ...]]:
@@ -97,7 +105,7 @@ class WeylGroup:
         # columns[j] is the image of alpha_j under the prefix read so far
         columns = [self.simple_root(j) for j in range(self.n)]
         out = []
-        for i in word:
+        for i in self._letters(word):
             column = columns[i]
             out.append(column)
             for j, a in self._neighbours[i]:
@@ -106,6 +114,7 @@ class WeylGroup:
         return out
 
     def is_reduced(self, word) -> bool:
+        word = self._letters(word)
         return self._step(self._one, word)[1] == len(word)
 
     def _walk(self, start, length: int, cap: int):

@@ -100,12 +100,6 @@ class FpPresentation:
         rels = ", ".join(fmt(w) for w in self.relators)
         return f"<{gens} | {rels}>"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "generators": list(self.generator_names),
-            "relators": [[[g + 1, e] for g, e in word] for word in self.relators],
-        }
-
 
 @dataclass(frozen=True)
 class AbelianInvariants:
@@ -119,24 +113,12 @@ class AbelianInvariants:
             if b % a:
                 raise ValueError(f"torsion {self.torsion} not in divisibility order")
 
-    def order(self) -> int | None:
-        """Group order if finite, else None."""
-        if self.free_rank:
-            return None
-        result = 1
-        for d in self.torsion:
-            result *= d
-        return result
-
     def __str__(self):
         parts = []
         if self.free_rank:
             parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
         parts.extend(f"C{d}" for d in self.torsion)
         return " x ".join(parts) if parts else "1"
-
-    def to_json_dict(self) -> dict:
-        return {"z": self.free_rank, "torsion": list(self.torsion)}
 
 
 @dataclass(frozen=True)
@@ -161,11 +143,6 @@ class EnumerationResult:
         if self.is_finite:
             return f"Finite({self.order})"
         return f"Exhausted({self.limit})"
-
-    def to_json_dict(self) -> dict:
-        if self.is_finite:
-            return {"status": "finite", "order": self.order}
-        return {"status": "exhausted", "limit": self.limit}
 
 
 # ---------------------------------------------------------------------------

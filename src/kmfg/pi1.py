@@ -12,6 +12,7 @@ symmetrizable or two-spherical, otherwise the computation refuses unless
 forced.  The identification of pi1(G) with pi1(K) carries a caveat flag
 outside the symmetrizable case.  Each public function passes the gate
 once; the report and the parity graph are computed once per matrix.
+Results are plain values; the CLI renders them as text or JSON.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ class Pi1Type:
             parts.append(f"C2^{self.c2_count}")
         return " x ".join(parts) if parts else "1"
 
-    def to_json_dict(self) -> dict:
-        return {"z": self.free_rank, "c2": self.c2_count}
-
 
 def _pi1(colours) -> Pi1Type:
     """The product of what components of these colours contribute."""
@@ -74,19 +72,6 @@ class FlagInfo:
     invariants: fpgroup.AbelianInvariants
     order: fpgroup.EnumerationResult | None  # None: infinite, settled without enumeration
     closed_form: Pi1Type | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "abelian": self.invariants.to_json_dict(),
-            "order": (
-                {"status": "infinite"}
-                if self.order is None
-                else self.order.to_json_dict()
-            ),
-            "closed_form": (
-                None if self.closed_form is None else self.closed_form.to_json_dict()
-            ),
-        }
 
 
 def check_hypotheses(
@@ -148,11 +133,13 @@ def pi1_spin(
 
 def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, Pi1Type]]:
     """(kappa bits, pi1 of the spin cover) per colouring, without the gate:
-    the caller has passed ``check_hypotheses`` once for the whole list."""
+    the caller has passed ``check_hypotheses`` once for the whole list.
+    A blue component with kappa = 2 loses its C2; the rest is ``_pi1``."""
     rows = []
     for kappa in colourings:
-        c = adm.counts(graph, kappa)
-        rows.append((adm.kappa_bits(graph, kappa), Pi1Type(c.n_g, c.n_b_kappa1)))
+        adm.validate_kappa(graph, kappa)
+        kept = [c for c, v in zip(graph.colours, kappa.values) if c != "b" or v == 1]
+        rows.append((adm.kappa_bits(graph, kappa), _pi1(kept)))
     return rows
 
 
@@ -231,35 +218,6 @@ class Pi1Report:
     @property
     def reducible(self) -> bool:
         return not self.hypotheses.irreducible
-
-    def to_json_dict(self) -> dict:
-        components = []
-        for idx, comp in enumerate(self.graph.components):
-            components.append(
-                {
-                    "vertices": [v + 1 for v in comp],
-                    "colour": self.graph.colours[idx],
-                    "contribution": self.contributions[idx],
-                }
-            )
-        flags = {
-            ",".join(str(v + 1) for v in J): info.to_json_dict()
-            for J, info in sorted(self.flags.items())
-        }
-        out = {
-            "hypotheses": self.hypotheses.to_json_dict(),
-            "components": components,
-            "pi1_G": self.group.to_json_dict(),
-            "pi1_K": self.maximal_compact.value.to_json_dict(),
-            "pi1_K_caveat": self.maximal_compact.k_only,
-            "spin": [
-                {"kappa": bits, **value.to_json_dict()} for bits, value in self.spin
-            ],
-            "flags": flags,
-        }
-        if self.reducible:
-            out["reducible"] = True
-        return out
 
 
 def full_report(

@@ -1,19 +1,22 @@
+import io
+import json
 import random
 
 import pytest
 
 from kmfg import (
     GeneralizedCartanMatrix,
+    Pi1Type,
     build_adm,
-    counts,
     enumerate_kappa,
     from_named,
     kappa_constant,
     kappa_from_bits,
-    to_dot,
 )
-from kmfg.adm import kappa_bits, report_json, validate_kappa, KappaColouring
+from kmfg.adm import kappa_bits, validate_kappa, KappaColouring
+from kmfg.cli import run
 from kmfg.errors import InadmissibleKappaError
+from kmfg.pi1 import spin_rows
 
 from oracles import diagram_x, direct_sum, kappa_brute_force
 
@@ -21,6 +24,13 @@ CORPUS = [
     "A1", "A2", "A5", "B2", "B3", "B5", "C2", "C3", "C5",
     "D4", "F4", "G2", "E6", "E10", "A1~", "C2~", "G2~",
 ]
+
+
+def _cli(*argv) -> str:
+    """stdout of a successful ``kmfg`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    assert run(list(argv), out, err) == 0, err.getvalue()
+    return out.getvalue()
 
 
 class TestBuild:
@@ -141,8 +151,8 @@ class TestKappa:
     @pytest.mark.parametrize("name", CORPUS)
     def test_count_is_two_to_the_free(self, name):
         g = build_adm(from_named(name))
-        c = counts(g)
-        assert len(enumerate_kappa(g)) == 2 ** (c.n_g + c.n_b)
+        free = g.colours.count("g") + g.colours.count("b")
+        assert len(enumerate_kappa(g)) == 2**free
 
     def test_bit_order(self):
         m = direct_sum(from_named("A1"), from_named("A2"))  # g at 0, b at {1,2}
@@ -178,55 +188,53 @@ class TestKappa:
 
 class TestCounts:
     def test_e10(self):
-        c = counts(build_adm(from_named("E10")))
-        assert (c.n_r, c.n_g, c.n_b) == (0, 0, 1)
+        colours = build_adm(from_named("E10")).colours
+        assert [colours.count(c) for c in "rgb"] == [0, 0, 1]
 
     def test_diagram_x(self):
-        c = counts(build_adm(diagram_x()))
-        assert (c.n_g, c.n_b) == (2, 2)
-        assert c.n_r == 5
+        colours = build_adm(diagram_x()).colours
+        assert (colours.count("g"), colours.count("b")) == (2, 2)
+        assert colours.count("r") == 5
 
     def test_a2_with_kappa_2(self):
         g = build_adm(from_named("A2"))
-        c = counts(g, kappa_constant(g, 2))
-        assert c.c == 1
-        assert c.n_b_kappa1 == 0
+        kappa = kappa_constant(g, 2)
+        assert kappa.values.count(2) == 1
+        # no blue component keeps kappa = 1, so the spin cover is simply connected
+        assert spin_rows(g, [kappa]) == [("2", Pi1Type(0, 0))]
 
     def test_total(self):
         for name in CORPUS:
             g = build_adm(from_named(name))
-            c = counts(g)
-            assert c.n_r + c.n_g + c.n_b == len(g.components)
+            assert sum(g.colours.count(c) for c in "rgb") == len(g.components)
 
 
 class TestDot:
     def test_a1_green(self):
-        dot = to_dot(build_adm(from_named("A1")))
+        dot = _cli("adm", "--type", "A1", "--dot")
         assert "fillcolor=green" in dot
         assert "--" not in dot
 
     def test_a2_blue_edge(self):
-        dot = to_dot(build_adm(from_named("A2")))
+        dot = _cli("adm", "--type", "A2", "--dot")
         assert dot.count("fillcolor=blue") == 2
         assert "v1 -- v2;" in dot
 
     def test_c3(self):
-        dot = to_dot(build_adm(from_named("C3")))
+        dot = _cli("adm", "--type", "C3", "--dot")
         assert dot.count("fillcolor=red") == 2
         assert dot.count("fillcolor=green") == 1
         assert "v1 -- v2;" in dot
         assert dot.count("--") == 1
 
     def test_deterministic(self):
-        g = build_adm(from_named("F4"))
-        assert to_dot(g) == to_dot(build_adm(from_named("F4")))
+        assert _cli("adm", "--type", "F4", "--dot") == _cli("adm", "--type", "F4", "--dot")
 
 
 def test_report_json_shape():
-    g = build_adm(from_named("C3"))
-    data = report_json(g, kappa_constant(g, 2))
+    data = json.loads(_cli("adm", "--type", "C3", "--format", "json"))
     assert data["components"] == [
-        {"vertices": [1, 2], "colour": "r", "kappa": 1},
-        {"vertices": [3], "colour": "g", "kappa": 2},
+        {"vertices": [1, 2], "colour": "r"},
+        {"vertices": [3], "colour": "g"},
     ]
-    assert data["counts"] == {"n_r": 1, "n_g": 1, "n_b": 0, "n_b_kappa1": 0, "c": 1}
+    assert data["counts"] == {"n_r": 1, "n_g": 1, "n_b": 0}

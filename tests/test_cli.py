@@ -54,6 +54,43 @@ class TestPi1Command:
         assert data["pi1_G"] == {"z": 0, "c2": 1}
         assert len(data["spin"]) == 2
 
+    def test_caveat_json_exact(self, monkeypatch):
+        expected = {
+            "pi1_G": {"z": 0, "c2": 1},
+            "pi1_K": {"z": 0, "c2": 1},
+            "pi1_K_caveat": True,
+        }
+        assert invoke(
+            ["pi1", "--matrix", "-", "--format", "json"],
+            TestPi1FullExact.NOT_SYMMETRIZABLE,
+            monkeypatch,
+        ) == (0, json.dumps(expected, indent=2) + "\n", "")
+
+
+class TestInfoCommand:
+    def test_c3_json_exact(self):
+        expected = {
+            "rank": 3,
+            "hypotheses": {
+                "irreducible": True,
+                "symmetrizable": True,
+                "two_spherical": True,
+                "spherical": True,
+            },
+            "adm": {
+                "components": [
+                    {"vertices": [1, 2], "colour": "r"},
+                    {"vertices": [3], "colour": "g"},
+                ],
+                "counts": {"n_r": 1, "n_g": 1, "n_b": 0},
+            },
+        }
+        assert invoke(["info", "--type", "C3", "--format", "json"]) == (
+            0,
+            json.dumps(expected, indent=2) + "\n",
+            "",
+        )
+
 
 class TestPi1FullExact:
     """Exact ``pi1 --full`` output where the caveat and reducible fields
@@ -306,6 +343,20 @@ class TestSpinCommand:
         code, _, err = invoke(["spin", "--type", "A3", "--kappa", "2", "--all"])
         assert code == 1
 
+    def test_reducible_all_json_exact(self, monkeypatch):
+        # A2 + A1: the blue component's bit sets C2, the green one's does not
+        expected = {
+            "spin": [
+                {"kappa": bits, "z": 1, "c2": c2}
+                for bits, c2 in (("11", 1), ("21", 0), ("12", 1), ("22", 0))
+            ]
+        }
+        assert invoke(
+            ["spin", "--all", "--force", "--format", "json", "--matrix", "-"],
+            TestPi1FullExact.REDUCIBLE,
+            monkeypatch,
+        ) == (0, json.dumps(expected, indent=2) + "\n", "")
+
 
 class TestFlagCommand:
     def test_a3_singleton(self):
@@ -344,6 +395,41 @@ class TestFlagCommand:
         code, out, _ = invoke(["flag", "--type", "A2", "--max-cosets", "100"])
         assert code == 0
         assert "order: 8" in out
+
+    @staticmethod
+    def _json(J, z, torsion, order, closed_form):
+        payload = {
+            "J": J,
+            "abelian": {"z": z, "torsion": torsion},
+            "order": order,
+            "closed_form": closed_form,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    def test_closed_form_json_exact(self):
+        assert invoke(["flag", "--type", "A3", "--set", "1", "--format", "json"]) == (
+            0,
+            self._json(
+                [1], 0, [2, 2], {"status": "finite", "order": 4}, {"z": 0, "c2": 2}
+            ),
+            "",
+        )
+
+    def test_infinite_json_exact(self):
+        assert invoke(["flag", "--type", "C2", "--set", "", "--format", "json"]) == (
+            0,
+            self._json([], 1, [2], {"status": "infinite"}, None),
+            "",
+        )
+
+    def test_exhausted_json_exact(self):
+        assert invoke(
+            ["flag", "--type", "B3", "--max-cosets", "8", "--format", "json"]
+        ) == (
+            4,
+            self._json([], 0, [2, 2, 2], {"status": "exhausted", "limit": 8}, None),
+            "error[E401]: coset enumeration exhausted the cap 8\n",
+        )
 
 
 class TestWeylCommand:
@@ -505,6 +591,33 @@ class TestAdmCommand:
         code, out, _ = invoke(["adm", "--type", "C3"])
         assert code == 0
         assert "component {1,2}: colour r" in out
+
+    def test_json_exact(self):
+        expected = {
+            "components": [
+                {"vertices": [1, 2], "colour": "b"},
+                {"vertices": [3], "colour": "r"},
+            ],
+            "counts": {"n_r": 1, "n_g": 0, "n_b": 1},
+        }
+        assert invoke(["adm", "--type", "B3", "--format", "json"]) == (
+            0,
+            json.dumps(expected, indent=2) + "\n",
+            "",
+        )
+
+    def test_dot_exact(self):
+        assert invoke(["adm", "--type", "C3", "--dot"]) == (
+            0,
+            "graph adm {\n"
+            "  node [style=filled];\n"
+            '  v1 [label="1", fillcolor=red];\n'
+            '  v2 [label="2", fillcolor=red];\n'
+            '  v3 [label="3", fillcolor=green];\n'
+            "  v1 -- v2;\n"
+            "}\n",
+            "",
+        )
 
 
 class TestVerifyCommand:

@@ -187,6 +187,21 @@ class TestIsReduced:
             assert by_length == by_roots
 
 
+class TestWordLetters:
+    """A letter that is no vertex index is refused, by name, wherever a word
+    enters the group."""
+
+    @pytest.mark.parametrize("letter", [-1, 2, 5])
+    def test_rejected(self, a2, letter):
+        for call in (a2.from_word, a2.is_reduced, a2.root_sequence):
+            with pytest.raises(ValueError, match=f"letter {letter} out of range"):
+                call((0, letter))
+
+    def test_generator(self, a2):
+        with pytest.raises(ValueError, match="letter -1 out of range"):
+            a2.generator(-1)
+
+
 class TestBruhatOrder:
     def test_identity_below_everything(self, a3):
         e = a3.identity()

@@ -53,13 +53,6 @@ class TestPresentation:
         p = h_j_presentation(from_named("A2"), (0, 1))
         assert p.to_text() == "<x1,x2 | x1*x2^-1*x1^-1*x2^-1, x2*x1^-1*x2^-1*x1^-1>"
 
-    def test_json_form(self):
-        p = FpPresentation(("x1", "x2"), (((0, 1), (1, -1)),))
-        assert p.to_json_dict() == {
-            "generators": ["x1", "x2"],
-            "relators": [[[1, 1], [2, -1]]],
-        }
-
 
 class TestSmithNormalForm:
     def test_known_small_cases(self):

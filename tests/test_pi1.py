@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -20,9 +21,22 @@ from kmfg import (
     h_j_presentation,
 )
 from kmfg.adm import KappaColouring
+from kmfg.cli import run
 from kmfg.errors import HypothesisError, InadmissibleKappaError
 
 from oracles import diagram_x, direct_sum
+
+
+def _cli_json(argv, tmp_path=None, m=None):
+    """The JSON a successful ``kmfg`` run prints; ``m`` is passed as a
+    matrix file."""
+    if m is not None:
+        path = tmp_path / "m.txt"
+        path.write_text(m.to_plain_text())
+        argv = [*argv, "--matrix", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    assert run([*argv, "--format", "json"], out, err) == 0, err.getvalue()
+    return json.loads(out.getvalue())
 
 # two-spherical (all products <= 3) but not symmetrizable (cycle products differ)
 TWO_SPHERICAL_NOT_SYMMETRIZABLE = GeneralizedCartanMatrix(
@@ -48,8 +62,11 @@ class TestPi1TypeRendering:
     def test_str(self, z, c2, text):
         assert str(Pi1Type(z, c2)) == text
 
-    def test_json(self):
-        assert Pi1Type(1, 2).to_json_dict() == {"z": 1, "c2": 2}
+    def test_json(self, tmp_path):
+        # A1 + A2 + A2 has pi1 = Z x C2^2; reducible, so only with --force
+        m = direct_sum(direct_sum(from_named("A1"), from_named("A2")), from_named("A2"))
+        data = _cli_json(["pi1", "--force"], tmp_path, m)
+        assert data["pi1_G"] == {"z": 1, "c2": 2}
 
 
 class TestPi1Group:
@@ -249,10 +266,7 @@ class TestFullReport:
         assert report.group == Pi1Type(1, 1)
 
     def test_json_schema(self):
-        report = full_report(from_named("B3"))
-        data = report.to_json_dict()
-        text = json.dumps(data)  # must be serializable
-        assert json.loads(text) == data
+        data = _cli_json(["pi1", "--full", "--type", "B3"])
         assert data["pi1_G"] == {"z": 0, "c2": 1}
         assert data["pi1_K"] == {"z": 0, "c2": 1}
         assert data["pi1_K_caveat"] is False

@@ -1,0 +1,34 @@
+"""kmfg depends on nothing outside the standard library: every absolute
+import in ``src/kmfg`` names a top-level module of the standard library,
+and relative imports are kmfg's own."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "kmfg").glob("*.py"))
+
+
+def _absolute_imports(path):
+    """(line, module) for each absolute import in the file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_every_module_is_read():
+    assert {"cli.py", "pi1.py", "fpgroup.py"} <= {path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_are_stdlib(path):
+    outside = [
+        f"{path.name}:{line} imports {module}"
+        for line, module in _absolute_imports(path)
+        if module.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert outside == []
