@@ -243,6 +243,8 @@ def parse_matrix(text: str) -> GeneralizedCartanMatrix:
 
 
 _NAME_RE = re.compile(r"([A-G])([0-9]+)(~?)\Z")
+# the largest rank a name may carry, checked before its n x n matrix is built
+_MAX_NAMED_RANK = 1000
 
 
 def _empty(n):
@@ -344,6 +346,8 @@ def from_named(name: str) -> GeneralizedCartanMatrix:
         )
     family, rank_str, affine = match.groups()
     n = int(rank_str)
+    if n > _MAX_NAMED_RANK:
+        raise UnknownNameError(f"a named diagram has rank at most {_MAX_NAMED_RANK}, got {n}")
     a = _base_matrix(family, n)
     if affine:
         a = _affinize(family, n, a)

@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adm", help="the coloured parity graph")
     _add_input_options(p)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    p.add_argument("--format", choices=("text", "json", "dot"), default=None)
     p.add_argument("--dot", action="store_true", help="shorthand for --format dot")
 
     p = sub.add_parser("verify", help="check the structural claims by enumeration")
@@ -259,6 +259,16 @@ def _flag_json(info: pi1.FlagInfo) -> dict:
     }
 
 
+def _check_orders(flags):
+    """After the output is written: exit 4 if a coset cap left the order of
+    a flag's group open."""
+    for info in flags:
+        if info.order is not None and not info.order.is_finite:
+            raise ResourceLimitError(
+                f"coset enumeration exhausted the cap {info.order.limit}", info.order.limit
+            )
+
+
 def _cmd_info(args, out):
     m = _load_matrix(args)
     hypotheses = cartan.hypothesis_report(m).to_json_dict()
@@ -328,6 +338,7 @@ def _cmd_pi1(args, out):
     if args.full:
         report = pi1.full_report(m, max_cosets=max_cosets, force=args.force)
         _render(out, args.format, _full_report_json(report), _full_report_lines(report))
+        _check_orders(report.flags.values())
         return
     # pi1(G) and pi1(K) have the same value; k_only marks the caveat
     compact = pi1.pi1_maximal_compact(m, force=args.force)
@@ -378,10 +389,7 @@ def _cmd_flag(args, out):
         lines.append(f"order: undecided, coset table capped at {info.order.limit}")
     payload = {"J": [v + 1 for v in info.parabolic], **_flag_json(info)}
     _render(out, args.format, payload, lines)
-    if info.order is not None and not info.order.is_finite:
-        raise ResourceLimitError(
-            f"coset enumeration exhausted the cap {info.order.limit}", info.order.limit
-        )
+    _check_orders([info])
 
 
 def _cmd_weyl(args, out):
@@ -417,9 +425,11 @@ def _cmd_weyl(args, out):
 
 
 def _cmd_adm(args, out):
+    if args.dot and args.format not in (None, "dot"):
+        raise UsageError(f"--dot and --format {args.format} are mutually exclusive")
     m = _load_matrix(args)
     graph = adm.build_adm(m)
-    fmt = "dot" if args.dot else args.format
+    fmt = "dot" if args.dot else args.format or "text"
     if fmt == "dot":
         lines = _dot_lines(graph)
     else:

@@ -2,15 +2,17 @@
 
 Words are tuples of (generator index, exponent) pairs with exponents +1 or
 -1, freely reduced.  Abelianization goes through an exact integer Smith
-normal form.  Coset enumeration offers the relator-scanning strategy with
-lookahead (default) and a deduction-driven strategy as an independent
-alternate; both report Finite(order) only for a complete closed table and
-otherwise an explicit Exhausted, never a silent truncation.  Each relator
-is scanned once up to inversion (the enumerator drops repeats and inverses
-from its own working list; presentations keep them), a relator is traced
-before it is scanned, and closure is still certified at every live coset.
-The deduction-driven strategy resumes its search for the next undefined
-entry at the last coset that had one.
+normal form: diagonalize, then normalize the diagonal with C_a x C_b =
+C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.
+Coset enumeration offers the relator-scanning strategy with lookahead
+(default) and a deduction-driven strategy as an independent alternate; both
+report Finite(order) only for a complete closed table and otherwise an
+explicit Exhausted, never a silent truncation.  Each relator is scanned
+once up to inversion (the enumerator drops repeats and inverses from its
+own working list; presentations keep them), a relator is traced before it
+is scanned, and closure is still certified at every live coset.  The
+deduction-driven strategy resumes its search for the next undefined entry
+at the last coset that had one.
 
 The presentation builders turn a generalized Cartan matrix into the
 commutation-type presentations whose shape is
@@ -150,78 +152,49 @@ class EnumerationResult:
 
 
 def smith_normal_form(rows) -> list[int]:
-    """Invariant factors d1 | d2 | ... of an integer matrix.
+    """Invariant factors d1 | d2 | ... of an integer matrix, 1s included.
 
-    Elimination over exact integers with the pivot chosen of minimal
-    absolute value; only the diagonal is tracked, transforms are not.
+    Diagonalize over exact integers around a pivot of least absolute
+    value, then put the diagonal in divisibility order; only the diagonal
+    is tracked, transforms are not.
     """
     a = [list(row) for row in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
     diag = []
-    t = 0
-    while t < nrows and t < ncols:
-        pivot = _min_abs_position(a, t, nrows, ncols)
-        if pivot is None:
-            break
-        while True:
-            pi, pj = pivot
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                pivot = _min_abs_position(a, t, nrows, ncols)
-                continue
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[offender])]
-            pivot = _min_abs_position(a, t, nrows, ncols)
-        diag.append(abs(a[t][t]))
-        t += 1
-    return diag
+    # Each round either sets its pivot aside or leaves a remainder smaller
+    # than |p| in p's row or column, lowering the least |entry|.
+    while True:
+        nonzero = [(abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v]
+        if not nonzero:
+            return _invariant_factors(diag)
+        _, pi, pj = min(nonzero)
+        p = a[pi][pj]
+        for i, row in enumerate(a):
+            if i != pi and row[pj]:
+                q = row[pj] // p
+                a[i] = [x - q * y for x, y in zip(row, a[pi])]
+        column = [row for row in a if row[pj]]
+        for j, v in enumerate(a[pi]):
+            if j != pj and v:
+                q = v // p
+                for row in column:
+                    row[j] -= q * row[pj]
+        if len(column) > 1 or sum(1 for v in a[pi] if v) > 1:
+            continue
+        diag.append(abs(p))
+        del a[pi]
+        for row in a:
+            del row[pj]
 
 
-def _min_abs_position(a, t, nrows, ncols):
-    best = None
-    position = None
-    for i in range(t, nrows):
-        row = a[i]
-        for j in range(t, ncols):
-            v = row[j]
-            if v:
-                v = abs(v)
-                if best is None or v < best:
-                    best = v
-                    position = (i, j)
-                    if v == 1:
-                        return position
-    return position
+def _invariant_factors(diagonal) -> list[int]:
+    """The diagonal of positive integers in divisibility order, by
+    C_a x C_b = C_gcd(a,b) x C_lcm(a,b) on every pair."""
+    d = list(diagonal)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return d
 
 
 def abelianization(presentation: FpPresentation) -> AbelianInvariants:
@@ -233,11 +206,10 @@ def abelianization(presentation: FpPresentation) -> AbelianInvariants:
         for gen, exp in word:
             row[gen] += exp
         rows.append(row)
-    diag = smith_normal_form(rows) if rows else []
-    nonzero = [d for d in diag if d != 0]
+    diag = smith_normal_form(rows)
     return AbelianInvariants(
-        free_rank=count - len(nonzero),
-        torsion=tuple(d for d in nonzero if d > 1),
+        free_rank=count - len(diag),
+        torsion=tuple(d for d in diag if d > 1),
     )
 
 
@@ -247,12 +219,7 @@ def _direct_sum(invariant_list) -> AbelianInvariants:
     for inv in invariant_list:
         free += inv.free_rank
         torsion.extend(inv.torsion)
-    rows = [
-        [d if i == j else 0 for j in range(len(torsion))]
-        for i, d in enumerate(torsion)
-    ]
-    diag = smith_normal_form(rows)
-    return AbelianInvariants(free, tuple(d for d in diag if d > 1))
+    return AbelianInvariants(free, tuple(d for d in _invariant_factors(torsion) if d > 1))
 
 
 # ---------------------------------------------------------------------------

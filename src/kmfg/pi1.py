@@ -32,7 +32,6 @@ __all__ = [
     "pi1_maximal_compact",
     "pi1_spin",
     "pi1_flag",
-    "covering_degree",
     "full_report",
 ]
 
@@ -141,11 +140,6 @@ def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, Pi1Type]]:
         kept = [c for c, v in zip(graph.colours, kappa.values) if c != "b" or v == 1]
         rows.append((adm.kappa_bits(graph, kappa), _pi1(kept)))
     return rows
-
-
-def covering_degree(n: int, J) -> int:
-    """Degree 2^(n - |J|) of the covering of the quotient flag space."""
-    return 2 ** (n - len(cartan.vertex_subset(J, n)))
 
 
 def pi1_flag(

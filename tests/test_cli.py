@@ -54,6 +54,35 @@ class TestPi1Command:
         assert data["pi1_G"] == {"z": 0, "c2": 1}
         assert len(data["spin"]) == 2
 
+    FULL_CAPPED = ["pi1", "--type", "B3", "--full", "--max-cosets", "8"]
+    CAP_8 = "error[E401]: coset enumeration exhausted the cap 8\n"
+
+    def test_full_capped_text_exit_4(self):
+        # the full report is still written; the open orders then give exit 4
+        assert invoke(self.FULL_CAPPED) == (
+            4,
+            "hypotheses: irreducible=yes symmetrizable=yes two-spherical=yes spherical=yes\n"
+            "component {1,2}: colour b, contributes C2\n"
+            "component {3}: colour r, contributes 1\n"
+            "pi1(G) = C2\n"
+            "pi1(K) = C2\n"
+            "spin kappa=1: pi1 = C2\n"
+            "spin kappa=2: pi1 = 1\n"
+            "flag J={}: abelianization C2 x C2 x C2, order Exhausted(8)\n"
+            "flag J={1}: abelianization C2 x C2, order Finite(4)\n"
+            "flag J={2}: abelianization C2 x C2, order Finite(4)\n"
+            "flag J={3}: abelianization C2 x C2, order Exhausted(8)\n",
+            self.CAP_8,
+        )
+
+    def test_full_capped_json_exit_4(self):
+        code, out, err = invoke(self.FULL_CAPPED + ["--format", "json"])
+        assert (code, err) == (4, self.CAP_8)
+        orders = {J: flag["order"] for J, flag in json.loads(out)["flags"].items()}
+        exhausted = {"status": "exhausted", "limit": 8}
+        finite = {"status": "finite", "order": 4}
+        assert orders == {"": exhausted, "1": finite, "2": finite, "3": exhausted}
+
     def test_caveat_json_exact(self, monkeypatch):
         expected = {
             "pi1_G": {"z": 0, "c2": 1},
@@ -276,6 +305,12 @@ class TestInputHandling:
         code, out, err = invoke(["info", "--type", "A" + "1" * 5000])
         assert (code, out) == (2, "")
         assert err.startswith("error[E203]: Exceeds the limit")
+
+    def test_rank_past_the_named_limit_exit_2(self):
+        # refused before the n x n matrix is allocated
+        code, out, err = invoke(["info", "--type", "A50000"])
+        assert (code, out) == (2, "")
+        assert err == "error[E202]: a named diagram has rank at most 1000, got 50000\n"
 
     def test_unknown_name_exit_2(self):
         code, _, err = invoke(["pi1", "--type", "H3"])
@@ -580,6 +615,19 @@ class TestAdmCommand:
         code, out, _ = invoke(["adm", "--type", "A1", "--format", "dot"])
         assert code == 0
         assert out.count("fillcolor=green") == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dot_with_another_format_usage_error(self, fmt):
+        assert invoke(["adm", "--type", "A3", "--dot", "--format", fmt]) == (
+            1,
+            "",
+            f"error[E101]: --dot and --format {fmt} are mutually exclusive\n",
+        )
+
+    def test_dot_with_format_dot(self):
+        assert invoke(["adm", "--type", "C3", "--dot", "--format", "dot"]) == invoke(
+            ["adm", "--type", "C3", "--dot"]
+        )
 
     def test_json(self):
         code, out, _ = invoke(["adm", "--type", "B3", "--format", "json"])

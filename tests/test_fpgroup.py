@@ -22,7 +22,6 @@ from kmfg import (
 )
 from kmfg.cartan import vertex_subset
 from kmfg.fpgroup import component_verifications, free_reduce
-from kmfg.pi1 import covering_degree
 
 from oracles import minors_gcd_invariant_factors
 
@@ -524,7 +523,6 @@ class TestVertexSubset:
             lambda m: flag_presentation(m, (5,)),
             lambda m: cw_presentation(m, (5,)),
             lambda m: WeylGroup(m).cell_counts((5,), 2),
-            lambda m: covering_degree(m.n, (5,)),
         ],
     )
     def test_out_of_range(self, call):

@@ -1,14 +1,18 @@
 """Property tests of the coset enumerator and the Smith normal form: the
 two enumeration strategies agree on flag-variety groups of random
 generalized Cartan matrices, repeated and inverted relators change no
-result at any cap, and the Smith normal form matches the determinant
-divisors."""
+result at any cap, the Smith normal form matches the determinant
+divisors, and the flag-variety groups of random generalized Cartan
+matrices abelianize as their exponent sums predict."""
 
 import pytest
 
 from kmfg import (
+    AbelianInvariants,
     FpPresentation,
     GeneralizedCartanMatrix,
+    abelianization,
+    cw_presentation,
     flag_presentation,
     smith_normal_form,
     todd_coxeter,
@@ -23,20 +27,35 @@ CAPS = (1, 2, 3, 5, 8, 13, 100, 10_000)
 
 
 @st.composite
-def flag_presentations(draw):
-    """flag_presentation(m, J) for a GCM of rank 1-5 with off-diagonal
-    entries in {0, -1, -2, -3, -4} and a symmetric zero pattern, and J
-    empty or a single vertex."""
-    n = draw(st.integers(1, 5))
+def gcms(draw, max_rank):
+    """A GCM of rank 1 to max_rank with off-diagonal entries in
+    {0, -1, -2, -3, -4} and a symmetric zero pattern."""
+    n = draw(st.integers(1, max_rank))
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 a[i][j] = draw(st.integers(-4, -1))
                 a[j][i] = draw(st.integers(-4, -1))
-    m = GeneralizedCartanMatrix(tuple(tuple(row) for row in a))
-    J = draw(st.sampled_from([()] + [(v,) for v in range(n)]))
+    return GeneralizedCartanMatrix(tuple(tuple(row) for row in a))
+
+
+@st.composite
+def flag_presentations(draw):
+    """flag_presentation(m, J) for a GCM of rank 1-5, and J empty or a
+    single vertex."""
+    m = draw(gcms(5))
+    J = draw(st.sampled_from([()] + [(v,) for v in range(m.n)]))
     return flag_presentation(m, J)
+
+
+@st.composite
+def gcms_with_parabolic(draw):
+    """A GCM of rank 1-7 and any parabolic J: its flag presentation has the
+    tall sparse relator matrix of n(n-1) + |J| rows that the CLI reduces."""
+    m = draw(gcms(7))
+    J = tuple(v for v in range(m.n) if draw(st.booleans()))
+    return m, J
 
 
 def _inverse(word):
@@ -77,3 +96,29 @@ def integer_matrices(draw):
 @hypothesis.given(integer_matrices())
 def test_smith_normal_form_is_determinant_divisors(rows):
     assert smith_normal_form(rows) == minors_gcd_invariant_factors(rows)
+
+
+def _predicted_abelianization(m, J) -> AbelianInvariants:
+    """Z^free x C2^forced.  The pair relator (a, b) has exponent sum
+    (eps(a, b) - 1) x_b, so x_b has order 2 when some a_ab is odd; x_k = 1
+    for k in J, and every other x_b is free."""
+    forced = [
+        b
+        for b in range(m.n)
+        if b not in J and any(m.entries[a][b] % 2 for a in range(m.n) if a != b)
+    ]
+    return AbelianInvariants(m.n - len(J) - len(forced), (2,) * len(forced))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(gcms_with_parabolic())
+def test_flag_presentation_abelianization(m_and_J):
+    m, J = m_and_J
+    assert abelianization(flag_presentation(m, J)) == _predicted_abelianization(m, J)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(gcms_with_parabolic())
+def test_cw_presentation_abelianization(m_and_J):
+    m, J = m_and_J
+    assert abelianization(cw_presentation(m, J)) == _predicted_abelianization(m, J)

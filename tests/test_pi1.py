@@ -8,7 +8,6 @@ from kmfg import (
     GeneralizedCartanMatrix,
     Pi1Type,
     build_adm,
-    covering_degree,
     enumerate_kappa,
     from_named,
     full_report,
@@ -186,26 +185,17 @@ class TestPi1Spin:
 
 
 class TestCoveringDegree:
-    def test_examples(self):
-        assert covering_degree(3, ()) == 8
-        assert covering_degree(3, (0, 1, 2)) == 1
-        assert covering_degree(2, (0,)) == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            covering_degree(2, (5,))
-
     @pytest.mark.parametrize("name", ["A2", "A3", "B3", "D4"])
     def test_blue_component_index(self, name):
         # a blue component group has order 2^(|J|+1); its image in pi1 has
-        # order 2, so the index equals the covering degree for that rank
+        # order 2, so the index is the covering degree 2^|J|
         m = from_named(name)
         graph = build_adm(m)
         for comp, colour in zip(graph.components, graph.colours):
             if colour != "b":
                 continue
             order = todd_coxeter(h_j_presentation(m, comp)).order
-            assert order == 2 * covering_degree(len(comp), ())
+            assert order == 2 ** (len(comp) + 1)
 
 
 class TestPi1Flag:
