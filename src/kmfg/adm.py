@@ -1,14 +1,18 @@
 """The parity graph of a diagram, its colouring, and admissible colourings.
 
 The graph has an edge {i, j} exactly when both parities epsilon(i, j) and
-epsilon(j, i) are -1.  Each connected component receives one of three
+epsilon(j, i) are -1.  For a parabolic subset J it is restricted to the
+vertices outside J, and each connected component receives one of three
 colours:
 
 * ``r`` if some vertex i of the component admits a j with
-  epsilon(i, j) = +1 and epsilon(j, i) = -1,
+  epsilon(i, j) = +1 and epsilon(j, i) = -1, or a k in J with
+  epsilon(k, i) = -1,
 * ``g`` if it is a singleton and not ``r``,
 * ``b`` otherwise.
 
+J = () gives the diagram's own coloured graph, which drives pi1 of the
+group; a nonempty J gives the components of the flag variety G/P_J.
 Admissible colourings assign 1 or 2 per component, with every ``r``
 component forced to 1.  Components are always ordered by their smallest
 vertex; that order fixes the bit order used to enumerate colourings and
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import GeneralizedCartanMatrix
+from .cartan import GeneralizedCartanMatrix, vertex_subset
 from .errors import InadmissibleKappaError
 
 __all__ = [
@@ -36,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AdmGraph:
-    n: int
+    n: int  # the rank; the components cover the vertices outside J
     edges: tuple[tuple[int, int], ...]
     components: tuple[tuple[int, ...], ...]
     colours: tuple[str, ...]
@@ -63,49 +67,48 @@ def has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
     )
 
 
-def build_adm(m: GeneralizedCartanMatrix) -> AdmGraph:
-    """The matrix's coloured parity graph, computed once and kept on it."""
-    return m._parity_graph
+def build_adm(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
+    """The coloured parity graph on the vertices outside J.  For J = () it
+    is the matrix's own, computed once and kept on it."""
+    J = vertex_subset(J, m.n)
+    return _build_graph(m, J) if J else m._parity_graph
 
 
-def _build_graph(m: GeneralizedCartanMatrix) -> AdmGraph:
-    n = m.n
+def _build_graph(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
+    outside = [v for v in range(m.n) if v not in J]
     edges = tuple(
         (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if m.parity(i, j) == -1 and m.parity(j, i) == -1
+        for i in outside
+        for j in outside
+        if i < j and m.parity(i, j) == -1 and m.parity(j, i) == -1
     )
-    adjacency = {i: [] for i in range(n)}
+    adjacency = {i: [] for i in outside}
     for i, j in edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
+    # searching from each unseen vertex in turn orders components by least vertex
     components = []
     seen = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = []
-        stack = [start]
+    for start in (v for v in outside if v not in seen):
         seen.add(start)
+        comp, stack = [start], [start]
         while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adjacency[v]:
+            for w in adjacency[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
+                    comp.append(w)
                     stack.append(w)
         components.append(tuple(sorted(comp)))
-    components.sort(key=lambda comp: comp[0])
     colours = []
     for comp in components:
-        if any(has_witness(m, v) for v in comp):
+        # x_k = 1 turns the pair relator of (k, v) into x_v^(eps(k, v) - 1)
+        if any(has_witness(m, v) or any(m.parity(k, v) == -1 for k in J) for v in comp):
             colours.append("r")
         elif len(comp) == 1:
             colours.append("g")
         else:
             colours.append("b")
-    return AdmGraph(n, edges, tuple(components), tuple(colours))
+    return AdmGraph(m.n, edges, tuple(components), tuple(colours))
 
 
 def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:

@@ -103,14 +103,6 @@ class GeneralizedCartanMatrix:
             if a[i][j] != 0
         ]
 
-    def is_simply_laced(self) -> bool:
-        return all(
-            self.entries[i][j] in (0, -1)
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j
-        )
-
     def to_plain_text(self) -> str:
         lines = [str(self.n)]
         lines.extend(" ".join(str(v) for v in row) for row in self.entries)
@@ -418,19 +410,25 @@ def is_spherical(m: GeneralizedCartanMatrix) -> bool:
 
 
 def _positive_definite(m: GeneralizedCartanMatrix, d) -> bool:
-    """Whether diag(d) * A is positive definite, by rational LDL^T pivots."""
-    n = m.n
-    s = [[d[i] * m.entries[i][j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = s[k][k]
+    """Whether diag(d) * A is positive definite, by rational LDL^T pivots.
+
+    The matrix is symmetric, so each row is kept as its nonzero entries and
+    a pivot updates only the rows and columns of its row's nonzero tail."""
+    s = [{j: d[i] * v for j, v in enumerate(row) if v} for i, row in enumerate(m.entries)]
+    for k, row in enumerate(s):
+        pivot = row.get(k, 0)
         if pivot <= 0:
             return False
-        for i in range(k + 1, n):
-            if s[i][k] == 0:
-                continue
-            factor = s[i][k] / pivot
-            for j in range(k, n):
-                s[i][j] -= factor * s[k][j]
+        tail = [(j, v) for j, v in row.items() if j > k]
+        for i, v in tail:
+            factor = v / pivot
+            target = s[i]
+            for j, w in tail:
+                x = target.get(j, 0) - factor * w
+                if x:
+                    target[j] = x
+                else:
+                    target.pop(j, None)
     return True
 
 

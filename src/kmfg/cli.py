@@ -354,10 +354,10 @@ def _cmd_pi1(args, out):
 
 
 def _cmd_spin(args, out):
-    m = _load_matrix(args)
-    graph = adm.build_adm(m)
     if args.kappa is not None and args.all:
         raise UsageError("--kappa and --all are mutually exclusive")
+    m = _load_matrix(args)
+    graph = adm.build_adm(m)
     if args.kappa is not None:
         colourings = [adm.kappa_from_bits(graph, args.kappa)]
     else:
@@ -393,13 +393,13 @@ def _cmd_flag(args, out):
 
 
 def _cmd_weyl(args, out):
+    if args.cells and args.closure is not None:
+        raise UsageError("--cells and --closure are mutually exclusive")
     m = _load_matrix(args)
     if args.max_length < 0:
         raise InputError("--max-length must be >= 0")
     group = coxeter.WeylGroup(m)
     J = _parse_index_list(args.parabolic, m.n, "--parabolic")
-    if args.cells and args.closure is not None:
-        raise UsageError("--cells and --closure are mutually exclusive")
     if args.closure is not None:
         word = _parse_index_list(args.closure, m.n, "--closure")
         element = group.from_word(word)

@@ -17,8 +17,9 @@ at the last coset that had one.
 The presentation builders turn a generalized Cartan matrix into the
 commutation-type presentations whose shape is
 ``x_i x_j^{eps(i,j)} x_i^-1 x_j^-1`` with eps the entry parity.
-``verify_component`` states what group each colour of parity-graph
-component predicts, and ``verify`` checks every component against it.
+``_colour_group`` states what group each colour of parity-graph
+component predicts; ``verify`` checks every component against it, and
+``pi1.pi1_flag`` builds its closed forms from it.
 """
 
 from __future__ import annotations
@@ -86,21 +87,6 @@ class FpPresentation:
     @property
     def generator_count(self) -> int:
         return len(self.generator_names)
-
-    def to_text(self) -> str:
-        def fmt(word):
-            if not word:
-                return "1"
-            return "*".join(
-                name if exp == 1 else f"{name}^-1"
-                for name, exp in (
-                    (self.generator_names[g], e) for g, e in word
-                )
-            )
-
-        gens = ",".join(self.generator_names)
-        rels = ", ".join(fmt(w) for w in self.relators)
-        return f"<{gens} | {rels}>"
 
 
 @dataclass(frozen=True)
@@ -627,6 +613,22 @@ class ComponentVerification:
         return any(status == "inconclusive" for _, status, _ in self.checks)
 
 
+def _colour_group(colour: str, size: int):
+    """(order, abelianization) that a parity component of this colour and
+    size predicts: C2^size for r; Z for g (a single vertex), order None;
+    for b a 2-group of order 2^(size+1), abelianization None (not
+    predicted)."""
+    if colour == "r":
+        return 2**size, AbelianInvariants(0, (2,) * size)
+    if colour == "g":
+        if size != 1:
+            raise ValueError("a g-coloured component must be a single vertex")
+        return None, AbelianInvariants(1, ())
+    if colour == "b":
+        return 2 ** (size + 1), None
+    raise ValueError(f"unknown colour {colour!r}")
+
+
 def verify_component(
     m: GeneralizedCartanMatrix,
     J,
@@ -635,21 +637,10 @@ def verify_component(
 ) -> ComponentVerification:
     """Run coset enumeration and abelianization on the group of a parity
     component J of the given colour and compare both against what the
-    colour predicts: C2^|J| for r, Z for g (a single vertex), and for b a
-    2-group of order 2^(|J|+1) whose abelianization is not predicted.
-    Exhausted enumerations yield an inconclusive check, not a failure."""
+    colour predicts (``_colour_group``).  Exhausted enumerations yield an
+    inconclusive check, not a failure."""
     vertices = vertex_subset(J, m.n)
-    size = len(vertices)
-    if colour == "r":
-        expected_order, expected_invariants = 2**size, AbelianInvariants(0, (2,) * size)
-    elif colour == "g":
-        if size != 1:
-            raise ValueError("a g-coloured component must be a single vertex")
-        expected_order, expected_invariants = None, AbelianInvariants(1, ())
-    elif colour == "b":
-        expected_order, expected_invariants = 2 ** (size + 1), None
-    else:
-        raise ValueError(f"unknown colour {colour!r}")
+    expected_order, expected_invariants = _colour_group(colour, len(vertices))
     presentation = h_j_presentation(m, vertices)
     invariants = abelianization(presentation)
     order = todd_coxeter(presentation, max_cosets=max_cosets)

@@ -3,9 +3,11 @@ the spin covers, and the generalized flag varieties.
 
 The closed forms are driven entirely by the coloured parity graph: a green
 component contributes a Z factor, a blue component a C2 factor, a red
-component nothing (``_pi1``), and pi1(G) is their product.  The
-finitely-presented-group engine is wired in as a cross-check, never as the
-source of the closed-form answers.
+component nothing (``_pi1``), and pi1(G) is their product.  pi1(G/P_J)
+reads the graph on the vertices outside J the same way: with no blue
+component it is Z per green component times C2 per vertex of a red one.
+The finitely-presented-group engine is wired in as a cross-check, never
+as the source of the closed-form answers.
 
 Formulas are gated: the diagram must be irreducible and either
 symmetrizable or two-spherical, otherwise the computation refuses unless
@@ -17,6 +19,7 @@ Results are plain values; the CLI renders them as text or JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -151,9 +154,11 @@ def pi1_flag(
     """Presentation, abelian invariants and order of pi1 of the flag
     variety for the parabolic subset J.
 
-    Simply-laced diagrams with nonempty J also get the closed form
-    C2^(n - |J|), which is asserted against the computed invariants.
-    A positive free rank settles infinitude without enumeration; otherwise
+    With no blue component in ``adm.build_adm(m, J)`` the closed form is
+    the product of the groups ``fpgroup`` states per colour, asserted
+    against the computed invariants; with no green one the product of the
+    component orders is asserted against a finite enumerated order.  A
+    positive free rank settles infinitude without enumeration; otherwise
     the order is established by coset enumeration under the cap.
     """
     check_hypotheses(m, force)
@@ -164,26 +169,28 @@ def _flag(m, J, max_cosets) -> FlagInfo:
     J = cartan.vertex_subset(J, m.n)
     presentation = fpgroup.flag_presentation(m, J)
     invariants = fpgroup.abelianization(presentation)
-    closed_form = None
-    # the closed form needs a connected diagram: it spreads x^2 = 1 from J
-    # along paths, which cannot reach other diagram components
-    if m.is_simply_laced() and J and cartan.hypothesis_report(m).irreducible:
-        closed_form = Pi1Type(0, m.n - len(J))
     if invariants.free_rank > 0:
         order = None
     else:
         order = fpgroup.todd_coxeter(presentation, max_cosets=max_cosets)
-    if closed_form is not None:
-        expected = fpgroup.AbelianInvariants(0, (2,) * closed_form.c2_count)
+    graph = adm.build_adm(m, J)
+    groups = [
+        fpgroup._colour_group(colour, len(comp))
+        for comp, colour in zip(graph.components, graph.colours)
+    ]
+    closed_form = None
+    if "b" not in graph.colours:
+        expected = fpgroup._direct_sum(inv for _, inv in groups)
+        closed_form = Pi1Type(expected.free_rank, len(expected.torsion))
         if invariants != expected:
             raise InternalError(
                 f"closed form {closed_form} contradicts computed invariants "
                 f"{invariants} for J = {J}"
             )
-        if order is not None and order.is_finite and order.order != 2**closed_form.c2_count:
-            raise InternalError(
-                f"closed form {closed_form} contradicts enumerated order {order}"
-            )
+    if "g" not in graph.colours and order is not None and order.is_finite:
+        product = math.prod(o for o, _ in groups)
+        if order.order != product:
+            raise InternalError(f"component orders give {product}, not {order} for J = {J}")
     return FlagInfo(J, invariants, order, closed_form)
 
 

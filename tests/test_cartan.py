@@ -148,6 +148,10 @@ class TestNamed:
     def test_e10_not_spherical(self):
         assert not is_spherical(from_named("E10"))
 
+    @pytest.mark.parametrize("name, spherical", [("A300", True), ("D300", True), ("A300~", False)])
+    def test_high_rank_spherical(self, name, spherical):
+        assert is_spherical(from_named(name)) is spherical
+
 
 class TestParity:
     def test_a2_off_diagonal(self):

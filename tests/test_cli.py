@@ -132,7 +132,8 @@ class TestPi1FullExact:
 
     @staticmethod
     def _flags(rows):
-        """JSON ``flags`` from (label, torsion, free rank, order or None)."""
+        """JSON ``flags`` from (label, torsion, free rank, order or None,
+        closed form as (z, c2) or None)."""
         return {
             label: {
                 "abelian": {"z": z, "torsion": torsion},
@@ -141,9 +142,11 @@ class TestPi1FullExact:
                     if order is None
                     else {"status": "finite", "order": order}
                 ),
-                "closed_form": None,
+                "closed_form": (
+                    None if closed is None else {"z": closed[0], "c2": closed[1]}
+                ),
             }
-            for label, torsion, z, order in rows
+            for label, torsion, z, order, closed in rows
         }
 
     def _run(self, tmp_path, rows, *argv):
@@ -184,8 +187,8 @@ class TestPi1FullExact:
             "pi1_K_caveat": True,
             "spin": [{"kappa": "1", "z": 0, "c2": 1}, {"kappa": "2", "z": 0, "c2": 0}],
             "flags": self._flags(
-                [("", [2, 2, 2], 0, 16)]
-                + [(label, [2, 2], 0, 4) for label in ("1", "2", "3")]
+                [("", [2, 2, 2], 0, 16, None)]
+                + [(label, [2, 2], 0, 4, (0, 2)) for label in ("1", "2", "3")]
             ),
         }
         code, out, err = self._run(tmp_path, self.NOT_SYMMETRIZABLE, "--format", "json")
@@ -234,8 +237,8 @@ class TestPi1FullExact:
                 for bits, c2 in (("11", 1), ("21", 0), ("12", 1), ("22", 0))
             ],
             "flags": self._flags(
-                [("", [2, 2], 1, None), ("1", [2], 1, None), ("2", [2], 1, None),
-                 ("3", [2, 2], 0, 8)]
+                [("", [2, 2], 1, None, None), ("1", [2], 1, None, (1, 1)),
+                 ("2", [2], 1, None, (1, 1)), ("3", [2, 2], 0, 8, None)]
             ),
             "reducible": True,
         }
@@ -378,6 +381,14 @@ class TestSpinCommand:
         code, _, err = invoke(["spin", "--type", "A3", "--kappa", "2", "--all"])
         assert code == 1
 
+    def test_kappa_and_all_conflict_before_input(self, monkeypatch):
+        # the usage error comes before the name or stdin is read
+        message = "error[E101]: --kappa and --all are mutually exclusive\n"
+        assert invoke(["spin", "--type", "H3", "--kappa", "1", "--all"]) == (1, "", message)
+        assert invoke(
+            ["spin", "--matrix", "-", "--kappa", "1", "--all"], "not a matrix", monkeypatch
+        ) == (1, "", message)
+
     def test_reducible_all_json_exact(self, monkeypatch):
         # A2 + A1: the blue component's bit sets C2, the green one's does not
         expected = {
@@ -453,7 +464,7 @@ class TestFlagCommand:
     def test_infinite_json_exact(self):
         assert invoke(["flag", "--type", "C2", "--set", "", "--format", "json"]) == (
             0,
-            self._json([], 1, [2], {"status": "infinite"}, None),
+            self._json([], 1, [2], {"status": "infinite"}, {"z": 1, "c2": 1}),
             "",
         )
 
@@ -500,6 +511,16 @@ class TestWeylCommand:
         )
         assert code == 1
         assert err.startswith("error[E101]:")
+
+    def test_cells_and_closure_conflict_before_input(self, monkeypatch):
+        message = "error[E101]: --cells and --closure are mutually exclusive\n"
+        argv = ["weyl", "--max-length", "3", "--cells", "--closure", "1"]
+        assert invoke([*argv, "--type", "H3"]) == (1, "", message)
+        assert invoke([*argv, "--matrix", "-"], "not a matrix", monkeypatch) == (
+            1,
+            "",
+            message,
+        )
 
     def test_closure_rejects_non_minimal(self):
         code, _, err = invoke(
@@ -911,3 +932,29 @@ class TestParser:
 
     def test_build_parser_returns_a_fresh_parser(self):
         assert build_parser() is not build_parser()
+
+
+class TestEntryPoint:
+    """``python -m kmfg.cli`` in a fresh interpreter, through ``main``."""
+
+    @staticmethod
+    def _run(argv, stdin=""):
+        src = os.path.dirname(os.path.dirname(kmfg.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "kmfg.cli", *argv],
+            input=stdin,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_pi1_e10_exit_0(self):
+        done = self._run(["pi1", "--type", "E10"])
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "pi1(G) = C2\npi1(K) = C2\n"
+
+    def test_refused_diagram_exit_3(self):
+        done = self._run(["pi1", "--matrix", "-"], TestPi1FullExact.REDUCIBLE)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.startswith("error[E301]:")

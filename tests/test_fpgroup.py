@@ -48,10 +48,6 @@ class TestPresentation:
         with pytest.raises(ValueError):
             FpPresentation(("x",), (((0, 2),),))
 
-    def test_text_form(self):
-        p = h_j_presentation(from_named("A2"), (0, 1))
-        assert p.to_text() == "<x1,x2 | x1*x2^-1*x1^-1*x2^-1, x2*x1^-1*x2^-1*x1^-1>"
-
 
 class TestSmithNormalForm:
     def test_known_small_cases(self):

@@ -1,7 +1,9 @@
 """Property tests of the analysis over random generalized Cartan matrices:
 invariance under relabelling the vertices, the spherical predicate
-against Sylvester's criterion, and the closed form of pi1(G/P_J) on
-connected simply-laced diagrams."""
+against Sylvester's criterion, the colouring rule for pi1(G/P_J) at every
+parabolic J, and its closed form on connected simply-laced diagrams."""
+
+import math
 
 import pytest
 
@@ -10,14 +12,16 @@ from kmfg import (
     GeneralizedCartanMatrix,
     Pi1Type,
     build_adm,
+    flag_presentation,
     hypothesis_report,
     pi1_flag,
     pi1_group,
+    todd_coxeter,
 )
 from kmfg.cartan import symmetrizer
 from kmfg.errors import HypothesisError
 
-from oracles import exact_det
+from oracles import exact_det, minors_gcd_invariant_factors
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -103,3 +107,46 @@ def test_simply_laced_flag_closed_form(case):
     k = m.n - len(J)
     assert info.closed_form == Pi1Type(0, k)
     assert info.order == EnumerationResult.finite(2**k)
+
+
+@st.composite
+def flag_cases(draw):
+    """A GCM of rank 1-6 (entries 0..-4, symmetric zero pattern) and any
+    parabolic J, the empty and the full vertex set included."""
+    m = draw(gcms().filter(lambda m: m.n <= 6))
+    J = draw(st.sets(st.integers(0, m.n - 1)))
+    return m, tuple(sorted(J))
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(flag_cases())
+def test_flag_colouring_rule(case):
+    m, J = case
+    info = pi1_flag(m, J, force=True)
+    graph = build_adm(m, J)
+    green = [comp[0] for comp, colour in zip(graph.components, graph.colours) if colour == "g"]
+    assert info.invariants.free_rank == len(green)
+    presentation = flag_presentation(m, J)
+    # each row is 0, e_k or -2 e_j; dropping zero and repeated rows leaves
+    # the row lattice, so the invariant factors, unchanged
+    rows = set()
+    for word in presentation.relators:
+        row = [0] * m.n
+        for gen, exp in word:
+            row[gen] += exp
+        if any(row):
+            rows.add(tuple(row))
+    factors = minors_gcd_invariant_factors(sorted(rows))
+    assert (info.closed_form is None) == ("b" in graph.colours)
+    if info.closed_form is not None:
+        assert info.closed_form.free_rank == m.n - len(factors)
+        assert [d for d in factors if d > 1] == [2] * info.closed_form.c2_count
+    index = math.prod(
+        2 ** (len(comp) + (colour == "b"))
+        for comp, colour in zip(graph.components, graph.colours)
+        if colour != "g"
+    )
+    if not green:
+        assert info.order == EnumerationResult.finite(index)
+    subgroup = [((g, 1),) for g in green]
+    assert todd_coxeter(presentation, subgroup_words=subgroup) == EnumerationResult.finite(index)
