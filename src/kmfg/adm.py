@@ -17,6 +17,10 @@ Admissible colourings assign 1 or 2 per component, with every ``r``
 component forced to 1.  Components are always ordered by their smallest
 vertex; that order fixes the bit order used to enumerate colourings and
 the order in which the CLI prints components as text, JSON or DOT.
+
+Parity -1 needs an odd entry, so a zero entry never makes an edge, a
+witness or a red vertex: the graph is read off the matrix's
+``neighbours`` at a cost linear in the diagram's edges.
 """
 
 from __future__ import annotations
@@ -61,10 +65,7 @@ def has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
     """Whether some j has eps(i, j) = +1 and eps(j, i) = -1.  Such a witness
     colours the component of i red, and in the flag presentations it
     forces x_i^2 = 1."""
-    return any(
-        j != i and m.parity(i, j) == 1 and m.parity(j, i) == -1
-        for j in range(m.n)
-    )
+    return any(m.parity(i, j) == 1 and m.parity(j, i) == -1 for j, _ in m.neighbours[i])
 
 
 def build_adm(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
@@ -75,12 +76,13 @@ def build_adm(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
 
 
 def _build_graph(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
+    J = set(J)
     outside = [v for v in range(m.n) if v not in J]
     edges = tuple(
         (i, j)
         for i in outside
-        for j in outside
-        if i < j and m.parity(i, j) == -1 and m.parity(j, i) == -1
+        for j, _ in m.neighbours[i]
+        if i < j and j not in J and m.parity(i, j) == -1 and m.parity(j, i) == -1
     )
     adjacency = {i: [] for i in outside}
     for i, j in edges:
@@ -99,10 +101,11 @@ def _build_graph(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
                     comp.append(w)
                     stack.append(w)
         components.append(tuple(sorted(comp)))
+    # x_k = 1 turns the pair relator of (k, v) into x_v^(eps(k, v) - 1)
+    red = {v for k in J for v, _ in m.neighbours[k] if m.parity(k, v) == -1}
     colours = []
     for comp in components:
-        # x_k = 1 turns the pair relator of (k, v) into x_v^(eps(k, v) - 1)
-        if any(has_witness(m, v) or any(m.parity(k, v) == -1 for k in J) for v in comp):
+        if any(v in red or has_witness(m, v) for v in comp):
             colours.append("r")
         elif len(comp) == 1:
             colours.append("g")

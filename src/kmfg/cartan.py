@@ -6,6 +6,11 @@ affine extension), entry parities, and the hypothesis predicates
 (irreducible, symmetrizable, two-spherical, spherical) that gate the
 fundamental-group formulas.
 
+Construction validates all n^2 entries of its input.  The analyses (the
+predicates here, the parity graph in ``adm``, the Weyl group in
+``coxeter``) read the diagram only through ``neighbours``, the nonzero
+off-diagonal entries of each row, so they cost time linear in its edges.
+
 Indices are 0-based throughout the Python API; the text formats, the CLI
 and all rendered reports use 1-based indices.
 """
@@ -93,16 +98,6 @@ class GeneralizedCartanMatrix:
         """(-1) raised to the (i, j) entry; +1 or -1."""
         return -1 if self.entries[i][j] % 2 else 1
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Diagram edges: unordered pairs i < j with a nonzero entry."""
-        a = self.entries
-        return [
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if a[i][j] != 0
-        ]
-
     def to_plain_text(self) -> str:
         lines = [str(self.n)]
         lines.extend(" ".join(str(v) for v in row) for row in self.entries)
@@ -117,6 +112,15 @@ class GeneralizedCartanMatrix:
     # The analysis, computed on first use and kept on the matrix object.
     # cached_property writes the instance __dict__, which a frozen dataclass
     # without slots leaves open; equality and hashing read only ``entries``.
+
+    @cached_property
+    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex i, the pairs (j, a[i][j]) with j != i and a[i][j] != 0,
+        by increasing j.  Every analysis reads the diagram through these."""
+        return tuple(
+            tuple((j, v) for j, v in enumerate(row) if v and j != i)
+            for i, row in enumerate(self.entries)
+        )
 
     @cached_property
     def _hypotheses(self) -> "HypothesisReport":
@@ -348,26 +352,19 @@ def from_named(name: str) -> GeneralizedCartanMatrix:
 
 def is_irreducible(m: GeneralizedCartanMatrix) -> bool:
     """True iff the diagram is connected."""
-    n = m.n
     seen = {0}
     stack = [0]
     while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and m.entries[i][j] != 0 and j not in seen:
+        for j, _ in m.neighbours[stack.pop()]:
+            if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return len(seen) == n
+    return len(seen) == m.n
 
 
 def is_two_spherical(m: GeneralizedCartanMatrix) -> bool:
     """True iff every rank-2 subdiagram is spherical: a[i][j]*a[j][i] <= 3."""
-    return all(
-        m.entries[i][j] * m.entries[j][i] <= 3
-        for i in range(m.n)
-        for j in range(m.n)
-        if i != j
-    )
+    return all(v * m.entries[j][i] <= 3 for i, row in enumerate(m.neighbours) for j, v in row)
 
 
 def symmetrizer(m: GeneralizedCartanMatrix):
@@ -377,24 +374,20 @@ def symmetrizer(m: GeneralizedCartanMatrix):
     tree of each diagram component; every non-tree edge is then checked
     for consistency.  Exact rational arithmetic throughout.
     """
-    n = m.n
     a = m.entries
-    d = [None] * n
-    for root in range(n):
+    d = [None] * m.n
+    for root in range(m.n):
         if d[root] is not None:
             continue
         d[root] = Fraction(1)
         stack = [root]
         while stack:
             i = stack.pop()
-            for j in range(n):
-                if j == i or a[i][j] == 0:
-                    continue
-                ratio = Fraction(a[i][j], a[j][i])
+            for j, v in m.neighbours[i]:
                 if d[j] is None:
-                    d[j] = d[i] * ratio
+                    d[j] = d[i] * Fraction(v, a[j][i])
                     stack.append(j)
-                elif d[i] * a[i][j] != d[j] * a[j][i]:
+                elif d[i] * v != d[j] * a[j][i]:
                     return None
     return tuple(d)
 
@@ -414,7 +407,7 @@ def _positive_definite(m: GeneralizedCartanMatrix, d) -> bool:
 
     The matrix is symmetric, so each row is kept as its nonzero entries and
     a pivot updates only the rows and columns of its row's nonzero tail."""
-    s = [{j: d[i] * v for j, v in enumerate(row) if v} for i, row in enumerate(m.entries)]
+    s = [{i: 2 * d[i], **{j: d[i] * v for j, v in row}} for i, row in enumerate(m.neighbours)]
     for k, row in enumerate(s):
         pivot = row.get(k, 0)
         if pivot <= 0:

@@ -10,9 +10,10 @@ of w exactly when w alpha_i is a positive root, i.e. when c_i > 0.  So the
 right descents are the coordinates with c_i < 0, and stripping the least
 one until none is left spells a reduced word, which is why the vector
 determines w.  Right multiplication by sigma_i is c_i -> -c_i,
-c_j -> c_j - a[i][j] * c_i over the neighbours j of i, at O(degree) cost;
-from 0 on J and 1 elsewhere the same moves walk the cells of G/P_J.  The
-action on vectors and its matrix are built on demand from a reduced word.
+c_j -> c_j - a[i][j] * c_i over the pairs (j, a[i][j]) that the matrix's
+``neighbours`` lists for i, at O(degree) cost; from 0 on J and 1
+elsewhere the same moves walk the cells of G/P_J.  The action on vectors
+and its matrix are built on demand from a reduced word.
 All arithmetic is exact Python integers; coordinates grow without bound in
 indefinite type and must never wrap.
 """
@@ -43,25 +44,20 @@ class WeylGroup:
 
     def __init__(self, cartan: GeneralizedCartanMatrix):
         self.cartan = cartan
-        n = cartan.n
-        self.n = n
-        a = cartan.entries
-        # (j, a[i][j]) for every j != i with a[i][j] != 0
-        self._neighbours = tuple(
-            tuple((j, a[i][j]) for j in range(n) if j != i and a[i][j]) for i in range(n)
-        )
-        self._one = (1,) * n
+        self.n = cartan.n
+        self._one = (1,) * cartan.n
 
     def _step(self, heights, word):
         """Right-multiply by the letters of ``word`` in turn.  Returns the new
         heights and the change in length, +1 or -1 per letter."""
+        neighbours = self.cartan.neighbours
         c = list(heights)
         change = 0
         for i in word:
             ci = c[i]
             change += 1 if ci > 0 else -1
             c[i] = -ci
-            for j, a in self._neighbours[i]:
+            for j, a in neighbours[i]:
                 c[j] -= a * ci
         return tuple(c), change
 
@@ -104,11 +100,12 @@ class WeylGroup:
         the word need not be reduced."""
         # columns[j] is the image of alpha_j under the prefix read so far
         columns = [self.simple_root(j) for j in range(self.n)]
+        neighbours = self.cartan.neighbours
         out = []
         for i in self._letters(word):
             column = columns[i]
             out.append(column)
-            for j, a in self._neighbours[i]:
+            for j, a in neighbours[i]:
                 columns[j] = tuple(x - a * y for x, y in zip(columns[j], column))
             columns[i] = tuple(-y for y in column)
         return out
@@ -124,7 +121,7 @@ class WeylGroup:
         deduplicated alone.  Raises ResourceLimitError past ``cap`` visits."""
         if length < 0:
             raise ValueError("length bound must be >= 0")
-        neighbours = self._neighbours
+        neighbours = self.cartan.neighbours
         layer = (start,)
         visited = 1
         yield layer
@@ -233,7 +230,7 @@ class WeylElement:
                 f"vector of length {len(vector)} under a rank-{self.group.n} group"
             )
         v = list(vector)
-        neighbours = self.group._neighbours
+        neighbours = self.group.cartan.neighbours
         # the word's last letter acts first; sigma_i(v) = v - (sum_j a[i][j] v_j) e_i
         for i in reversed(self.reduced_word()):
             v[i] = -v[i] - sum(a * v[j] for j, a in neighbours[i])

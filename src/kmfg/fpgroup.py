@@ -184,14 +184,17 @@ def _invariant_factors(diagonal) -> list[int]:
 
 
 def abelianization(presentation: FpPresentation) -> AbelianInvariants:
-    """Smith normal form of the relator exponent-sum matrix."""
+    """Smith normal form of the relator exponent-sum matrix.  Zero and
+    repeated rows leave its row lattice, so the invariant factors,
+    unchanged; only the distinct nonzero rows reach the Smith normal form."""
     count = presentation.generator_count
-    rows = []
+    rows = {}  # a dict keeps the first-seen order
     for word in presentation.relators:
         row = [0] * count
         for gen, exp in word:
             row[gen] += exp
-        rows.append(row)
+        if any(row):
+            rows[tuple(row)] = None
     diag = smith_normal_form(rows)
     return AbelianInvariants(
         free_rank=count - len(diag),

@@ -4,8 +4,9 @@ Everything here is deliberately written against different machinery than
 the package under test: permutations in one-line notation for the type-A
 Coxeter checks, polynomial multiplication for Poincare series, exact
 rational elimination and determinant-divisor gcds for integer linear
-algebra, integer matrix products for the Weyl group, and a direct
-brute-force reading of the admissible-colouring definition.
+algebra, integer matrix products for the Weyl group, the diagram
+predicates and the coloured parity graph read over all n^2 entries, and
+a direct brute-force reading of the admissible-colouring definition.
 """
 
 from __future__ import annotations
@@ -360,6 +361,80 @@ X_TRIPLES = [(1, 2), (9, 12)]
 
 def diagram_x():
     return gcm_from_edges(16, X_SINGLES, X_DOUBLES, X_TRIPLES)
+
+
+# ---------------------------------------------------------------------------
+# Diagram predicates and the coloured parity graph straight from their
+# definitions, reading all n^2 entries and no neighbour list
+
+
+def _eps(m, i, j):
+    return (-1) ** abs(m.entry(i, j))
+
+
+def connected_dense(m):
+    """Whether the diagram is connected: the vertices reached from 0 through
+    nonzero entries, grown a whole layer at a time until nothing is added."""
+    reached = {0}
+    while True:
+        layer = {j for i in reached for j in range(m.n) if m.entry(i, j) != 0} - reached
+        if not layer:
+            return len(reached) == m.n
+        reached |= layer
+
+
+def two_spherical_dense(m):
+    """Whether a[i][j] * a[j][i] <= 3 for every ordered pair i != j."""
+    return all(
+        m.entry(i, j) * m.entry(j, i) <= 3
+        for i in range(m.n)
+        for j in range(m.n)
+        if i != j
+    )
+
+
+def parity_edges_dense(m, J=()):
+    """Pairs i < j outside J with eps(i, j) = eps(j, i) = -1, in
+    lexicographic order."""
+    return tuple(
+        (i, j)
+        for i in range(m.n)
+        for j in range(i + 1, m.n)
+        if i not in J and j not in J and _eps(m, i, j) == -1 and _eps(m, j, i) == -1
+    )
+
+
+def coloured_components_dense(m, J=()):
+    """The components of the parity graph outside J, ordered by least
+    vertex, and their colours.  A component is found by giving every vertex
+    the least label among its edge neighbours until no label changes; it is
+    r if one of its vertices v has some j with eps(v, j) = +1 and
+    eps(j, v) = -1, or some k in J with eps(k, v) = -1; otherwise g if a
+    singleton and b if not."""
+    outside = [v for v in range(m.n) if v not in J]
+    label = {v: v for v in outside}
+    edges = parity_edges_dense(m, J)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    roots = [v for v in outside if label[v] == v]
+    components = tuple(tuple(v for v in outside if label[v] == root) for root in roots)
+
+    def red(v):
+        return any(
+            j != v and _eps(m, v, j) == 1 and _eps(m, j, v) == -1 for j in range(m.n)
+        ) or any(_eps(m, k, v) == -1 for k in J)
+
+    colours = tuple(
+        "r" if any(red(v) for v in comp) else "g" if len(comp) == 1 else "b"
+        for comp in components
+    )
+    return components, colours
 
 
 # ---------------------------------------------------------------------------

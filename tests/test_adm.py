@@ -89,7 +89,8 @@ class TestBuild:
     def test_simply_laced_graph_is_the_diagram(self, name):
         m = from_named(name)
         g = build_adm(m)
-        assert set(g.edges) == set(m.edges())
+        diagram = {(i, j) for i, row in enumerate(m.neighbours) for j, _ in row if i < j}
+        assert set(g.edges) == diagram
         if m.n == 1:
             assert g.colours == ("g",)
         else:

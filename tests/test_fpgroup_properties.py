@@ -1,7 +1,8 @@
 """Property tests of the coset enumerator and the Smith normal form: the
 two enumeration strategies agree on flag-variety groups of random
 generalized Cartan matrices, repeated and inverted relators change no
-result at any cap, the Smith normal form matches the determinant
+enumeration at any cap and, with zero-row commutators too, no
+abelianization, the Smith normal form matches the determinant
 divisors, and the flag-variety groups of random generalized Cartan
 matrices abelianize as their exponent sums predict."""
 
@@ -82,6 +83,14 @@ def test_repeated_and_inverted_relators_change_nothing(p, strategy):
         assert todd_coxeter(padded, max_cosets=cap, strategy=strategy) == (
             todd_coxeter(p, max_cosets=cap, strategy=strategy)
         )
+    # the commutators [x_i, x_j] add zero rows to the exponent-sum matrix
+    commutators = tuple(
+        ((i, 1), (j, 1), (i, -1), (j, -1))
+        for i in range(p.generator_count)
+        for j in range(i + 1, p.generator_count)
+    )
+    zero_padded = FpPresentation(p.generator_names, padded.relators + commutators)
+    assert abelianization(zero_padded) == abelianization(p)
 
 
 @st.composite

@@ -1,8 +1,11 @@
 """Property tests of the analysis over random generalized Cartan matrices:
-invariance under relabelling the vertices, the spherical predicate
-against Sylvester's criterion, the colouring rule for pi1(G/P_J) at every
-parabolic J, and its closed form on connected simply-laced diagrams."""
+invariance under relabelling the vertices, the neighbour list, the
+predicates and the coloured parity graph at every parabolic J against
+their dense definitions, the spherical predicate against Sylvester's
+criterion, the colouring rule for pi1(G/P_J) at every parabolic J, and
+its closed form on connected simply-laced diagrams."""
 
+import itertools
 import math
 
 import pytest
@@ -21,7 +24,14 @@ from kmfg import (
 from kmfg.cartan import symmetrizer
 from kmfg.errors import HypothesisError
 
-from oracles import exact_det, minors_gcd_invariant_factors
+from oracles import (
+    coloured_components_dense,
+    connected_dense,
+    exact_det,
+    minors_gcd_invariant_factors,
+    parity_edges_dense,
+    two_spherical_dense,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -66,6 +76,29 @@ def test_relabelling_invariance(pair):
     assert sorted(build_adm(m).colours) == sorted(build_adm(moved).colours)
     assert hypothesis_report(m) == hypothesis_report(moved)
     assert _pi1_or_refusal(m) == _pi1_or_refusal(moved)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(gcms())
+def test_sparse_reading_is_the_dense_definition(m):
+    a = m.entries
+    assert [[j for j, _ in row] for row in m.neighbours] == [
+        sorted(j for j, _ in row) for row in m.neighbours
+    ]
+    assert {(i, j, v) for i, row in enumerate(m.neighbours) for j, v in row} == {
+        (i, j, a[i][j]) for i in range(m.n) for j in range(m.n) if i != j and a[i][j] != 0
+    }
+    report = hypothesis_report(m)
+    assert report.irreducible is connected_dense(m)
+    assert report.two_spherical is two_spherical_dense(m)
+    d = symmetrizer(m)
+    if d is not None:
+        assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(m.n) for j in range(m.n))
+    for size in range(m.n + 1):
+        for J in itertools.combinations(range(m.n), size):
+            graph = build_adm(m, J)
+            assert graph.edges == parity_edges_dense(m, J)
+            assert (graph.components, graph.colours) == coloured_components_dense(m, J)
 
 
 @hypothesis.settings(max_examples=80, deadline=None)
