@@ -7,7 +7,10 @@ C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.
 Coset enumeration offers the relator-scanning strategy with lookahead
 (default) and a deduction-driven strategy as an independent alternate; both
 report Finite(order) only for a complete closed table and otherwise an
-explicit Exhausted, never a silent truncation.  Each relator is scanned
+explicit Exhausted, never a silent truncation.  Exhausted(cap) means the
+cap prevents a conclusion: the table filled, or the order of G/HG', a
+lower bound on the index found by one Smith normal form before any table
+is built, is infinite or already above the cap.  Each relator is scanned
 once up to inversion (the enumerator drops repeats and inverses from its
 own working list; presentations keep them), a relator is traced before it
 is scanned, and closure is still certified at every live coset.  The
@@ -183,19 +186,25 @@ def _invariant_factors(diagonal) -> list[int]:
     return d
 
 
-def abelianization(presentation: FpPresentation) -> AbelianInvariants:
-    """Smith normal form of the relator exponent-sum matrix.  Zero and
-    repeated rows leave its row lattice, so the invariant factors,
-    unchanged; only the distinct nonzero rows reach the Smith normal form."""
-    count = presentation.generator_count
-    rows = {}  # a dict keeps the first-seen order
-    for word in presentation.relators:
+def _exponent_rows(count, words) -> dict:
+    """The distinct nonzero exponent-sum rows of ``words``, in first-seen
+    order (a dict's keys)."""
+    rows = {}
+    for word in words:
         row = [0] * count
         for gen, exp in word:
             row[gen] += exp
         if any(row):
             rows[tuple(row)] = None
-    diag = smith_normal_form(rows)
+    return rows
+
+
+def abelianization(presentation: FpPresentation) -> AbelianInvariants:
+    """Smith normal form of the relator exponent-sum matrix.  Zero and
+    repeated rows leave its row lattice, so the invariant factors,
+    unchanged; only the distinct nonzero rows reach the Smith normal form."""
+    count = presentation.generator_count
+    diag = smith_normal_form(_exponent_rows(count, presentation.relators))
     return AbelianInvariants(
         free_rank=count - len(diag),
         torsion=tuple(d for d in diag if d > 1),
@@ -360,8 +369,12 @@ def todd_coxeter(
 
     Finite(k) is returned only once the table is complete and closed under
     every relator, in which case k is the exact index (the group order for
-    the trivial subgroup).  Exhausted(max_cosets) means the table cap was
-    reached without a conclusion.
+    the trivial subgroup).  Exhausted(max_cosets) means the cap prevents a
+    conclusion: either the table filled, or, before any table is built,
+    the order of G/HG' (the abelianization of the group with the subgroup
+    words added as relators) is infinite or above the cap.  That order
+    bounds the index from below and a Finite(k) needs k rows, so no table
+    of max_cosets rows could have closed.
 
     Each relator is scanned once up to inversion: one equal to an earlier
     relator or to the inverse of one is dropped from the working list,
@@ -377,6 +390,18 @@ def todd_coxeter(
                 raise ValueError(f"subgroup word index {gen} out of range")
             if exp not in (1, -1):
                 raise ValueError(f"exponent must be +1 or -1, got {exp}")
+    if strategy == "hlt":
+        runner = _run_hlt
+    elif strategy == "felsch":
+        runner = _run_felsch
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # [G:H] >= |G/HG'|, the product of the diagonal (infinite when short)
+    diag = smith_normal_form(
+        _exponent_rows(count, presentation.relators + tuple(subgroup_words))
+    )
+    if len(diag) < count or math.prod(diag) > max_cosets:
+        return EnumerationResult.exhausted(max_cosets)
     relators = []
     seen = set()
     for word in presentation.relators:
@@ -386,12 +411,6 @@ def todd_coxeter(
             seen.add(_letters_inverse(letters))
             relators.append(letters)
     subgroup = [_word_to_letters(free_reduce(w)) for w in subgroup_words]
-    if strategy == "hlt":
-        runner = _run_hlt
-    elif strategy == "felsch":
-        runner = _run_felsch
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
     return runner(count, relators, subgroup, max_cosets)
 
 

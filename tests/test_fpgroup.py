@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import kmfg.fpgroup
 from kmfg import (
     AbelianInvariants,
     EnumerationResult,
@@ -21,7 +22,13 @@ from kmfg import (
     verify_component,
 )
 from kmfg.cartan import vertex_subset
-from kmfg.fpgroup import component_verifications, free_reduce
+from kmfg.fpgroup import (
+    _run_felsch,
+    _run_hlt,
+    _word_to_letters,
+    component_verifications,
+    free_reduce,
+)
 
 from oracles import minors_gcd_invariant_factors
 
@@ -212,10 +219,49 @@ class TestToddCoxeter:
         p = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
         assert todd_coxeter(p, max_cosets=7) == EnumerationResult.finite(6)
 
-    def test_relator_free_exhausts_without_dead_cosets(self):
-        # the lookahead finds nothing to reclaim and reports the cap at once
-        p = FpPresentation(("x", "y"), ())
+    def test_lookahead_exhausts_without_dead_cosets(self):
+        # the infinite dihedral group abelianizes to C2 x C2, so the table
+        # fills; the lookahead finds nothing to reclaim and reports the cap
+        a, b = (0, 1), (1, 1)
+        p = FpPresentation(("a", "b"), ((a, a), (b, b)))
         assert todd_coxeter(p, max_cosets=50_000) == EnumerationResult.exhausted(50_000)
+
+    def test_free_abelianization_stops_before_any_table(self, monkeypatch):
+        # <x, y | > abelianizes to Z^2: no index is finite, so no strategy runs
+        def no_table(*args):
+            raise AssertionError("a coset table was built")
+
+        monkeypatch.setattr(kmfg.fpgroup, "_run_hlt", no_table)
+        monkeypatch.setattr(kmfg.fpgroup, "_run_felsch", no_table)
+        p = FpPresentation(("x", "y"), ())
+        for strategy in ("hlt", "felsch"):
+            assert todd_coxeter(
+                p, max_cosets=50_000, strategy=strategy
+            ) == EnumerationResult.exhausted(50_000)
+
+    def test_abelian_bound_with_subgroup_words(self):
+        # [Z : <a^3>] = |Z / <3>| = 3 and [Z^2 : <a>] is infinite; where the
+        # guard stops a run, both strategies run raw reach the same answer
+        a, b = (0, 1), (1, 1)
+        z = FpPresentation(("a",), ())
+        z2 = FpPresentation(("a", "b"), ((a, b, (0, -1), (1, -1)),))
+        stopped = [(z, (a, a, a), 2)] + [(z2, (a,), cap) for cap in (1, 10, 1000)]
+        for p, word, cap in stopped:
+            exhausted = EnumerationResult.exhausted(cap)
+            for strategy in ("hlt", "felsch"):
+                assert todd_coxeter(p, (word,), cap, strategy) == exhausted
+            relators = [_word_to_letters(w) for w in p.relators]
+            for run in (_run_hlt, _run_felsch):
+                subgroup = [_word_to_letters(word)]
+                assert run(p.generator_count, relators, subgroup, cap) == exhausted
+        for strategy in ("hlt", "felsch"):
+            assert todd_coxeter(z, ((a, a, a),), 3, strategy) == EnumerationResult.finite(3)
+
+    def test_infinite_full_flag_stops_at_once(self):
+        # C4~ has a green vertex, so its full flag group abelianizes with a
+        # free factor; the HLT lookahead used to take a dozen rounds here
+        p = flag_presentation(from_named("C4~"), ())
+        assert todd_coxeter(p) == EnumerationResult.exhausted(100_000)
 
     def test_felsch_a8_full_flag(self):
         m = from_named("A8")
@@ -497,8 +543,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("name, cap", [("B3", 100_000), ("A4", 8)])
     def test_disagreeing_routes_fail(self, monkeypatch, name, cap):
-        import kmfg.fpgroup
-
         def relator_free(m, J, weyl=None):
             return FpPresentation(tuple(f"x{v + 1}" for v in range(m.n)), ())
 

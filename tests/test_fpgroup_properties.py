@@ -2,22 +2,28 @@
 two enumeration strategies agree on flag-variety groups of random
 generalized Cartan matrices, repeated and inverted relators change no
 enumeration at any cap and, with zero-row commutators too, no
-abelianization, the Smith normal form matches the determinant
-divisors, and the flag-variety groups of random generalized Cartan
-matrices abelianize as their exponent sums predict."""
+abelianization, the enumerator's abelian guard reports exactly what both
+strategies reach by filling the table, the Smith normal form matches the
+determinant divisors, and the flag-variety groups of random generalized
+Cartan matrices abelianize as their exponent sums predict."""
+
+import math
 
 import pytest
 
 from kmfg import (
     AbelianInvariants,
+    EnumerationResult,
     FpPresentation,
     GeneralizedCartanMatrix,
     abelianization,
     cw_presentation,
     flag_presentation,
+    h_j_presentation,
     smith_normal_form,
     todd_coxeter,
 )
+from kmfg.fpgroup import _run_felsch, _run_hlt, _word_to_letters
 
 from oracles import minors_gcd_invariant_factors
 
@@ -91,6 +97,31 @@ def test_repeated_and_inverted_relators_change_nothing(p, strategy):
     )
     zero_padded = FpPresentation(p.generator_names, padded.relators + commutators)
     assert abelianization(zero_padded) == abelianization(p)
+
+
+@st.composite
+def flag_and_h_j_presentations(draw):
+    """flag_presentation(m, J) and h_j_presentation(m, J) for a GCM of rank
+    1-5 and J empty or a single vertex; h_j takes every vertex for J empty."""
+    m = draw(gcms(5))
+    J = draw(st.sampled_from([()] + [(v,) for v in range(m.n)]))
+    return flag_presentation(m, J), h_j_presentation(m, J or range(m.n))
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(flag_and_h_j_presentations())
+def test_abelian_guard_is_what_the_table_reaches(presentations):
+    # below |G^ab| the guard answers before any table; the strategies run
+    # raw must fill theirs and reach the same Exhausted(cap)
+    for p in presentations:
+        invariants = abelianization(p)
+        order = math.inf if invariants.free_rank else math.prod(invariants.torsion)
+        relators = [_word_to_letters(w) for w in p.relators]
+        for cap in (c for c in CAPS[:-1] if c < order):
+            exhausted = EnumerationResult.exhausted(cap)
+            assert todd_coxeter(p, max_cosets=cap) == exhausted
+            for run in (_run_hlt, _run_felsch):
+                assert run(p.generator_count, relators, [], cap) == exhausted
 
 
 @st.composite
