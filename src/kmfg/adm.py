@@ -63,7 +63,7 @@ class KappaColouring:
 
 def has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
     """Whether some j has eps(i, j) = +1 and eps(j, i) = -1.  Such a witness
-    colours the component of i red, and in the flag presentations it
+    colours the component of i red, and in the flag presentation it
     forces x_i^2 = 1."""
     return any(m.parity(i, j) == 1 and m.parity(j, i) == -1 for j, _ in m.neighbours[i])
 

@@ -887,7 +887,7 @@ class TestInternalError:
         assert invoke(["flag", "--type", "A3"]) == (5, "", "error[E501]: boom\n")
 
     def test_failed_verify_exit_5(self, monkeypatch):
-        def relator_free(m, J, weyl=None):
+        def relator_free(m, J):
             return kmfg.fpgroup.FpPresentation(tuple(f"x{v + 1}" for v in range(m.n)), ())
 
         monkeypatch.setattr(kmfg.fpgroup, "cw_presentation", relator_free)

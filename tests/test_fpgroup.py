@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import kmfg.adm
 import kmfg.fpgroup
 from kmfg import (
     AbelianInvariants,
@@ -15,7 +16,6 @@ from kmfg import (
     cw_presentation,
     flag_presentation,
     from_named,
-    h_j_presentation,
     smith_normal_form,
     todd_coxeter,
     verify,
@@ -95,7 +95,7 @@ class TestAbelianization:
         assert abelianization(p) == AbelianInvariants(0, (2,))
 
     def test_h_a2(self):
-        p = h_j_presentation(from_named("A2"), (0, 1))
+        p = flag_presentation(from_named("A2"), ())
         assert abelianization(p) == AbelianInvariants(0, (2, 2))
 
     def test_invariant_under_relator_shuffles(self):
@@ -123,7 +123,7 @@ class TestToddCoxeter:
         assert todd_coxeter(p) == EnumerationResult.finite(2)
 
     def test_h_a2_order_eight(self):
-        p = h_j_presentation(from_named("A2"), (0, 1))
+        p = flag_presentation(from_named("A2"), ())
         assert todd_coxeter(p) == EnumerationResult.finite(8)
 
     def test_free_group_exhausts(self):
@@ -152,9 +152,11 @@ class TestToddCoxeter:
             todd_coxeter(p, subgroup_words=(((3, 1),),))
 
     def test_strategies_agree(self):
+        # the group of each parity component, every vertex outside it killed
         presentations = [
-            h_j_presentation(from_named(name), range(from_named(name).n))
-            for name in ("A2", "A3", "B3", "F4")
+            flag_presentation(m, set(range(m.n)).difference(comp))
+            for m in map(from_named, ("A2", "A3", "B3", "F4"))
+            for comp in build_adm(m).components
         ] + [
             flag_presentation(from_named("B3"), ()),
             flag_presentation(from_named("A4"), (1, 3)),
@@ -304,53 +306,44 @@ class TestAgainstSympy:
 
     @pytest.mark.parametrize("name", ["A2", "A3", "A4", "D4"])
     def test_blue_component_orders(self, name):
-        m = from_named(name)
-        p = h_j_presentation(m, range(m.n))
+        # one blue component: its group is the full flag group
+        p = flag_presentation(from_named(name), ())
         assert todd_coxeter(p).order == self._sympy_order(p)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_red_component_orders(self, n):
-        m = from_named(f"C{n}")
-        p = h_j_presentation(m, range(n - 1))
+        # the red component {1..n-1} of C_n: vertex n killed
+        p = flag_presentation(from_named(f"C{n}"), (n - 1,))
         assert todd_coxeter(p).order == self._sympy_order(p)
 
 
 class TestHJPresentation:
+    """The flag presentation with every vertex outside J killed; for J a
+    parity component it presents H_J, the component's group."""
+
     def test_a2_matches_stated_relators(self):
-        p = h_j_presentation(from_named("A2"), (0, 1))
+        p = flag_presentation(from_named("A2"), ())
         assert p.generator_names == ("x1", "x2")
         assert p.relators == (
             ((0, 1), (1, -1), (0, -1), (1, -1)),
             ((1, 1), (0, -1), (1, -1), (0, -1)),
         )
 
-    def test_unwitnessed_singleton_is_free(self):
-        p = h_j_presentation(from_named("A2"), (0,))
-        assert p.relators == ()
-        assert abelianization(p) == AbelianInvariants(1, ())
-
     def test_witnessed_singleton_gains_square(self):
-        # vertex 1 of C2 commutes against vertex 2 with asymmetric parities
-        p = h_j_presentation(from_named("C2"), (0,))
-        assert p.relators == (((0, 1), (0, 1)),)
+        # vertex 1 of C2 commutes against vertex 2 with asymmetric parities,
+        # so with vertex 2 killed the pair relators force x1^2 = 1
+        p = flag_presentation(from_named("C2"), (1,))
+        assert abelianization(p) == AbelianInvariants(0, (2,))
         assert todd_coxeter(p) == EnumerationResult.finite(2)
 
     def test_asymmetric_pair_is_infinite(self):
-        # both vertices of a B2-shaped diagram: the relators force one
+        # both vertices of a B2-shaped diagram, J = S: the relators force one
         # square and commutation, leaving Z x C2; the enumeration can only
         # exhaust and the abelianization is decisive
         m = GeneralizedCartanMatrix(((2, -1), (-2, 2)))
-        p = h_j_presentation(m, (0, 1))
+        p = flag_presentation(m, ())
         assert abelianization(p) == AbelianInvariants(1, (2,))
         assert not todd_coxeter(p, max_cosets=2000).is_finite
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            h_j_presentation(from_named("A2"), ())
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            h_j_presentation(from_named("A2"), (0, 5))
 
 
 class TestFlagPresentation:
@@ -407,18 +400,12 @@ class TestCwPresentation:
         )
         assert abelianization(p) == abelianization(flag_presentation(m, (1,)))
 
-    def test_shared_weyl_group_instance(self):
-        m = from_named("B3")
-        weyl = WeylGroup(m)
-        assert cw_presentation(m, (0,), weyl) == cw_presentation(m, (0,))
-
     @pytest.mark.parametrize("name", CORPUS_RANK_LE_5)
     def test_invariants_match_flag_everywhere(self, name):
         m = from_named(name)
-        weyl = WeylGroup(m)
         for r in range(m.n + 1):
             for J in itertools.combinations(range(m.n), r):
-                assert abelianization(cw_presentation(m, J, weyl)) == abelianization(
+                assert abelianization(cw_presentation(m, J)) == abelianization(
                     flag_presentation(m, J)
                 )
 
@@ -543,7 +530,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("name, cap", [("B3", 100_000), ("A4", 8)])
     def test_disagreeing_routes_fail(self, monkeypatch, name, cap):
-        def relator_free(m, J, weyl=None):
+        def relator_free(m, J):
             return FpPresentation(tuple(f"x{v + 1}" for v in range(m.n)), ())
 
         monkeypatch.setattr(kmfg.fpgroup, "cw_presentation", relator_free)
@@ -552,6 +539,36 @@ class TestVerify:
         # a failure outranks a check the cap left open
         assert report.result == "FAIL"
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_witness_rule_checked_not_restated(self, monkeypatch, n):
+        # without the witness rule the red component {1..n-1} of C_n is
+        # coloured blue; its group is still C2^(n-1), so the order check fails
+        def never(m, i):
+            return False
+
+        monkeypatch.setattr(kmfg.adm, "has_witness", never)
+        monkeypatch.setattr(kmfg.fpgroup, "has_witness", never, raising=False)
+        report = verify(from_named(f"C{n}"))
+        assert report.components[0].colour == "b"
+        assert report.components[0].checks[0] == (
+            "order", "fail", f"expected {2**n}, got {2 ** (n - 1)}"
+        )
+        assert report.result == "FAIL"
+
+    @pytest.mark.parametrize("name, calls", [("E8", 1), ("B5", 3)])
+    def test_each_flag_group_enumerated_once(self, monkeypatch, name, calls):
+        # E8 is one component, its group the full flag group; B5 has two
+        enumerated = []
+        enumerate_cosets = kmfg.fpgroup.todd_coxeter
+
+        def counting(presentation, *args, **kwargs):
+            enumerated.append(presentation)
+            return enumerate_cosets(presentation, *args, **kwargs)
+
+        monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", counting)
+        assert verify(from_named(name)).result == "PASS"
+        assert len(enumerated) == len(set(enumerated)) == calls
+
 
 class TestVertexSubset:
     """Every builder that takes a vertex set checks it the same way."""
@@ -559,7 +576,7 @@ class TestVertexSubset:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m: h_j_presentation(m, (5,)),
+            lambda m: verify_component(m, (5,), "r"),
             lambda m: flag_presentation(m, (5,)),
             lambda m: cw_presentation(m, (5,)),
             lambda m: WeylGroup(m).cell_counts((5,), 2),

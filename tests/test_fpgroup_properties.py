@@ -17,9 +17,9 @@ from kmfg import (
     FpPresentation,
     GeneralizedCartanMatrix,
     abelianization,
+    build_adm,
     cw_presentation,
     flag_presentation,
-    h_j_presentation,
     smith_normal_form,
     todd_coxeter,
 )
@@ -100,16 +100,18 @@ def test_repeated_and_inverted_relators_change_nothing(p, strategy):
 
 
 @st.composite
-def flag_and_h_j_presentations(draw):
-    """flag_presentation(m, J) and h_j_presentation(m, J) for a GCM of rank
-    1-5 and J empty or a single vertex; h_j takes every vertex for J empty."""
+def flag_and_component_presentations(draw):
+    """flag_presentation(m, J) for a GCM of rank 1-5 and J empty or a
+    single vertex, and the group of one parity component C of m: the flag
+    presentation with every vertex outside C killed."""
     m = draw(gcms(5))
     J = draw(st.sampled_from([()] + [(v,) for v in range(m.n)]))
-    return flag_presentation(m, J), h_j_presentation(m, J or range(m.n))
+    comp = draw(st.sampled_from(build_adm(m).components))
+    return flag_presentation(m, J), flag_presentation(m, set(range(m.n)).difference(comp))
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
-@hypothesis.given(flag_and_h_j_presentations())
+@hypothesis.given(flag_and_component_presentations())
 def test_abelian_guard_is_what_the_table_reaches(presentations):
     # below |G^ab| the guard answers before any table; the strategies run
     # raw must fill theirs and reach the same Exhausted(cap)

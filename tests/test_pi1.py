@@ -9,6 +9,7 @@ from kmfg import (
     Pi1Type,
     build_adm,
     enumerate_kappa,
+    flag_presentation,
     from_named,
     full_report,
     kappa_constant,
@@ -17,7 +18,6 @@ from kmfg import (
     pi1_maximal_compact,
     pi1_spin,
     todd_coxeter,
-    h_j_presentation,
 )
 from kmfg.adm import KappaColouring
 from kmfg.cli import run
@@ -184,17 +184,18 @@ class TestPi1Spin:
             assert pi1_spin(m, kappa_constant(g, 2), force=True).c2_count == 0
 
 
-class TestCoveringDegree:
+class TestBlueComponentOrder:
     @pytest.mark.parametrize("name", ["A2", "A3", "B3", "D4"])
-    def test_blue_component_index(self, name):
-        # a blue component group has order 2^(|J|+1); its image in pi1 has
-        # order 2, so the index is the covering degree 2^|J|
+    def test_blue_component_order(self, name):
+        # a blue component's group, the flag group with every vertex outside
+        # it killed, has order 2^(|C|+1)
         m = from_named(name)
         graph = build_adm(m)
         for comp, colour in zip(graph.components, graph.colours):
             if colour != "b":
                 continue
-            order = todd_coxeter(h_j_presentation(m, comp)).order
+            outside = set(range(m.n)).difference(comp)
+            order = todd_coxeter(flag_presentation(m, outside)).order
             assert order == 2 ** (len(comp) + 1)
 
 
