@@ -246,7 +246,7 @@ def _dot_lines(graph) -> list[str]:
 
 
 def _flag_json(info: pi1.FlagInfo) -> dict:
-    if info.order is None:
+    if info.invariants.free_rank:
         order = {"status": "infinite"}
     elif info.order.is_finite:
         order = {"status": "finite", "order": info.order.order}
@@ -263,7 +263,7 @@ def _check_orders(flags):
     """After the output is written: exit 4 if a coset cap left the order of
     a flag's group open."""
     for info in flags:
-        if info.order is not None and not info.order.is_finite:
+        if not (info.invariants.free_rank or info.order.is_finite):
             raise ResourceLimitError(
                 f"coset enumeration exhausted the cap {info.order.limit}", info.order.limit
             )
@@ -303,7 +303,7 @@ def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
     for bits, value in report.spin:
         lines.append(f"spin kappa={bits or '-'}: pi1 = {value}")
     for J, info in sorted(report.flags.items()):
-        order = "infinite" if info.order is None else str(info.order)
+        order = "infinite" if info.invariants.free_rank else str(info.order)
         lines.append(
             f"flag J={_fmt_set(J)}: abelianization {info.invariants}, order {order}"
         )
@@ -381,7 +381,7 @@ def _cmd_flag(args, out):
         lines.append(f"pi1(G/P_J) = {info.closed_form}")
     lines.append(f"J = {_fmt_set(info.parabolic)}")
     lines.append(f"abelianization: {info.invariants}")
-    if info.order is None:
+    if info.invariants.free_rank:
         lines.append("order: infinite (positive free rank)")
     elif info.order.is_finite:
         lines.append(f"order: {info.order.order}")

@@ -3,14 +3,18 @@
 Words are tuples of (generator index, exponent) pairs with exponents +1 or
 -1, freely reduced.  Abelianization goes through an exact integer Smith
 normal form: diagonalize, then normalize the diagonal with C_a x C_b =
-C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.
+C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.  A
+presentation is abelianized once: it keeps its Smith normal form
+diagonal, which ``abelianization`` and the index bound of ``todd_coxeter``
+both read.
 Coset enumeration offers the relator-scanning strategy with lookahead
 (default) and a deduction-driven strategy as an independent alternate; both
 report Finite(order) only for a complete closed table and otherwise an
 explicit Exhausted, never a silent truncation.  Exhausted(cap) means the
 cap prevents a conclusion: the table filled, or the order of G/HG', a
-lower bound on the index found by one Smith normal form before any table
-is built, is infinite or already above the cap.  Each relator is scanned
+lower bound on the index read off one Smith normal form before any table
+is built (the presentation's kept diagonal when there are no subgroup
+words), is infinite or already above the cap.  Each relator is scanned
 once up to inversion (the enumerator drops repeats and inverses from its
 own working list; presentations keep them), a relator is traced before it
 is scanned, and closure is still certified at every live coset.  The
@@ -22,9 +26,11 @@ parabolic J into the flag presentation, the pair relators
 ``x_i x_j^{eps(i,j)} x_i^-1 x_j^-1`` with eps the entry parity and then
 the killers x_k = 1 for k in J, and into its two-skeleton counterpart.
 ``_colour_group`` states what group each colour of parity-graph
-component predicts.  ``verify`` checks every component C against it on
-the flag group with every vertex outside C killed, the one kind of group
-it enumerates, and ``pi1.pi1_flag`` builds its closed forms from it.
+component predicts, and ``check_flag`` compares a flag group with the
+product of its components' predictions, the one check of that kind:
+``verify`` makes it for every component C on the flag group with every
+vertex outside C killed, the one kind of group it enumerates, and
+``pi1.pi1_flag`` makes it for the components outside its parabolic.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .adm import build_adm
 from .cartan import GeneralizedCartanMatrix, vertex_subset
@@ -48,6 +55,7 @@ __all__ = [
     "abelianization",
     "todd_coxeter",
     "flag_presentation",
+    "check_flag",
     "cw_presentation",
     "verify_component",
     "verify",
@@ -91,6 +99,17 @@ class FpPresentation:
     @property
     def generator_count(self) -> int:
         return len(self.generator_names)
+
+    # cached_property writes the instance __dict__, which a frozen dataclass
+    # without slots leaves open; equality and hashing read only the fields.
+
+    @cached_property
+    def smith_diagonal(self) -> tuple[int, ...]:
+        """The invariant factors of the relator exponent-sum matrix, 1s
+        included, computed on first use.  Zero and repeated rows leave its
+        row lattice, so the invariant factors, unchanged; only the distinct
+        nonzero rows reach the Smith normal form."""
+        return tuple(smith_normal_form(_exponent_rows(self.generator_count, self.relators)))
 
 
 @dataclass(frozen=True)
@@ -201,11 +220,10 @@ def _exponent_rows(count, words) -> dict:
 
 
 def abelianization(presentation: FpPresentation) -> AbelianInvariants:
-    """Smith normal form of the relator exponent-sum matrix.  Zero and
-    repeated rows leave its row lattice, so the invariant factors,
-    unchanged; only the distinct nonzero rows reach the Smith normal form."""
+    """The abelian invariants read off the presentation's Smith normal
+    form diagonal."""
     count = presentation.generator_count
-    diag = smith_normal_form(_exponent_rows(count, presentation.relators))
+    diag = presentation.smith_diagonal
     return AbelianInvariants(
         free_rank=count - len(diag),
         torsion=tuple(d for d in diag if d > 1),
@@ -398,9 +416,9 @@ def todd_coxeter(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     # [G:H] >= |G/HG'|, the product of the diagonal (infinite when short)
-    diag = smith_normal_form(
-        _exponent_rows(count, presentation.relators + tuple(subgroup_words))
-    )
+    diag = presentation.smith_diagonal
+    if subgroup_words:
+        diag = smith_normal_form(_exponent_rows(count, [*presentation.relators, *subgroup_words]))
     if len(diag) < count or math.prod(diag) > max_cosets:
         return EnumerationResult.exhausted(max_cosets)
     relators = []
@@ -624,38 +642,51 @@ def _colour_group(colour: str, size: int):
     raise ValueError(f"unknown colour {colour!r}")
 
 
+def check_flag(m: GeneralizedCartanMatrix, J, components, max_cosets: int = DEFAULT_MAX_COSETS):
+    """Abelianize and enumerate ``flag_presentation(m, J)`` and compare both
+    against the product of what its parity components predict, given as
+    (colour, size) pairs (``_colour_group``): a green one predicts an
+    infinite group, a blue one no abelianization.  Returns the invariants,
+    the order and the (name, status, detail) checks; an exhausted
+    enumeration yields an inconclusive order check, not a failure."""
+    groups = [_colour_group(colour, size) for colour, size in components]
+    orders = [o for o, _ in groups]
+    predicted = [inv for _, inv in groups]
+    presentation = flag_presentation(m, J)
+    invariants = abelianization(presentation)
+    order = todd_coxeter(presentation, max_cosets=max_cosets)
+    if None in orders:
+        status = "inconclusive" if not order.is_finite else "fail"
+        detail = f"infinite group predicted; enumeration gave {order}"
+    elif order.is_finite:
+        expected_order = math.prod(orders)
+        status = "pass" if order.order == expected_order else "fail"
+        detail = f"expected {expected_order}, got {order.order}"
+    else:
+        status, detail = "inconclusive", f"expected {math.prod(orders)}, got {order}"
+    checks = [("order", status, detail)]
+    if None not in predicted:
+        expected = _direct_sum(predicted)
+        status = "pass" if invariants == expected else "fail"
+        checks.append(("abelianization", status, f"expected {expected}, got {invariants}"))
+    return invariants, order, checks
+
+
 def verify_component(
     m: GeneralizedCartanMatrix,
     J,
     colour: str,
     max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> ComponentVerification:
-    """Run coset enumeration and abelianization on the group of a parity
-    component J of the given colour and compare both against what the
-    colour predicts (``_colour_group``).  That group is the flag group
-    ``flag_presentation(m, S - J)``, every vertex outside J killed, so the
-    relators are the pair relators and killers alone.  Exhausted
-    enumerations yield an inconclusive check, not a failure."""
+    """``check_flag`` on the group of a parity component J of the given
+    colour: the flag group ``flag_presentation(m, S - J)``, every vertex
+    outside J killed, so the relators are the pair relators and killers
+    alone."""
     vertices = vertex_subset(J, m.n)
-    expected_order, expected_invariants = _colour_group(colour, len(vertices))
     if not vertices:
         raise ValueError("J must be nonempty")
-    presentation = flag_presentation(m, set(range(m.n)).difference(vertices))
-    invariants = abelianization(presentation)
-    order = todd_coxeter(presentation, max_cosets=max_cosets)
-    if expected_order is None:
-        status = "inconclusive" if not order.is_finite else "fail"
-        detail = f"infinite group predicted; enumeration gave {order}"
-    elif order.is_finite:
-        status = "pass" if order.order == expected_order else "fail"
-        detail = f"expected {expected_order}, got {order.order}"
-    else:
-        status, detail = "inconclusive", f"expected {expected_order}, got {order}"
-    checks = [("order", status, detail)]
-    if expected_invariants is not None:
-        status = "pass" if invariants == expected_invariants else "fail"
-        detail = f"expected {expected_invariants}, got {invariants}"
-        checks.append(("abelianization", status, detail))
+    outside = set(range(m.n)).difference(vertices)
+    invariants, order, checks = check_flag(m, outside, [(colour, len(vertices))], max_cosets)
     return ComponentVerification(vertices, colour, invariants, order, checks)
 
 

@@ -7,7 +7,9 @@ component nothing (``_pi1``), and pi1(G) is their product.  pi1(G/P_J)
 reads the graph on the vertices outside J the same way: with no blue
 component it is Z per green component times C2 per vertex of a red one.
 The finitely-presented-group engine is wired in as a cross-check, never
-as the source of the closed-form answers.
+as the source of the closed-form answers: ``pi1_flag`` checks each flag
+group with ``fpgroup.check_flag``, the check ``verify`` makes per
+component.
 
 Formulas are gated: the diagram must be irreducible and either
 symmetrizable or two-spherical, otherwise the computation refuses unless
@@ -19,7 +21,6 @@ Results are plain values; the CLI renders them as text or JSON.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,7 +73,7 @@ class KPi1Result(NamedTuple):
 class FlagInfo:
     parabolic: tuple[int, ...]
     invariants: fpgroup.AbelianInvariants
-    order: fpgroup.EnumerationResult | None  # None: infinite, settled without enumeration
+    order: fpgroup.EnumerationResult  # Exhausted when the free rank is positive
     closed_form: Pi1Type | None
 
 
@@ -155,11 +156,12 @@ def pi1_flag(
     variety for the parabolic subset J.
 
     With no blue component in ``adm.build_adm(m, J)`` the closed form is
-    the product of the groups ``fpgroup`` states per colour, asserted
-    against the computed invariants; with no green one the product of the
-    component orders is asserted against a finite enumerated order.  A
-    positive free rank settles infinitude without enumeration; otherwise
-    the order is established by coset enumeration under the cap.
+    Z per green component times C2 per vertex of a red one.  The flag
+    group is checked against its components' colours by
+    ``fpgroup.check_flag``, the check ``verify`` makes, and a failed check
+    is an InternalError.  The order comes from coset enumeration under the
+    cap; a positive free rank makes it Exhausted(max_cosets) before any
+    table is built.
     """
     check_hypotheses(m, force)
     return _flag(m, J, max_cosets)
@@ -167,30 +169,14 @@ def pi1_flag(
 
 def _flag(m, J, max_cosets) -> FlagInfo:
     J = cartan.vertex_subset(J, m.n)
-    presentation = fpgroup.flag_presentation(m, J)
-    invariants = fpgroup.abelianization(presentation)
-    if invariants.free_rank > 0:
-        order = None
-    else:
-        order = fpgroup.todd_coxeter(presentation, max_cosets=max_cosets)
     graph = adm.build_adm(m, J)
-    groups = [
-        fpgroup._colour_group(colour, len(comp))
-        for comp, colour in zip(graph.components, graph.colours)
-    ]
-    closed_form = None
-    if "b" not in graph.colours:
-        expected = fpgroup._direct_sum(inv for _, inv in groups)
-        closed_form = Pi1Type(expected.free_rank, len(expected.torsion))
-        if invariants != expected:
-            raise InternalError(
-                f"closed form {closed_form} contradicts computed invariants "
-                f"{invariants} for J = {J}"
-            )
-    if "g" not in graph.colours and order is not None and order.is_finite:
-        product = math.prod(o for o, _ in groups)
-        if order.order != product:
-            raise InternalError(f"component orders give {product}, not {order} for J = {J}")
+    components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
+    invariants, order, checks = fpgroup.check_flag(m, J, components, max_cosets)
+    failed = [f"{name} {detail}" for name, status, detail in checks if status == "fail"]
+    if failed:
+        raise InternalError(f"flag group for J = {J} contradicts its colours: {'; '.join(failed)}")
+    red = sum(size for c, size in components if c == "r")
+    closed_form = None if "b" in graph.colours else Pi1Type(graph.colours.count("g"), red)
     return FlagInfo(J, invariants, order, closed_form)
 
 

@@ -1,5 +1,7 @@
 """A matrix is analysed once: its hypothesis report and its parity graph
-are kept on the matrix object, and every pi1 entry point reads them."""
+are kept on the matrix object, and every pi1 entry point reads them.  A
+presentation is abelianized once: its Smith normal form diagonal is kept
+on it."""
 
 import pytest
 
@@ -84,3 +86,28 @@ def test_contradiction_is_an_internal_error(monkeypatch):
         pi1_flag(from_named("A3"), (0,))
     with pytest.raises(InternalError):
         full_report(from_named("A3"))
+
+
+def test_order_contradiction_is_an_internal_error(monkeypatch):
+    # B3's flag group is predicted to have order 2^3 x 2 = 16
+    def trivial(presentation, **kwargs):
+        return kmfg.fpgroup.EnumerationResult.finite(1)
+
+    monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", trivial)
+    with pytest.raises(InternalError, match="order expected 16, got 1"):
+        pi1_flag(from_named("B3"), ())
+
+
+def test_flag_group_abelianized_once(monkeypatch):
+    # abelianization and the index bound of the enumeration share one SNF
+    calls = []
+    smith_normal_form = kmfg.fpgroup.smith_normal_form
+
+    def counting(rows):
+        calls.append(rows)
+        return smith_normal_form(rows)
+
+    monkeypatch.setattr(kmfg.fpgroup, "smith_normal_form", counting)
+    info = pi1_flag(from_named("A6"), (0,))
+    assert info.order.is_finite
+    assert len(calls) == 1

@@ -879,6 +879,16 @@ class TestInternalError:
         assert err.startswith("error[E501]:")
         assert len(err.splitlines()) == 1
 
+    def test_order_contradiction_exit_5(self, monkeypatch):
+        def trivial(presentation, **kwargs):
+            return kmfg.fpgroup.EnumerationResult.finite(1)
+
+        monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", trivial)
+        code, out, err = invoke(["flag", "--type", "B3"])
+        assert (code, out) == (5, "")
+        assert err.startswith("error[E501]:")
+        assert len(err.splitlines()) == 1
+
     def test_unexpected_value_error_exit_5(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("boom")

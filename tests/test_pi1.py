@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import kmfg.fpgroup
 from kmfg import (
     GeneralizedCartanMatrix,
     Pi1Type,
@@ -22,6 +23,7 @@ from kmfg import (
 from kmfg.adm import KappaColouring
 from kmfg.cli import run
 from kmfg.errors import HypothesisError, InadmissibleKappaError
+from kmfg.fpgroup import DEFAULT_MAX_COSETS, EnumerationResult
 
 from oracles import diagram_x, direct_sum
 
@@ -216,9 +218,15 @@ class TestPi1Flag:
         info = pi1_flag(from_named("B3"), ())
         assert info.order.order == 16
 
-    def test_infinite_detected_without_enumeration(self):
+    def test_infinite_detected_without_enumeration(self, monkeypatch):
+        # a positive free rank fails the index bound before any table is built
+        def no_table(*args):
+            raise AssertionError("a coset table was built")
+
+        monkeypatch.setattr(kmfg.fpgroup, "_run_hlt", no_table)
+        monkeypatch.setattr(kmfg.fpgroup, "_run_felsch", no_table)
         info = pi1_flag(from_named("C2"), ())
-        assert info.order is None
+        assert info.order == EnumerationResult.exhausted(DEFAULT_MAX_COSETS)
         assert info.invariants.free_rank == 1
 
     def test_gate(self):
