@@ -138,6 +138,12 @@ class GeneralizedCartanMatrix:
 
         return _build_graph(self)
 
+    @cached_property
+    def _two_skeleton(self):
+        from .fpgroup import _two_skeleton_pairs  # fpgroup imports this module
+
+        return _two_skeleton_pairs(self)
+
 
 def vertex_subset(J, n: int) -> tuple[int, ...]:
     """The vertex set J of a rank-n diagram as a sorted tuple without

@@ -24,13 +24,21 @@ at the last coset that had one.
 The presentation builders turn a generalized Cartan matrix and a
 parabolic J into the flag presentation, the pair relators
 ``x_i x_j^{eps(i,j)} x_i^-1 x_j^-1`` with eps the entry parity and then
-the killers x_k = 1 for k in J, and into its two-skeleton counterpart.
+the killers x_k = 1 for k in J, and into its two-skeleton counterpart,
+whose pairs are built once per matrix.  Each pair relator says x_i x_j
+x_i^-1 = x_j^eps, so <x_J> is normal in the full flag group G and the
+flag group at J is G / <x_J>.  ``FlagGroups`` therefore enumerates G once
+and reads the order at every other J off its closed coset table, as the
+index of <x_J>; a normality test that fails there is an InternalError.
+Where G is not Finite under the cap, each J is enumerated directly.
 ``_colour_group`` states what group each colour of parity-graph
 component predicts, and ``check_flag`` compares a flag group with the
 product of its components' predictions, the one check of that kind:
 ``verify`` makes it for every component C on the flag group with every
 vertex outside C killed, the one kind of group it enumerates, and
-``pi1.pi1_flag`` makes it for the components outside its parabolic.
+``pi1.pi1_flag`` makes it for the components outside its parabolic;
+``verify`` and ``pi1.full_report`` read their flag groups from one
+``FlagGroups``.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from functools import cached_property
 from .adm import build_adm
 from .cartan import GeneralizedCartanMatrix, vertex_subset
 from .coxeter import WeylGroup
+from .errors import InternalError
 
 __all__ = [
     "FpPresentation",
@@ -55,6 +64,7 @@ __all__ = [
     "abelianization",
     "todd_coxeter",
     "flag_presentation",
+    "FlagGroups",
     "check_flag",
     "cw_presentation",
     "verify_component",
@@ -352,22 +362,15 @@ class _CosetTable:
 
     def compact(self):
         """Renumber live cosets consecutively, dropping dead rows."""
-        mapping = {}
-        for i, parent in enumerate(self.p):
-            if parent == i:
-                mapping[i] = len(mapping)
-        new_table = []
-        for i, parent in enumerate(self.p):
-            if parent != i:
-                continue
-            new_table.append(
-                [
-                    None if entry is None else mapping[self.rep(entry)]
-                    for entry in self.table[i]
-                ]
-            )
-        self.table = new_table
-        self.p = list(range(len(new_table)))
+        live = [i for i, parent in enumerate(self.p) if parent == i]
+        number = dict(zip(live, range(len(live))))
+        # the new number of every coset, dead ones through their representative
+        renumber = [number[self.rep(k)] for k in range(len(self.p))]
+        self.table = [
+            [None if entry is None else renumber[entry] for entry in self.table[i]]
+            for i in live
+        ]
+        self.p = list(range(len(live)))
 
 
 def _word_to_letters(word) -> tuple[int, ...]:
@@ -415,12 +418,24 @@ def todd_coxeter(
         runner = _run_felsch
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
+    relators = _working_relators(presentation, subgroup_words, max_cosets)
+    if relators is None:
+        return EnumerationResult.exhausted(max_cosets)
+    subgroup = [_word_to_letters(free_reduce(w)) for w in subgroup_words]
+    return runner(count, relators, subgroup, max_cosets)
+
+
+def _working_relators(presentation, subgroup_words, max_cosets):
+    """The relators an enumeration scans, as letter tuples, each once up
+    to inversion; None when the index bound already rules out a table of
+    ``max_cosets`` rows."""
+    count = presentation.generator_count
     # [G:H] >= |G/HG'|, the product of the diagonal (infinite when short)
     diag = presentation.smith_diagonal
     if subgroup_words:
         diag = smith_normal_form(_exponent_rows(count, [*presentation.relators, *subgroup_words]))
     if len(diag) < count or math.prod(diag) > max_cosets:
-        return EnumerationResult.exhausted(max_cosets)
+        return None
     relators = []
     seen = set()
     for word in presentation.relators:
@@ -429,8 +444,7 @@ def todd_coxeter(
             seen.add(letters)
             seen.add(_letters_inverse(letters))
             relators.append(letters)
-    subgroup = [_word_to_letters(free_reduce(w)) for w in subgroup_words]
-    return runner(count, relators, subgroup, max_cosets)
+    return relators
 
 
 def _closes(table, alpha, rel) -> bool:
@@ -459,7 +473,9 @@ def _scan_everywhere(ct, relators):
                 ct.scan(alpha, rel, fill=False)
 
 
-def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
+def _hlt_table(ngens, relators, subgroup, max_cosets):
+    """HLT with lookahead: the complete table, closed under every relator
+    at every live coset, or None when the cap prevents one."""
     ct = _CosetTable(ngens, max_cosets)
     while True:
         try:
@@ -485,15 +501,22 @@ def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
             alive = ct.n_alive()
             _scan_everywhere(ct, relators)
             if ct.n_alive() == alive:
-                return EnumerationResult.finite(alive)
+                return ct
         except _TableFull:
             # lookahead: collapse what can be collapsed, then reclaim the
             # dead rows; with none dead there is nothing to reclaim
             _scan_everywhere(ct, relators)
             if ct.n_alive() == len(ct.table):
-                return EnumerationResult.exhausted(max_cosets)
+                return None
             ct.compact()
             # rescan from the start (already-closed scans cost one trace)
+
+
+def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
+    ct = _hlt_table(ngens, relators, subgroup, max_cosets)
+    if ct is None:
+        return EnumerationResult.exhausted(max_cosets)
+    return EnumerationResult.finite(ct.n_alive())
 
 
 def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
@@ -565,6 +588,68 @@ def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
 
 
 # ---------------------------------------------------------------------------
+# Quotients read off a group's coset table
+
+
+def _group_table(presentation: FpPresentation, max_cosets: int):
+    """The closed HLT table of the trivial subgroup, compacted, so that
+    row g is the group element g (row 0 the identity) and entry [g][x] is
+    g times letter x: the regular permutation representation (Holt, Eick
+    & O'Brien, *Handbook of Computational Group Theory*, ch. 5).  None
+    exactly where ``todd_coxeter(presentation, max_cosets=max_cosets)``
+    is not Finite."""
+    relators = _working_relators(presentation, (), max_cosets)
+    if relators is None:
+        return None
+    ct = _hlt_table(presentation.generator_count, relators, [], max_cosets)
+    if ct is None:
+        return None
+    ct.compact()
+    return ct.table
+
+
+def _subgroup_orbit(table, J) -> set:
+    """The subgroup <x_j : j in J> of a group given by its regular table:
+    the orbit of row 0 under the letters x_j.  The group is finite, so
+    the generators alone reach their inverses."""
+    letters = [2 * j for j in J]
+    orbit = {0}
+    stack = [0]
+    while stack:
+        g = stack.pop()
+        for x in letters:
+            h = table[g][x]
+            if h not in orbit:
+                orbit.add(h)
+                stack.append(h)
+    return orbit
+
+
+def _is_normal(table, subgroup, J) -> bool:
+    """Whether ``subgroup`` = <x_J> is normal: x_i^-1 x_j x_i lies in it
+    for every generator i and every j in J.  Conjugation by x_i is then a
+    bijection of the finite subgroup onto itself, and the x_i generate."""
+    for i in range(len(table[0]) // 2):
+        inverse = table[0][2 * i + 1]
+        for j in J:
+            if table[table[inverse][2 * j]][2 * i] not in subgroup:
+                return False
+    return True
+
+
+def _quotient_order(table, J) -> int:
+    """|G / <x_J>| for the group G of a regular table, where <x_J> must be
+    normal, so that killing x_J is the quotient by it.  A <x_J> that is
+    not normal raises InternalError: its index is not the order of G with
+    x_J killed, and callers only ask where the relators make it normal."""
+    subgroup = _subgroup_orbit(table, J)
+    if not _is_normal(table, subgroup, J):
+        names = ", ".join(f"x{j + 1}" for j in J)
+        raise InternalError(f"the subgroup generated by {names} is not normal in the enumerated group")
+    return len(table) // len(subgroup)
+
+
+# ---------------------------------------------------------------------------
 # Presentations attached to a generalized Cartan matrix
 
 
@@ -591,18 +676,63 @@ def flag_presentation(m: GeneralizedCartanMatrix, J) -> FpPresentation:
 def cw_presentation(m: GeneralizedCartanMatrix, J) -> FpPresentation:
     """The presentation read off the two-skeleton: one killer relator per
     k in J, and a pair relator for (i, j) only when sigma_i sigma_j is a
-    minimal coset representative for the parabolic (no right descent in J)."""
+    minimal coset representative for the parabolic (no right descent in J).
+    The pairs and their descents are built once per matrix
+    (``_two_skeleton_pairs``); each J only filters them."""
     J = vertex_subset(J, m.n)
-    weyl = WeylGroup(m)
     names = tuple(f"x{v + 1}" for v in range(m.n))
     relators = [((k, 1),) for k in J]
+    relators.extend(rel for descents, rel in m._two_skeleton if descents.isdisjoint(J))
+    return FpPresentation(names, tuple(relators))
+
+
+def _two_skeleton_pairs(m: GeneralizedCartanMatrix) -> tuple:
+    """Per ordered pair (a, b) with a != b, the right descents of the cell
+    sigma_a sigma_b and the pair relator it contributes.  The right
+    descents of a Weyl group element lie in its support, here {a, b}."""
+    weyl = WeylGroup(m)
+    pairs = []
     for a in range(m.n):
         for b in range(m.n):
             if a == b:
                 continue
-            if weyl.from_word((a, b)).is_minimal_rep(J):
-                relators.append(_pair_relator(a, b, m.parity(a, b)))
-    return FpPresentation(names, tuple(relators))
+            w = weyl.from_word((a, b))
+            descents = frozenset(v for v in (a, b) if not w.is_minimal_rep((v,)))
+            pairs.append((descents, _pair_relator(a, b, m.parity(a, b))))
+    return tuple(pairs)
+
+
+class FlagGroups:
+    """The flag groups ``flag_presentation(m, J)`` of one diagram under one
+    coset cap, for callers that need many J: each presentation is built
+    once, and the full flag group G (J empty) is enumerated once, by HLT,
+    its closed table kept.
+
+    Each pair relator x_i x_j^eps x_i^-1 x_j^-1 says x_i x_j x_i^-1 =
+    x_j^eps, so <x_J> is normal in G and killing x_J is the quotient by
+    it: the order at J is |G| / |<x_J>|, read off the table
+    (``_quotient_order``) at a cost of O(|<x_J>| |J| + n |J|) lookups.
+    Where G is not Finite under the cap, each J is enumerated directly."""
+
+    def __init__(self, m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS):
+        self.m = m
+        self.max_cosets = max_cosets
+        self._presentations = {}
+        self._table = _group_table(self.presentation(()), max_cosets)
+
+    def presentation(self, J) -> FpPresentation:
+        J = vertex_subset(J, self.m.n)
+        if J not in self._presentations:
+            self._presentations[J] = flag_presentation(self.m, J)
+        return self._presentations[J]
+
+    def order(self, J) -> EnumerationResult:
+        J = vertex_subset(J, self.m.n)
+        if self._table is not None:
+            return EnumerationResult.finite(_quotient_order(self._table, J))
+        if not J:  # G itself, which the cap left open
+            return EnumerationResult.exhausted(self.max_cosets)
+        return todd_coxeter(self.presentation(J), max_cosets=self.max_cosets)
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +772,30 @@ def _colour_group(colour: str, size: int):
     raise ValueError(f"unknown colour {colour!r}")
 
 
-def check_flag(m: GeneralizedCartanMatrix, J, components, max_cosets: int = DEFAULT_MAX_COSETS):
+def check_flag(
+    m: GeneralizedCartanMatrix,
+    J,
+    components,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    groups: FlagGroups | None = None,
+):
     """Abelianize and enumerate ``flag_presentation(m, J)`` and compare both
     against the product of what its parity components predict, given as
     (colour, size) pairs (``_colour_group``): a green one predicts an
     infinite group, a blue one no abelianization.  Returns the invariants,
     the order and the (name, status, detail) checks; an exhausted
-    enumeration yields an inconclusive order check, not a failure."""
-    groups = [_colour_group(colour, size) for colour, size in components]
-    orders = [o for o, _ in groups]
-    predicted = [inv for _, inv in groups]
-    presentation = flag_presentation(m, J)
+    enumeration yields an inconclusive order check, not a failure.  With
+    ``groups``, the ``FlagGroups`` of m under the same cap, the
+    presentation and the order come from there."""
+    predictions = [_colour_group(colour, size) for colour, size in components]
+    orders = [o for o, _ in predictions]
+    predicted = [inv for _, inv in predictions]
+    if groups is None:
+        presentation = flag_presentation(m, J)
+        order = todd_coxeter(presentation, max_cosets=max_cosets)
+    else:
+        presentation, order = groups.presentation(J), groups.order(J)
     invariants = abelianization(presentation)
-    order = todd_coxeter(presentation, max_cosets=max_cosets)
     if None in orders:
         status = "inconclusive" if not order.is_finite else "fail"
         detail = f"infinite group predicted; enumeration gave {order}"
@@ -677,16 +818,19 @@ def verify_component(
     J,
     colour: str,
     max_cosets: int = DEFAULT_MAX_COSETS,
+    groups: FlagGroups | None = None,
 ) -> ComponentVerification:
     """``check_flag`` on the group of a parity component J of the given
     colour: the flag group ``flag_presentation(m, S - J)``, every vertex
     outside J killed, so the relators are the pair relators and killers
-    alone."""
+    alone.  ``groups`` is passed on to ``check_flag``."""
     vertices = vertex_subset(J, m.n)
     if not vertices:
         raise ValueError("J must be nonempty")
     outside = set(range(m.n)).difference(vertices)
-    invariants, order, checks = check_flag(m, outside, [(colour, len(vertices))], max_cosets)
+    invariants, order, checks = check_flag(
+        m, outside, [(colour, len(vertices))], max_cosets, groups
+    )
     return ComponentVerification(vertices, colour, invariants, order, checks)
 
 
@@ -696,12 +840,18 @@ def _green(v: ComponentVerification) -> bool:
 
 
 def component_verifications(
-    m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS
+    m: GeneralizedCartanMatrix,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    groups: FlagGroups | None = None,
 ) -> list[ComponentVerification]:
-    """verify_component over every component of the parity graph."""
+    """verify_component over every component of the parity graph, all of
+    them reading ``groups``, the ``FlagGroups`` of m under the same cap
+    (built here when not given)."""
+    if groups is None:
+        groups = FlagGroups(m, max_cosets)
     graph = build_adm(m)
     return [
-        verify_component(m, comp, graph.colours[idx], max_cosets)
+        verify_component(m, comp, graph.colours[idx], max_cosets, groups)
         for idx, comp in enumerate(graph.components)
     ]
 
@@ -739,33 +889,29 @@ def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     singleton parabolic) and, with no green component, ``product_law_order``
     (the full flag group's order is the product of the components').
 
-    Every group enumerated is a flag group, each distinct one once: a
-    single component's group is the full flag group itself, so its order
-    is the total."""
-    components = component_verifications(m, max_cosets)
-    full = flag_presentation(m, ())
-    observed = abelianization(full)
+    Every flag group comes from one ``FlagGroups``: the full flag group is
+    built and enumerated once, and each component's order is read off its
+    table where it is Finite under the cap."""
+    groups = FlagGroups(m, max_cosets)
+    components = component_verifications(m, max_cosets, groups)
+    observed = abelianization(groups.presentation(()))
     combined = _direct_sum(v.observed_invariants for v in components)
     status = "pass" if observed == combined else "fail"
     checks = [("product_law_abelian", status, f"{observed} vs {combined}")]
     routes_agree = observed == abelianization(cw_presentation(m, ())) and all(
-        abelianization(flag_presentation(m, (k,)))
+        abelianization(groups.presentation((k,)))
         == abelianization(cw_presentation(m, (k,)))
         for k in range(m.n)
     )
     checks.append(("presentation_routes", "pass" if routes_agree else "fail", ""))
     if not any(_green(v) for v in components):
-        orders = [v.observed_order for v in components]
-        total = None
-        if len(orders) == 1:  # nothing lies outside the one component
-            total = orders[0]
-        # with a component's order open there is no product to compare against
-        elif all(o.is_finite for o in orders):
-            total = todd_coxeter(full, max_cosets=max_cosets)
-        if total is None or not total.is_finite:
+        # a Finite total makes every component's order Finite; with the
+        # total open there is no product to compare against
+        total = groups.order(())
+        if not total.is_finite:
             checks.append(("product_law_order", "inconclusive", "cap exhausted"))
         else:
-            product = math.prod(o.order for o in orders)
+            product = math.prod(v.observed_order.order for v in components)
             status = "pass" if total.order == product else "fail"
             checks.append(("product_law_order", status, f"{total.order} vs {product}"))
     return Verification(components, checks)

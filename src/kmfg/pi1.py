@@ -9,7 +9,9 @@ component it is Z per green component times C2 per vertex of a red one.
 The finitely-presented-group engine is wired in as a cross-check, never
 as the source of the closed-form answers: ``pi1_flag`` checks each flag
 group with ``fpgroup.check_flag``, the check ``verify`` makes per
-component.
+component.  ``full_report`` reads its flag groups from one
+``fpgroup.FlagGroups``, which enumerates the full flag group once and
+reads each singleton's order off that table as the index of <x_k>.
 
 Formulas are gated: the diagram must be irreducible and either
 symmetrizable or two-spherical, otherwise the computation refuses unless
@@ -167,11 +169,11 @@ def pi1_flag(
     return _flag(m, J, max_cosets)
 
 
-def _flag(m, J, max_cosets) -> FlagInfo:
+def _flag(m, J, max_cosets, groups=None) -> FlagInfo:
     J = cartan.vertex_subset(J, m.n)
     graph = adm.build_adm(m, J)
     components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
-    invariants, order, checks = fpgroup.check_flag(m, J, components, max_cosets)
+    invariants, order, checks = fpgroup.check_flag(m, J, components, max_cosets, groups)
     failed = [f"{name} {detail}" for name, status, detail in checks if status == "fail"]
     if failed:
         raise InternalError(f"flag group for J = {J} contradicts its colours: {'; '.join(failed)}")
@@ -216,6 +218,10 @@ def full_report(
     contributions, pi1 of the group / compact subgroup / spin covers, and
     flag-variety invariants for the empty and all singleton parabolics.
 
+    The flag groups come from one ``fpgroup.FlagGroups``: the full flag
+    group is enumerated once, and each singleton's order is read off its
+    coset table where it is Finite under the cap.
+
     Reducible diagrams are not refused here: the counts factor over the
     irreducible components, and the report is marked as the product of the
     per-factor answers.
@@ -223,7 +229,8 @@ def full_report(
     hypotheses = check_hypotheses(m, force, require_irreducible=False)
     graph = adm.build_adm(m)
     spin = spin_rows(graph, adm.enumerate_kappa(graph))
+    groups = fpgroup.FlagGroups(m, max_cosets)
     flags = {}
     for J in [()] + [(k,) for k in range(m.n)]:
-        flags[J] = _flag(m, J, max_cosets)
+        flags[J] = _flag(m, J, max_cosets, groups)
     return Pi1Report(hypotheses=hypotheses, graph=graph, spin=spin, flags=flags)

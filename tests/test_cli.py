@@ -889,6 +889,17 @@ class TestInternalError:
         assert err.startswith("error[E501]:")
         assert len(err.splitlines()) == 1
 
+    def test_non_normal_subgroup_exit_5(self, monkeypatch):
+        # the pair relators make every <x_J> normal in the full flag group,
+        # so a failed normality test is a bug, not a fallback
+        import kmfg.fpgroup
+
+        monkeypatch.setattr(kmfg.fpgroup, "_is_normal", lambda table, subgroup, J: False)
+        code, out, err = invoke(["pi1", "--type", "B3", "--full"])
+        assert (code, out) == (5, "")
+        assert err.startswith("error[E501]:")
+        assert len(err.splitlines()) == 1
+
     def test_unexpected_value_error_exit_5(self, monkeypatch):
         def boom(*args, **kwargs):
             raise ValueError("boom")

@@ -16,21 +16,41 @@ from kmfg import (
     cw_presentation,
     flag_presentation,
     from_named,
+    full_report,
     smith_normal_form,
     todd_coxeter,
     verify,
     verify_component,
 )
 from kmfg.cartan import vertex_subset
+from kmfg.errors import InternalError
 from kmfg.fpgroup import (
+    FlagGroups,
+    _group_table,
+    _quotient_order,
     _run_felsch,
     _run_hlt,
+    _subgroup_orbit,
     _word_to_letters,
     component_verifications,
     free_reduce,
 )
 
 from oracles import minors_gcd_invariant_factors
+
+
+def count_coset_tables(monkeypatch) -> list:
+    """A list that grows by one for every coset table built, whichever
+    strategy builds it."""
+    built = []
+
+    class Counting(kmfg.fpgroup._CosetTable):
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(kmfg.fpgroup, "_CosetTable", Counting)
+    return built
 
 CORPUS_RANK_LE_5 = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
@@ -400,6 +420,37 @@ class TestCwPresentation:
         )
         assert abelianization(p) == abelianization(flag_presentation(m, (1,)))
 
+    @pytest.mark.parametrize("name", CORPUS_RANK_LE_5 + ["E8", "A1~", "C4~", "G2~"])
+    def test_a_weyl_group_per_parabolic_agrees(self, name):
+        # the pairs are built once per matrix and filtered per J; at every J
+        # that is the presentation a fresh Weyl group reads off the cells
+        m = from_named(name)
+        names = tuple(f"x{v + 1}" for v in range(m.n))
+        weyl = WeylGroup(m)
+        for r in range(m.n + 1):
+            for J in itertools.combinations(range(m.n), r):
+                relators = [((k, 1),) for k in J] + [
+                    ((a, 1), (b, m.parity(a, b)), (a, -1), (b, -1))
+                    for a in range(m.n)
+                    for b in range(m.n)
+                    if a != b and weyl.from_word((a, b)).is_minimal_rep(J)
+                ]
+                assert cw_presentation(m, J) == FpPresentation(names, tuple(relators))
+
+    def test_pairs_built_once_per_matrix(self, monkeypatch):
+        # verify reads the two-skeleton at J empty and at every singleton
+        words = []
+        from_word = WeylGroup.from_word
+
+        def counting(self, word):
+            words.append(tuple(word))
+            return from_word(self, word)
+
+        monkeypatch.setattr(WeylGroup, "from_word", counting)
+        m = from_named("E8")
+        assert verify(m).result == "PASS"
+        assert len(words) == len(set(words)) == m.n * (m.n - 1)
+
     @pytest.mark.parametrize("name", CORPUS_RANK_LE_5)
     def test_invariants_match_flag_everywhere(self, name):
         m = from_named(name)
@@ -555,19 +606,75 @@ class TestVerify:
         )
         assert report.result == "FAIL"
 
-    @pytest.mark.parametrize("name, calls", [("E8", 1), ("B5", 3)])
-    def test_each_flag_group_enumerated_once(self, monkeypatch, name, calls):
-        # E8 is one component, its group the full flag group; B5 has two
-        enumerated = []
-        enumerate_cosets = kmfg.fpgroup.todd_coxeter
-
-        def counting(presentation, *args, **kwargs):
-            enumerated.append(presentation)
-            return enumerate_cosets(presentation, *args, **kwargs)
-
-        monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", counting)
+    @pytest.mark.parametrize("name, tables", [("E8", 1), ("B5", 1)])
+    def test_each_flag_group_enumerated_once(self, monkeypatch, name, tables):
+        # E8 is one component, its group the full flag group; B5 has two,
+        # and both orders are read off the full flag group's one table
+        built = count_coset_tables(monkeypatch)
         assert verify(from_named(name)).result == "PASS"
-        assert len(enumerated) == len(set(enumerated)) == calls
+        assert len(built) == tables
+
+    def test_e8_smith_normal_forms(self, monkeypatch):
+        # one per distinct presentation: the full flag group's, shared by
+        # the component check, the product law and the enumeration, its
+        # eight singletons', and the two-skeleton route's nine
+        calls = []
+        smith_normal_form = kmfg.fpgroup.smith_normal_form
+
+        def counting(rows):
+            calls.append(rows)
+            return smith_normal_form(rows)
+
+        monkeypatch.setattr(kmfg.fpgroup, "smith_normal_form", counting)
+        assert verify(from_named("E8")).result == "PASS"
+        assert len(calls) == 18
+
+
+class TestFlagGroups:
+    """Orders read off the full flag group's one coset table."""
+
+    def test_full_report_enumerates_once(self, monkeypatch):
+        # E10's full flag group has 2,048 elements; the ten singleton orders
+        # are indices in its table
+        tables = count_coset_tables(monkeypatch)
+        report = full_report(from_named("E10"))
+        assert len(tables) == 1
+        assert report.flags[()].order == EnumerationResult.finite(2048)
+        assert all(info.order.is_finite for info in report.flags.values())
+
+    def test_non_normal_subgroup_refused(self):
+        # S3 = <a, b | a^2, b^2, (ab)^3>: <a> has index 3 but is not normal,
+        # and killing a kills b too, so |G / <<a>>| = 1
+        a, b = (0, 1), (1, 1)
+        s3 = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
+        table = _group_table(s3, 100)
+        assert len(table) == 6
+        assert len(table) // len(_subgroup_orbit(table, (0,))) == 3
+        killed = FpPresentation(s3.generator_names, s3.relators + ((a,),))
+        assert todd_coxeter(killed) == EnumerationResult.finite(1)
+        with pytest.raises(InternalError, match="generated by x1 is not normal"):
+            _quotient_order(table, (0,))
+        assert _quotient_order(table, (0, 1)) == 1
+
+    @pytest.mark.parametrize("name, cap", [("C4~", 100_000), ("A3", 8)])
+    def test_each_parabolic_enumerated_where_the_full_group_is_open(
+        self, monkeypatch, name, cap
+    ):
+        # C4~'s full flag group is infinite, so no table is built for it;
+        # A3's has order 16, so a table of 8 rows fills
+        m = from_named(name)
+        tables = count_coset_tables(monkeypatch)
+        groups = FlagGroups(m, cap)
+        assert len(tables) == (name == "A3")
+        assert groups.order(()) == EnumerationResult.exhausted(cap)
+        for k in range(m.n):
+            direct = todd_coxeter(flag_presentation(m, (k,)), max_cosets=cap)
+            assert groups.order((k,)) == direct
+
+    def test_presentations_built_once(self):
+        groups = FlagGroups(from_named("B3"))
+        assert groups.presentation((2,)) is groups.presentation([2, 2])
+        assert groups.presentation(()) == flag_presentation(from_named("B3"), ())
 
 
 class TestVertexSubset:

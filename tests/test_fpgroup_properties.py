@@ -4,8 +4,9 @@ generalized Cartan matrices, repeated and inverted relators change no
 enumeration at any cap and, with zero-row commutators too, no
 abelianization, the enumerator's abelian guard reports exactly what both
 strategies reach by filling the table, the Smith normal form matches the
-determinant divisors, and the flag-variety groups of random generalized
-Cartan matrices abelianize as their exponent sums predict."""
+determinant divisors, the flag-variety groups of random generalized
+Cartan matrices abelianize as their exponent sums predict, and the orders
+read off the full flag group's table are the enumerated ones."""
 
 import math
 
@@ -23,7 +24,7 @@ from kmfg import (
     smith_normal_form,
     todd_coxeter,
 )
-from kmfg.fpgroup import _run_felsch, _run_hlt, _word_to_letters
+from kmfg.fpgroup import FlagGroups, _run_felsch, _run_hlt, _word_to_letters
 
 from oracles import minors_gcd_invariant_factors
 
@@ -164,3 +165,22 @@ def test_flag_presentation_abelianization(m_and_J):
 def test_cw_presentation_abelianization(m_and_J):
     m, J = m_and_J
     assert abelianization(cw_presentation(m, J)) == _predicted_abelianization(m, J)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(gcms(5))
+def test_orders_read_off_the_full_flag_table(m):
+    # J empty, every singleton and every S - C: the index of <x_J> in the
+    # full flag group is the order of the flag group with x_J killed
+    cap = 1000
+    groups = FlagGroups(m, cap)
+    full_finite = groups.order(()).is_finite
+    everything = set(range(m.n))
+    parabolics = [()] + [(v,) for v in range(m.n)]
+    parabolics += [everything.difference(comp) for comp in build_adm(m).components]
+    for J in parabolics:
+        direct = todd_coxeter(flag_presentation(m, J), max_cosets=cap)
+        derived = groups.order(J)
+        assert derived.is_finite or not full_finite
+        if direct.is_finite:
+            assert derived == direct
