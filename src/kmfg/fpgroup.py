@@ -16,10 +16,20 @@ lower bound on the index read off one Smith normal form before any table
 is built (the presentation's kept diagonal when there are no subgroup
 words), is infinite or already above the cap.  Each relator is scanned
 once up to inversion (the enumerator drops repeats and inverses from its
-own working list; presentations keep them), a relator is traced before it
-is scanned, and closure is still certified at every live coset.  The
-deduction-driven strategy resumes its search for the next undefined entry
-at the last coset that had one.
+own working list; presentations keep them), and a relator is traced before
+it is scanned.  Both strategies certify a complete table the same way
+(``_closed``): compacted, the table gives each letter a permutation of the
+cosets, and every relator closes at every coset exactly when the
+composition of its letters' columns is the identity.  The columns cost one
+integer per coset per letter while the check runs.  Only a failed
+certificate falls back to a pass over every relator at every coset, which
+fires the coincidences before the run goes on.  The deduction-driven
+strategy handles a deduction alpha.x = beta by scanning the relator
+rotations that start with x at alpha.  Rotations of both r and r^-1 are
+listed, so these cross the edge in every relator cycle through it, each
+cycle once; the rotations that start with x^-1 at beta would walk the same
+cycles backwards and are not scanned.  It resumes its search for the next
+undefined entry at the last coset that had one.
 
 The presentation builders turn a generalized Cartan matrix and a
 parabolic J into the flag presentation, the pair relators
@@ -473,9 +483,30 @@ def _scan_everywhere(ct, relators):
                 ct.scan(alpha, rel, fill=False)
 
 
+def _closed(ct, relators) -> bool:
+    """Whether the table, compacted here, is complete and every relator
+    closes at every coset.  A complete table is one permutation per
+    letter, so each letter's column is built once and a relator closes
+    everywhere exactly when the composition of its letters' columns is the
+    identity; reading whole columns keeps the accesses sequential."""
+    ct.compact()
+    table = ct.table
+    if any(None in row for row in table):
+        return False
+    identity = list(range(len(table)))
+    columns = [[row[x] for row in table] for x in range(ct.width)]
+    for rel in relators:
+        image = identity
+        for x in rel:
+            image = list(map(columns[x].__getitem__, image))
+        if image != identity:
+            return False
+    return True
+
+
 def _hlt_table(ngens, relators, subgroup, max_cosets):
-    """HLT with lookahead: the complete table, closed under every relator
-    at every live coset, or None when the cap prevents one."""
+    """HLT with lookahead: the complete table, compacted and closed under
+    every relator at every coset, or None when the cap prevents one."""
     ct = _CosetTable(ngens, max_cosets)
     while True:
         try:
@@ -489,7 +520,13 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
                     for rel in relators:
                         if p[alpha] != alpha:
                             break
-                        if not _closes(table, alpha, rel):
+                        # trace first; scan only where the trace does not close
+                        f = alpha
+                        for x in rel:
+                            f = table[f][x]
+                            if f is None:
+                                break
+                        if f != alpha:
                             ct.scan(alpha, rel, fill=True)
                     if p[alpha] == alpha:
                         for x in range(ct.width):
@@ -497,11 +534,10 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
                                 ct.define(alpha, x)
                 alpha += 1
             # the table is complete; certify closure before reporting, and
-            # start over should a late coincidence still fire
-            alive = ct.n_alive()
-            _scan_everywhere(ct, relators)
-            if ct.n_alive() == alive:
+            # should it fail, fire the coincidences and start over
+            if _closed(ct, relators):
                 return ct
+            _scan_everywhere(ct, relators)
         except _TableFull:
             # lookahead: collapse what can be collapsed, then reclaim the
             # dead rows; with none dead there is nothing to reclaim
@@ -516,7 +552,7 @@ def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
     ct = _hlt_table(ngens, relators, subgroup, max_cosets)
     if ct is None:
         return EnumerationResult.exhausted(max_cosets)
-    return EnumerationResult.finite(ct.n_alive())
+    return EnumerationResult.finite(len(ct.table))
 
 
 def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
@@ -532,6 +568,10 @@ def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
                     by_letter[rotation[0]].append(rotation)
 
     def process_deductions():
+        # by_letter holds the rotations of r and of r^-1, so the words that
+        # start with x at alpha cross the edge alpha.x = beta in every relator
+        # cycle through it, in one direction or the other; the words that
+        # start with x^-1 at beta would walk the same cycles backwards
         while ct.deductions:
             alpha, x = ct.deductions.pop()
             alpha = ct.rep(alpha)
@@ -539,13 +579,6 @@ def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
                 if ct.p[alpha] != alpha:
                     break
                 ct.scan(alpha, word, fill=False)
-            beta = ct.table[alpha][x] if ct.p[alpha] == alpha else None
-            if beta is not None:
-                beta = ct.rep(beta)
-                for word in by_letter[x ^ 1]:
-                    if ct.p[beta] != beta:
-                        break
-                    ct.scan(beta, word, fill=False)
 
     table = ct.table
     p = ct.p
@@ -574,11 +607,12 @@ def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
                 if start:
                     start = 0
                     continue
-                alive = ct.n_alive()
+                if _closed(ct, relators):
+                    return EnumerationResult.finite(len(ct.table))
+                table = ct.table  # the certificate compacted the table
+                p = ct.p
                 _scan_everywhere(ct, relators)
                 process_deductions()
-                if ct.n_alive() == alive:
-                    return EnumerationResult.finite(alive)
                 continue
             start = target[0]
             ct.define(*target)
@@ -602,10 +636,7 @@ def _group_table(presentation: FpPresentation, max_cosets: int):
     if relators is None:
         return None
     ct = _hlt_table(presentation.generator_count, relators, [], max_cosets)
-    if ct is None:
-        return None
-    ct.compact()
-    return ct.table
+    return None if ct is None else ct.table
 
 
 def _subgroup_orbit(table, J) -> set:

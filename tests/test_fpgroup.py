@@ -26,10 +26,14 @@ from kmfg.cartan import vertex_subset
 from kmfg.errors import InternalError
 from kmfg.fpgroup import (
     FlagGroups,
+    _closed,
+    _closes,
+    _CosetTable,
     _group_table,
     _quotient_order,
     _run_felsch,
     _run_hlt,
+    _scan_everywhere,
     _subgroup_orbit,
     _word_to_letters,
     component_verifications,
@@ -301,6 +305,106 @@ class TestToddCoxeter:
             assert felsch == EnumerationResult.finite(512)
             assert todd_coxeter(p, strategy="hlt") == felsch
 
+    def test_felsch_scans_each_cycle_once(self, monkeypatch):
+        # a work count, not a timing: each deduction scans the relator
+        # cycles through its edge once, from one end; scanning them again
+        # from the other end as well made 146,288 scans here
+        scans = []
+
+        class Counting(kmfg.fpgroup._CosetTable):
+            def scan(self, alpha, word, fill):
+                scans.append(None)
+                return super().scan(alpha, word, fill)
+
+        monkeypatch.setattr(kmfg.fpgroup, "_CosetTable", Counting)
+        p = flag_presentation(from_named("A8"), ())
+        assert todd_coxeter(p, strategy="felsch") == EnumerationResult.finite(512)
+        assert len(scans) <= 73_144
+
+
+def _hand_table(rows) -> _CosetTable:
+    """A coset table with the given rows, every one of them live."""
+    ct = _CosetTable(len(rows[0]) // 2, 100)
+    ct.table = [list(row) for row in rows]
+    ct.p = list(range(len(rows)))
+    return ct
+
+
+class TestClosureCertificate:
+    """``_closed`` certifies a complete table by composing, per relator,
+    the permutations its letters induce on the cosets."""
+
+    A, B = (0, 1), (1, 1)
+    S3 = FpPresentation(("a", "b"), ((A, A), (B, B), (A, B) * 3))
+    S3_RELATORS = [_word_to_letters(w) for w in S3.relators]
+    # S3 on the cosets of <a>: a = (1 2), b = (0 1); columns a, a^-1, b, b^-1
+    S3_ON_THREE = [[0, 0, 1, 1], [2, 2, 0, 0], [1, 1, 2, 2]]
+
+    def test_closed_permutation_table(self):
+        assert _closed(_hand_table(self.S3_ON_THREE), self.S3_RELATORS)
+
+    def test_undefined_entry_at_a_live_coset(self):
+        rows = [list(row) for row in self.S3_ON_THREE]
+        rows[2][3] = None
+        assert not _closed(_hand_table(rows), self.S3_RELATORS)
+
+    def test_one_relator_open_at_the_fewest_cosets(self):
+        # a relator of a complete table acts as a permutation, so one that
+        # moves any coset moves at least two; the killer a moves exactly
+        # cosets 1 and 2 while every relator of S3 closes everywhere
+        ct = _hand_table(self.S3_ON_THREE)
+        killer = _word_to_letters((self.A,))
+        assert [_closes(ct.table, g, killer) for g in range(3)] == [True, False, False]
+        assert not _closed(ct, self.S3_RELATORS + [killer])
+
+    def test_certifies_a_table_with_dead_rows(self, monkeypatch):
+        # at the default cap HLT completes S3 in 8 rows, 2 of them dead;
+        # the certificate compacts them away before composing columns
+        seen = []
+
+        def spy(ct, relators):
+            rows, alive = len(ct.table), ct.n_alive()
+            closed = _closed(ct, relators)
+            seen.append((rows, alive, closed, len(ct.table)))
+            return closed
+
+        monkeypatch.setattr(kmfg.fpgroup, "_closed", spy)
+        assert todd_coxeter(self.S3) == EnumerationResult.finite(6)
+        assert seen == [(8, 6, True, 6)]
+
+    @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+    def test_failed_certificate_falls_back(self, monkeypatch, strategy):
+        # a certificate that fails once sends the run through
+        # _scan_everywhere and round again, to the same order
+        calls = []
+
+        def fail_once(ct, relators):
+            calls.append("closed")
+            return _closed(ct, relators) and calls.count("closed") > 1
+
+        def scan_everywhere(ct, relators):
+            calls.append("scan")
+            _scan_everywhere(ct, relators)
+
+        monkeypatch.setattr(kmfg.fpgroup, "_closed", fail_once)
+        monkeypatch.setattr(kmfg.fpgroup, "_scan_everywhere", scan_everywhere)
+        icosahedral = FpPresentation(
+            ("a", "b"), ((self.A, self.A), (self.B, self.B, self.B), (self.A, self.B) * 5)
+        )
+        assert todd_coxeter(icosahedral, strategy=strategy) == EnumerationResult.finite(60)
+        assert calls == ["closed", "scan", "closed"]
+
+    def test_fallback_fires_the_coincidences(self):
+        # a complete two-coset table with a = (0 1) and b the identity:
+        # a^2 and b^2 close, (ab)^3 = a^3 does not, and the deduction-only
+        # pass merges the two cosets into a table that closes
+        rows = [[1, 1, 0, 0], [0, 0, 1, 1]]
+        ct = _hand_table(rows)
+        assert not _closed(ct, self.S3_RELATORS)
+        _scan_everywhere(ct, self.S3_RELATORS)
+        assert ct.n_alive() == 1
+        assert _closed(ct, self.S3_RELATORS)
+
 
 @pytest.mark.slow
 class TestAgainstSympy:
@@ -335,6 +439,30 @@ class TestAgainstSympy:
         # the red component {1..n-1} of C_n: vertex n killed
         p = flag_presentation(from_named(f"C{n}"), (n - 1,))
         assert todd_coxeter(p).order == self._sympy_order(p)
+
+    X, Y, Z = (0, 1), (1, 1), (2, 1)
+    XI, YI, ZI = (0, -1), (1, -1), (2, -1)
+
+    @pytest.mark.parametrize(
+        "relators",
+        [
+            ((X, X, X), (Y, Y, Y), (X, Y) * 2),  # (2,3,3): A4
+            ((X, X), (Y, Y, Y), (X, Y) * 4),  # (2,3,4): S4
+            ((X, Y, X, YI), (Y, X, Y, XI)),  # Q8
+            ((X, X, X, X, X), (Y, Y), (X, Y) * 2),  # D5
+            ((X, Y, ZI), (Z, Z, Z, YI, YI, ZI, XI), (YI, YI, YI, YI)),
+            ((X, Y, X), (Y, X, X, Y, X, X), (X,) * 8),
+            ((X, X), (Y, Y), (Z, Z), (X, Y) * 3, (Y, Z) * 3, (X, Z) * 2),  # S4
+        ],
+    )
+    def test_short_presentation_orders(self, relators):
+        # relator cycles that cross one edge more than once, which Felsch
+        # scans from one end of each deduction only
+        ngens = 1 + max(gen for word in relators for gen, _ in word)
+        p = FpPresentation(("x", "y", "z")[:ngens], relators)
+        order = self._sympy_order(p)
+        for strategy in ("hlt", "felsch"):
+            assert todd_coxeter(p, strategy=strategy) == EnumerationResult.finite(order)
 
 
 class TestHJPresentation:

@@ -1,17 +1,21 @@
 """Property tests of the coset enumerator and the Smith normal form: the
 two enumeration strategies agree on flag-variety groups of random
-generalized Cartan matrices, repeated and inverted relators change no
-enumeration at any cap and, with zero-row commutators too, no
-abelianization, the enumerator's abelian guard reports exactly what both
-strategies reach by filling the table, the Smith normal form matches the
-determinant divisors, the flag-variety groups of random generalized
-Cartan matrices abelianize as their exponent sums predict, and the orders
-read off the full flag group's table are the enumerated ones."""
+generalized Cartan matrices and on random short presentations, the
+closure certificate agrees with tracing every relator at every coset,
+repeated and inverted relators change no enumeration at any cap and,
+with zero-row commutators too, no abelianization, the enumerator's
+abelian guard reports exactly what both strategies reach by filling the
+table, the Smith normal form matches the determinant divisors, the
+flag-variety groups of random generalized Cartan matrices abelianize as
+their exponent sums predict, and the orders read off the full flag
+group's table are the enumerated ones."""
 
 import math
+from unittest import mock
 
 import pytest
 
+import kmfg.fpgroup
 from kmfg import (
     AbelianInvariants,
     EnumerationResult,
@@ -24,7 +28,16 @@ from kmfg import (
     smith_normal_form,
     todd_coxeter,
 )
-from kmfg.fpgroup import FlagGroups, _run_felsch, _run_hlt, _word_to_letters
+from kmfg.fpgroup import (
+    FlagGroups,
+    _closed,
+    _closes,
+    _CosetTable,
+    _run_felsch,
+    _run_hlt,
+    _word_to_letters,
+    free_reduce,
+)
 
 from oracles import minors_gcd_invariant_factors
 
@@ -66,6 +79,30 @@ def gcms_with_parabolic(draw):
     return m, J
 
 
+@st.composite
+def words(draw, ngens, max_length):
+    """A nonempty freely reduced word of length up to ``max_length``: a
+    random word, or a proper power w^k, or None when it reduces away."""
+    letter = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    if draw(st.booleans()):
+        return free_reduce(draw(st.lists(letter, min_size=1, max_size=max_length))) or None
+    base = free_reduce(draw(st.lists(letter, min_size=1, max_size=max_length // 2)))
+    if not base:
+        return None
+    power = free_reduce(base * draw(st.integers(2, max_length // len(base))))
+    return power or None
+
+
+@st.composite
+def short_presentations(draw):
+    """1 to 3 generators and 1 to 4 relators of length up to 8, with proper
+    powers and repeated letters (x^3, (xy)^3, x y x y^-1): relator cycles
+    that cross one edge of the coset table more than once."""
+    ngens = draw(st.integers(1, 3))
+    relators = [w for w in draw(st.lists(words(ngens, 8), min_size=1, max_size=4)) if w]
+    return FpPresentation(("x", "y", "z")[:ngens], tuple(relators))
+
+
 def _inverse(word):
     return tuple((gen, -exp) for gen, exp in reversed(word))
 
@@ -77,6 +114,56 @@ def test_strategies_agree(p):
     felsch = todd_coxeter(p, max_cosets=1000, strategy="felsch")
     if hlt.is_finite and felsch.is_finite:
         assert hlt.order == felsch.order
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(short_presentations())
+def test_strategies_agree_on_short_presentations(p):
+    # Felsch scans each relator cycle through a deduction from one end only,
+    # and a cycle that crosses the edge twice must still be caught: its
+    # deductions alone close the table, so the first certificate passes
+    certificates = []
+
+    def closed(ct, relators):
+        certificates.append(_closed(ct, relators))
+        return certificates[-1]
+
+    with mock.patch.object(kmfg.fpgroup, "_closed", closed):
+        felsch = todd_coxeter(p, max_cosets=500, strategy="felsch")
+    assert certificates == ([True] if felsch.is_finite else [])
+    hlt = todd_coxeter(p, max_cosets=500, strategy="hlt")
+    if hlt.is_finite and felsch.is_finite:
+        assert hlt.order == felsch.order
+
+
+@st.composite
+def permutation_tables(draw):
+    """A complete coset table of 1 to 6 cosets on 1 or 2 generators, each
+    generator a random permutation, and relators of length up to 6."""
+    size = draw(st.integers(1, 6))
+    ngens = draw(st.integers(1, 2))
+    ct = _CosetTable(ngens, size)
+    ct.table = [[None] * ct.width for _ in range(size)]
+    ct.p = list(range(size))
+    for gen in range(ngens):
+        image = draw(st.permutations(range(size)))
+        for g, h in enumerate(image):
+            ct.table[g][2 * gen] = h
+            ct.table[h][2 * gen + 1] = g
+    relators = [
+        _word_to_letters(w)
+        for w in draw(st.lists(words(ngens, 6), min_size=1, max_size=3))
+        if w
+    ]
+    return ct, relators
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(permutation_tables())
+def test_certificate_is_closure_at_every_coset(table_and_relators):
+    ct, relators = table_and_relators
+    traced = all(_closes(ct.table, g, rel) for g in range(len(ct.table)) for rel in relators)
+    assert _closed(ct, relators) == traced
 
 
 @hypothesis.settings(max_examples=12, deadline=None)
