@@ -245,13 +245,19 @@ def _dot_lines(graph) -> list[str]:
     return ["graph adm {", "  node [style=filled];", *vertices, *edges, "}"]
 
 
+def _order_status(info: pi1.FlagInfo) -> str:
+    """What is known of the order of a flag's group: "infinite" with a
+    positive free rank, else the enumeration's "finite" or "exhausted"."""
+    return "infinite" if info.invariants.free_rank else info.order.status
+
+
 def _flag_json(info: pi1.FlagInfo) -> dict:
-    if info.invariants.free_rank:
-        order = {"status": "infinite"}
-    elif info.order.is_finite:
-        order = {"status": "finite", "order": info.order.order}
-    else:
-        order = {"status": "exhausted", "limit": info.order.limit}
+    status = _order_status(info)
+    order = {"status": status}
+    if status == "finite":
+        order["order"] = info.order.order
+    elif status == "exhausted":
+        order["limit"] = info.order.limit
     return {
         "abelian": {"z": info.invariants.free_rank, "torsion": list(info.invariants.torsion)},
         "order": order,
@@ -263,7 +269,7 @@ def _check_orders(flags):
     """After the output is written: exit 4 if a coset cap left the order of
     a flag's group open."""
     for info in flags:
-        if not (info.invariants.free_rank or info.order.is_finite):
+        if _order_status(info) == "exhausted":
             raise ResourceLimitError(
                 f"coset enumeration exhausted the cap {info.order.limit}", info.order.limit
             )
@@ -303,7 +309,7 @@ def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
     for bits, value in report.spin:
         lines.append(f"spin kappa={bits or '-'}: pi1 = {value}")
     for J, info in sorted(report.flags.items()):
-        order = "infinite" if info.invariants.free_rank else str(info.order)
+        order = "infinite" if _order_status(info) == "infinite" else str(info.order)
         lines.append(
             f"flag J={_fmt_set(J)}: abelianization {info.invariants}, order {order}"
         )
@@ -381,9 +387,10 @@ def _cmd_flag(args, out):
         lines.append(f"pi1(G/P_J) = {info.closed_form}")
     lines.append(f"J = {_fmt_set(info.parabolic)}")
     lines.append(f"abelianization: {info.invariants}")
-    if info.invariants.free_rank:
+    status = _order_status(info)
+    if status == "infinite":
         lines.append("order: infinite (positive free rank)")
-    elif info.order.is_finite:
+    elif status == "finite":
         lines.append(f"order: {info.order.order}")
     else:
         lines.append(f"order: undecided, coset table capped at {info.order.limit}")

@@ -37,18 +37,21 @@ parabolic J into the flag presentation, the pair relators
 the killers x_k = 1 for k in J, and into its two-skeleton counterpart,
 whose pairs are built once per matrix.  Each pair relator says x_i x_j
 x_i^-1 = x_j^eps, so <x_J> is normal in the full flag group G and the
-flag group at J is G / <x_J>.  ``FlagGroups`` therefore enumerates G once
-and reads the order at every other J off its closed coset table, as the
-index of <x_J>; a normality test that fails there is an InternalError.
-Where G is not Finite under the cap, each J is enumerated directly.
+flag group at J is G / <x_J>.  ``FlagGroups`` is the one way to a flag
+group's presentation and order.  It enumerates G at most once, on the
+first request for G itself, and from then on reads the order at every
+other J off its closed coset table, as the index of <x_J>; a normality
+test that fails there is an InternalError.  Before G is asked for, or
+where G is not Finite under the cap, each J is enumerated directly.
 ``_colour_group`` states what group each colour of parity-graph
-component predicts, and ``check_flag`` compares a flag group with the
-product of its components' predictions, the one check of that kind:
-``verify`` makes it for every component C on the flag group with every
-vertex outside C killed, the one kind of group it enumerates, and
-``pi1.pi1_flag`` makes it for the components outside its parabolic;
-``verify`` and ``pi1.full_report`` read their flag groups from one
-``FlagGroups``.
+component predicts, and ``check_flag`` compares a flag group of a
+``FlagGroups`` with the product of its components' predictions, the one
+check of that kind: ``verify`` makes it for every component C on the flag
+group with every vertex outside C killed, the one kind of group it
+enumerates, and ``pi1.pi1_flag`` makes it for the components outside its
+parabolic.  ``verify`` and ``pi1.full_report`` ask for G first, so each
+makes one enumeration per diagram; ``pi1.pi1_flag`` asks for its own J
+only.
 """
 
 from __future__ import annotations
@@ -735,21 +738,23 @@ def _two_skeleton_pairs(m: GeneralizedCartanMatrix) -> tuple:
 
 class FlagGroups:
     """The flag groups ``flag_presentation(m, J)`` of one diagram under one
-    coset cap, for callers that need many J: each presentation is built
-    once, and the full flag group G (J empty) is enumerated once, by HLT,
-    its closed table kept.
+    coset cap, the one way to a flag group's presentation and order: each
+    presentation is built once, and the full flag group G (J empty) is
+    enumerated at most once, by HLT, its closed table kept.
 
-    Each pair relator x_i x_j^eps x_i^-1 x_j^-1 says x_i x_j x_i^-1 =
-    x_j^eps, so <x_J> is normal in G and killing x_J is the quotient by
-    it: the order at J is |G| / |<x_J>|, read off the table
-    (``_quotient_order``) at a cost of O(|<x_J>| |J| + n |J|) lookups.
-    Where G is not Finite under the cap, each J is enumerated directly."""
+    The table is built lazily, on the first ``order(())``, so a caller
+    that needs many J asks for G first, and a caller that needs one
+    nonempty J never enumerates G.  Each pair relator x_i x_j^eps x_i^-1
+    x_j^-1 says x_i x_j x_i^-1 = x_j^eps, so <x_J> is normal in G and
+    killing x_J is the quotient by it: once G is Finite, the order at J is
+    |G| / |<x_J>|, read off the table (``_quotient_order``) at a cost of
+    O(|<x_J>| |J| + n |J|) lookups.  Before that, or where G is not Finite
+    under the cap, each nonempty J is enumerated directly."""
 
     def __init__(self, m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS):
         self.m = m
         self.max_cosets = max_cosets
         self._presentations = {}
-        self._table = _group_table(self.presentation(()), max_cosets)
 
     def presentation(self, J) -> FpPresentation:
         J = vertex_subset(J, self.m.n)
@@ -757,10 +762,17 @@ class FlagGroups:
             self._presentations[J] = flag_presentation(self.m, J)
         return self._presentations[J]
 
+    @cached_property
+    def _table(self):
+        return _group_table(self.presentation(()), self.max_cosets)
+
     def order(self, J) -> EnumerationResult:
         J = vertex_subset(J, self.m.n)
-        if self._table is not None:
-            return EnumerationResult.finite(_quotient_order(self._table, J))
+        # G's table once it has been asked for; a nonempty J asked before
+        # then does not build it
+        table = self._table if not J or "_table" in self.__dict__ else None
+        if table is not None:
+            return EnumerationResult.finite(_quotient_order(table, J))
         if not J:  # G itself, which the cap left open
             return EnumerationResult.exhausted(self.max_cosets)
         return todd_coxeter(self.presentation(J), max_cosets=self.max_cosets)
@@ -803,30 +815,19 @@ def _colour_group(colour: str, size: int):
     raise ValueError(f"unknown colour {colour!r}")
 
 
-def check_flag(
-    m: GeneralizedCartanMatrix,
-    J,
-    components,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    groups: FlagGroups | None = None,
-):
-    """Abelianize and enumerate ``flag_presentation(m, J)`` and compare both
-    against the product of what its parity components predict, given as
-    (colour, size) pairs (``_colour_group``): a green one predicts an
-    infinite group, a blue one no abelianization.  Returns the invariants,
-    the order and the (name, status, detail) checks; an exhausted
-    enumeration yields an inconclusive order check, not a failure.  With
-    ``groups``, the ``FlagGroups`` of m under the same cap, the
-    presentation and the order come from there."""
+def check_flag(groups: FlagGroups, J, components):
+    """Abelianize and enumerate the flag group at J of ``groups`` and
+    compare both against the product of what its parity components
+    predict, given as (colour, size) pairs (``_colour_group``): a green one
+    predicts an infinite group, a blue one no abelianization.  Returns the
+    invariants, the order and the (name, status, detail) checks; an
+    exhausted enumeration yields an inconclusive order check, not a
+    failure."""
     predictions = [_colour_group(colour, size) for colour, size in components]
     orders = [o for o, _ in predictions]
     predicted = [inv for _, inv in predictions]
-    if groups is None:
-        presentation = flag_presentation(m, J)
-        order = todd_coxeter(presentation, max_cosets=max_cosets)
-    else:
-        presentation, order = groups.presentation(J), groups.order(J)
-    invariants = abelianization(presentation)
+    order = groups.order(J)
+    invariants = abelianization(groups.presentation(J))
     if None in orders:
         status = "inconclusive" if not order.is_finite else "fail"
         detail = f"infinite group predicted; enumeration gave {order}"
@@ -844,47 +845,21 @@ def check_flag(
     return invariants, order, checks
 
 
-def verify_component(
-    m: GeneralizedCartanMatrix,
-    J,
-    colour: str,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    groups: FlagGroups | None = None,
-) -> ComponentVerification:
+def verify_component(groups: FlagGroups, J, colour: str) -> ComponentVerification:
     """``check_flag`` on the group of a parity component J of the given
-    colour: the flag group ``flag_presentation(m, S - J)``, every vertex
-    outside J killed, so the relators are the pair relators and killers
-    alone.  ``groups`` is passed on to ``check_flag``."""
-    vertices = vertex_subset(J, m.n)
+    colour: the flag group at S - J, every vertex outside J killed, so the
+    relators are the pair relators and killers alone."""
+    vertices = vertex_subset(J, groups.m.n)
     if not vertices:
         raise ValueError("J must be nonempty")
-    outside = set(range(m.n)).difference(vertices)
-    invariants, order, checks = check_flag(
-        m, outside, [(colour, len(vertices))], max_cosets, groups
-    )
+    outside = set(range(groups.m.n)).difference(vertices)
+    invariants, order, checks = check_flag(groups, outside, [(colour, len(vertices))])
     return ComponentVerification(vertices, colour, invariants, order, checks)
 
 
 def _green(v: ComponentVerification) -> bool:
     """Whether ``v`` checked a green component; its order check stays open."""
     return v.colour == "g"
-
-
-def component_verifications(
-    m: GeneralizedCartanMatrix,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    groups: FlagGroups | None = None,
-) -> list[ComponentVerification]:
-    """verify_component over every component of the parity graph, all of
-    them reading ``groups``, the ``FlagGroups`` of m under the same cap
-    (built here when not given)."""
-    if groups is None:
-        groups = FlagGroups(m, max_cosets)
-    graph = build_adm(m)
-    return [
-        verify_component(m, comp, graph.colours[idx], max_cosets, groups)
-        for idx, comp in enumerate(graph.components)
-    ]
 
 
 @dataclass
@@ -913,18 +888,24 @@ class Verification:
 
 def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> Verification:
     """The enumeration-side counterpart of ``pi1.full_report``: the
-    component checks of ``component_verifications``, then the whole-diagram
-    checks ``product_law_abelian`` (the full flag group abelianizes to the
-    direct sum of the components'), ``presentation_routes`` (the all-pairs
-    and two-skeleton presentations abelianize alike for the empty and every
-    singleton parabolic) and, with no green component, ``product_law_order``
-    (the full flag group's order is the product of the components').
+    component checks of ``verify_component`` on every parity component,
+    then the whole-diagram checks ``product_law_abelian`` (the full flag
+    group abelianizes to the direct sum of the components'),
+    ``presentation_routes`` (the all-pairs and two-skeleton presentations
+    abelianize alike for the empty and every singleton parabolic) and,
+    with no green component, ``product_law_order`` (the full flag group's
+    order is the product of the components').
 
-    Every flag group comes from one ``FlagGroups``: the full flag group is
-    built and enumerated once, and each component's order is read off its
-    table where it is Finite under the cap."""
+    Every flag group comes from one ``FlagGroups``, and the full flag
+    group is asked for first: it is enumerated once, and each component's
+    order is read off its table where it is Finite under the cap."""
     groups = FlagGroups(m, max_cosets)
-    components = component_verifications(m, max_cosets, groups)
+    total = groups.order(())
+    graph = build_adm(m)
+    components = [
+        verify_component(groups, comp, colour)
+        for comp, colour in zip(graph.components, graph.colours)
+    ]
     observed = abelianization(groups.presentation(()))
     combined = _direct_sum(v.observed_invariants for v in components)
     status = "pass" if observed == combined else "fail"
@@ -938,7 +919,6 @@ def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     if not any(_green(v) for v in components):
         # a Finite total makes every component's order Finite; with the
         # total open there is no product to compare against
-        total = groups.order(())
         if not total.is_finite:
             checks.append(("product_law_order", "inconclusive", "cap exhausted"))
         else:

@@ -9,9 +9,11 @@ component it is Z per green component times C2 per vertex of a red one.
 The finitely-presented-group engine is wired in as a cross-check, never
 as the source of the closed-form answers: ``pi1_flag`` checks each flag
 group with ``fpgroup.check_flag``, the check ``verify`` makes per
-component.  ``full_report`` reads its flag groups from one
-``fpgroup.FlagGroups``, which enumerates the full flag group once and
-reads each singleton's order off that table as the index of <x_k>.
+component.  Both read their flag groups from an ``fpgroup.FlagGroups``.
+``full_report`` asks it for the full flag group first, so that group is
+enumerated once and each singleton's order is read off its table as the
+index of <x_k>; ``pi1_flag`` asks for its one J, so a nonempty J never
+enumerates the full flag group.
 
 Formulas are gated: the diagram must be irreducible and either
 symmetrizable or two-spherical, otherwise the computation refuses unless
@@ -166,14 +168,14 @@ def pi1_flag(
     table is built.
     """
     check_hypotheses(m, force)
-    return _flag(m, J, max_cosets)
+    return _flag(fpgroup.FlagGroups(m, max_cosets), J)
 
 
-def _flag(m, J, max_cosets, groups=None) -> FlagInfo:
-    J = cartan.vertex_subset(J, m.n)
-    graph = adm.build_adm(m, J)
+def _flag(groups: fpgroup.FlagGroups, J) -> FlagInfo:
+    J = cartan.vertex_subset(J, groups.m.n)
+    graph = adm.build_adm(groups.m, J)
     components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
-    invariants, order, checks = fpgroup.check_flag(m, J, components, max_cosets, groups)
+    invariants, order, checks = fpgroup.check_flag(groups, J, components)
     failed = [f"{name} {detail}" for name, status, detail in checks if status == "fail"]
     if failed:
         raise InternalError(f"flag group for J = {J} contradicts its colours: {'; '.join(failed)}")
@@ -218,9 +220,9 @@ def full_report(
     contributions, pi1 of the group / compact subgroup / spin covers, and
     flag-variety invariants for the empty and all singleton parabolics.
 
-    The flag groups come from one ``fpgroup.FlagGroups``: the full flag
-    group is enumerated once, and each singleton's order is read off its
-    coset table where it is Finite under the cap.
+    The flag groups come from one ``fpgroup.FlagGroups``, and J = () comes
+    first: the full flag group is enumerated once, and each singleton's
+    order is read off its coset table where it is Finite under the cap.
 
     Reducible diagrams are not refused here: the counts factor over the
     irreducible components, and the report is marked as the product of the
@@ -232,5 +234,5 @@ def full_report(
     groups = fpgroup.FlagGroups(m, max_cosets)
     flags = {}
     for J in [()] + [(k,) for k in range(m.n)]:
-        flags[J] = _flag(m, J, max_cosets, groups)
+        flags[J] = _flag(groups, J)
     return Pi1Report(hypotheses=hypotheses, graph=graph, spin=spin, flags=flags)

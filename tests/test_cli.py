@@ -880,10 +880,11 @@ class TestInternalError:
         assert len(err.splitlines()) == 1
 
     def test_order_contradiction_exit_5(self, monkeypatch):
-        def trivial(presentation, **kwargs):
-            return kmfg.fpgroup.EnumerationResult.finite(1)
+        # a one-row table makes B3's full flag group trivial, not of order 16
+        def trivial(presentation, max_cosets):
+            return [[0] * (2 * presentation.generator_count)]
 
-        monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", trivial)
+        monkeypatch.setattr(kmfg.fpgroup, "_group_table", trivial)
         code, out, err = invoke(["flag", "--type", "B3"])
         assert (code, out) == (5, "")
         assert err.startswith("error[E501]:")
@@ -905,7 +906,7 @@ class TestInternalError:
             raise ValueError("boom")
 
         monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", boom)
-        assert invoke(["flag", "--type", "A3"]) == (5, "", "error[E501]: boom\n")
+        assert invoke(["flag", "--type", "A3", "--set", "1"]) == (5, "", "error[E501]: boom\n")
 
     def test_failed_verify_exit_5(self, monkeypatch):
         def relator_free(m, J):

@@ -36,25 +36,11 @@ from kmfg.fpgroup import (
     _scan_everywhere,
     _subgroup_orbit,
     _word_to_letters,
-    component_verifications,
     free_reduce,
 )
 
 from oracles import minors_gcd_invariant_factors
 
-
-def count_coset_tables(monkeypatch) -> list:
-    """A list that grows by one for every coset table built, whichever
-    strategy builds it."""
-    built = []
-
-    class Counting(kmfg.fpgroup._CosetTable):
-        def __init__(self, *args, **kwargs):
-            built.append(None)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(kmfg.fpgroup, "_CosetTable", Counting)
-    return built
 
 CORPUS_RANK_LE_5 = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
@@ -252,18 +238,14 @@ class TestToddCoxeter:
         p = FpPresentation(("a", "b"), ((a, a), (b, b)))
         assert todd_coxeter(p, max_cosets=50_000) == EnumerationResult.exhausted(50_000)
 
-    def test_free_abelianization_stops_before_any_table(self, monkeypatch):
+    def test_free_abelianization_stops_before_any_table(self, coset_tables):
         # <x, y | > abelianizes to Z^2: no index is finite, so no strategy runs
-        def no_table(*args):
-            raise AssertionError("a coset table was built")
-
-        monkeypatch.setattr(kmfg.fpgroup, "_run_hlt", no_table)
-        monkeypatch.setattr(kmfg.fpgroup, "_run_felsch", no_table)
         p = FpPresentation(("x", "y"), ())
         for strategy in ("hlt", "felsch"):
             assert todd_coxeter(
                 p, max_cosets=50_000, strategy=strategy
             ) == EnumerationResult.exhausted(50_000)
+        assert coset_tables == []
 
     def test_abelian_bound_with_subgroup_words(self):
         # [Z : <a^3>] = |Z / <3>| = 3 and [Z^2 : <a>] is infinite; where the
@@ -608,7 +590,7 @@ class TestClassify:
         for m, comp in _corpus_components("r"):
             size = len(comp)
             sizes.add(size)
-            v = verify_component(m, comp, "r", max_cosets=5000)
+            v = verify_component(FlagGroups(m, 5000), comp, "r")
             c2s = AbelianInvariants(0, (2,) * size)
             assert v.checks == [
                 ("order", "pass", f"expected {2**size}, got {2**size}"),
@@ -620,7 +602,7 @@ class TestClassify:
         seen = 0
         for m, comp in _corpus_components("g"):
             seen += 1
-            v = verify_component(m, comp, "g", max_cosets=500)
+            v = verify_component(FlagGroups(m, 500), comp, "g")
             assert v.checks == [
                 ("order", "inconclusive", "infinite group predicted; enumeration gave "
                  "Exhausted(500)"),
@@ -633,7 +615,7 @@ class TestClassify:
         for m, comp in _corpus_components("b"):
             size = len(comp)
             sizes.add(size)
-            v = verify_component(m, comp, "b", max_cosets=5000)
+            v = verify_component(FlagGroups(m, 5000), comp, "b")
             order = 2 ** (size + 1)
             assert v.checks == [("order", "pass", f"expected {order}, got {order}")]
         assert sizes == {2, 3, 4, 5, 10}
@@ -641,14 +623,14 @@ class TestClassify:
 
 class TestVerifyComponent:
     def test_a2_blue(self):
-        v = verify_component(from_named("A2"), (0, 1), "b")
+        v = verify_component(FlagGroups(from_named("A2")), (0, 1), "b")
         assert v.passed
         assert v.observed_order == EnumerationResult.finite(8)
         # no abelianization is predicted for a blue component
         assert v.checks == [("order", "pass", "expected 8, got 8")]
 
     def test_c4_red(self):
-        v = verify_component(from_named("C4"), (0, 1, 2), "r")
+        v = verify_component(FlagGroups(from_named("C4")), (0, 1, 2), "r")
         assert v.passed
         assert v.observed_order == EnumerationResult.finite(8)
         assert v.observed_invariants == AbelianInvariants(0, (2, 2, 2))
@@ -658,7 +640,7 @@ class TestVerifyComponent:
         ]
 
     def test_a1_green_inconclusive_order(self):
-        v = verify_component(from_named("A1"), (0,), "g", max_cosets=500)
+        v = verify_component(FlagGroups(from_named("A1"), 500), (0,), "g")
         assert v.passed
         assert v.inconclusive
         assert v.observed_invariants == AbelianInvariants(1, ())
@@ -670,19 +652,19 @@ class TestVerifyComponent:
 
     def test_green_must_be_singleton(self):
         with pytest.raises(ValueError, match="single vertex"):
-            verify_component(from_named("A2"), (0, 1), "g")
+            verify_component(FlagGroups(from_named("A2")), (0, 1), "g")
 
     def test_empty_component(self):
         with pytest.raises(ValueError, match="nonempty"):
-            verify_component(from_named("A2"), (), "r")
+            verify_component(FlagGroups(from_named("A2")), (), "r")
 
     def test_unknown_colour(self):
         with pytest.raises(ValueError, match="unknown colour 'x'"):
-            verify_component(from_named("A2"), (0, 1), "x")
+            verify_component(FlagGroups(from_named("A2")), (0, 1), "x")
 
     @pytest.mark.parametrize("name", CORPUS_RANK_LE_5 + ["E10", "A1~"])
     def test_whole_corpus_verifies(self, name):
-        for v in component_verifications(from_named(name), max_cosets=5000):
+        for v in verify(from_named(name), 5000).components:
             assert v.passed, (name, v.vertices, v.checks)
 
 
@@ -735,12 +717,11 @@ class TestVerify:
         assert report.result == "FAIL"
 
     @pytest.mark.parametrize("name, tables", [("E8", 1), ("B5", 1)])
-    def test_each_flag_group_enumerated_once(self, monkeypatch, name, tables):
+    def test_each_flag_group_enumerated_once(self, coset_tables, name, tables):
         # E8 is one component, its group the full flag group; B5 has two,
         # and both orders are read off the full flag group's one table
-        built = count_coset_tables(monkeypatch)
         assert verify(from_named(name)).result == "PASS"
-        assert len(built) == tables
+        assert len(coset_tables) == tables
 
     def test_e8_smith_normal_forms(self, monkeypatch):
         # one per distinct presentation: the full flag group's, shared by
@@ -761,12 +742,11 @@ class TestVerify:
 class TestFlagGroups:
     """Orders read off the full flag group's one coset table."""
 
-    def test_full_report_enumerates_once(self, monkeypatch):
+    def test_full_report_enumerates_once(self, coset_tables):
         # E10's full flag group has 2,048 elements; the ten singleton orders
         # are indices in its table
-        tables = count_coset_tables(monkeypatch)
         report = full_report(from_named("E10"))
-        assert len(tables) == 1
+        assert len(coset_tables) == 1
         assert report.flags[()].order == EnumerationResult.finite(2048)
         assert all(info.order.is_finite for info in report.flags.values())
 
@@ -786,15 +766,15 @@ class TestFlagGroups:
 
     @pytest.mark.parametrize("name, cap", [("C4~", 100_000), ("A3", 8)])
     def test_each_parabolic_enumerated_where_the_full_group_is_open(
-        self, monkeypatch, name, cap
+        self, coset_tables, name, cap
     ):
         # C4~'s full flag group is infinite, so no table is built for it;
         # A3's has order 16, so a table of 8 rows fills
         m = from_named(name)
-        tables = count_coset_tables(monkeypatch)
         groups = FlagGroups(m, cap)
-        assert len(tables) == (name == "A3")
+        assert coset_tables == []
         assert groups.order(()) == EnumerationResult.exhausted(cap)
+        assert len(coset_tables) == (name == "A3")
         for k in range(m.n):
             direct = todd_coxeter(flag_presentation(m, (k,)), max_cosets=cap)
             assert groups.order((k,)) == direct
@@ -811,7 +791,7 @@ class TestVertexSubset:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m: verify_component(m, (5,), "r"),
+            lambda m: verify_component(FlagGroups(m), (5,), "r"),
             lambda m: flag_presentation(m, (5,)),
             lambda m: cw_presentation(m, (5,)),
             lambda m: WeylGroup(m).cell_counts((5,), 2),

@@ -271,3 +271,9 @@ def test_orders_read_off_the_full_flag_table(m):
         assert derived.is_finite or not full_finite
         if direct.is_finite:
             assert derived == direct
+    # a fresh FlagGroups asked every J before G enumerates each directly
+    fresh = FlagGroups(m, cap)
+    for J in parabolics[1:] + [()]:
+        direct = todd_coxeter(flag_presentation(m, J), max_cosets=cap)
+        if direct.is_finite:
+            assert fresh.order(J) == direct

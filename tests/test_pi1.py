@@ -218,16 +218,20 @@ class TestPi1Flag:
         info = pi1_flag(from_named("B3"), ())
         assert info.order.order == 16
 
-    def test_infinite_detected_without_enumeration(self, monkeypatch):
+    def test_infinite_detected_without_enumeration(self, coset_tables):
         # a positive free rank fails the index bound before any table is built
-        def no_table(*args):
-            raise AssertionError("a coset table was built")
-
-        monkeypatch.setattr(kmfg.fpgroup, "_run_hlt", no_table)
-        monkeypatch.setattr(kmfg.fpgroup, "_run_felsch", no_table)
         info = pi1_flag(from_named("C2"), ())
         assert info.order == EnumerationResult.exhausted(DEFAULT_MAX_COSETS)
         assert info.invariants.free_rank == 1
+        assert coset_tables == []
+
+    def test_one_parabolic_never_enumerates_the_full_group(self, coset_tables):
+        # A8's flag group at J = {1} has order 2^7 and is enumerated alone:
+        # one table, closed and compacted to its 128 cosets, where the full
+        # flag group's would have 512
+        info = pi1_flag(from_named("A8"), (0,))
+        assert info.order == EnumerationResult.finite(128)
+        assert [len(ct.table) for ct in coset_tables] == [128]
 
     def test_gate(self):
         with pytest.raises(HypothesisError):
