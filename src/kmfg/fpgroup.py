@@ -7,10 +7,13 @@ C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.  A
 presentation is abelianized once: it keeps its Smith normal form
 diagonal, which ``abelianization`` and the index bound of ``todd_coxeter``
 both read.
-Coset enumeration offers the relator-scanning strategy with lookahead
-(default) and a deduction-driven strategy as an independent alternate; both
-report Finite(order) only for a complete closed table and otherwise an
-explicit Exhausted, never a silent truncation.  Exhausted(cap) means the
+Coset enumeration has one entry, ``todd_coxeter``, which checks the cap
+and the subgroup words, applies the index bound and picks one of two
+strategies: the relator-scanning strategy with lookahead (default) or a
+deduction-driven strategy as an independent alternate.  Each strategy
+returns a complete closed table or None, and ``todd_coxeter`` alone makes
+the result: Finite(order) with that table attached, or an explicit
+Exhausted, never a silent truncation.  Exhausted(cap) means the
 cap prevents a conclusion: the table filled, or the order of G/HG', a
 lower bound on the index read off one Smith normal form before any table
 is built (the presentation's kept diagonal when there are no subgroup
@@ -38,11 +41,12 @@ the killers x_k = 1 for k in J, and into its two-skeleton counterpart,
 whose pairs are built once per matrix.  Each pair relator says x_i x_j
 x_i^-1 = x_j^eps, so <x_J> is normal in the full flag group G and the
 flag group at J is G / <x_J>.  ``FlagGroups`` is the one way to a flag
-group's presentation and order.  It enumerates G at most once, on the
-first request for G itself, and from then on reads the order at every
-other J off its closed coset table, as the index of <x_J>; a normality
-test that fails there is an InternalError.  Before G is asked for, or
-where G is not Finite under the cap, each J is enumerated directly.
+group's presentation and order.  It enumerates G at most once, through
+``todd_coxeter``, on the first request for G itself, and from then on
+reads the order at every other J off the table of G's Finite result, as
+the index of <x_J>; a normality test that fails there is an
+InternalError.  Before G is asked for, or where G is not Finite under the
+cap, each J is enumerated directly.
 ``_colour_group`` states what group each colour of parity-graph
 component predicts, and ``check_flag`` compares a flag group of a
 ``FlagGroups`` with the product of its components' predictions, the one
@@ -157,13 +161,21 @@ class AbelianInvariants:
 
 @dataclass(frozen=True)
 class EnumerationResult:
+    """What a coset enumeration found.  A Finite result of ``todd_coxeter``
+    carries the closed table that certifies its order: row 0 is the
+    subgroup and entry [k][x] is coset k times letter x (letter 2*i is
+    generator i, 2*i+1 its inverse).  Exhausted results, and orders read
+    off another group's table, carry None.  Equality, hashing and repr
+    ignore the table."""
+
     status: str  # "finite" | "exhausted"
     order: int | None = None
     limit: int | None = None
+    table: list | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def finite(cls, order: int) -> "EnumerationResult":
-        return cls("finite", order=order)
+    def finite(cls, order: int, table: list | None = None) -> "EnumerationResult":
+        return cls("finite", order=order, table=table)
 
     @classmethod
     def exhausted(cls, limit: int) -> "EnumerationResult":
@@ -400,16 +412,19 @@ def todd_coxeter(
     max_cosets: int = DEFAULT_MAX_COSETS,
     strategy: str = "hlt",
 ) -> EnumerationResult:
-    """Enumerate the cosets of the subgroup generated by ``subgroup_words``.
+    """Enumerate the cosets of the subgroup generated by ``subgroup_words``,
+    the one entry to the coset enumerator.
 
     Finite(k) is returned only once the table is complete and closed under
     every relator, in which case k is the exact index (the group order for
-    the trivial subgroup).  Exhausted(max_cosets) means the cap prevents a
-    conclusion: either the table filled, or, before any table is built,
-    the order of G/HG' (the abelianization of the group with the subgroup
-    words added as relators) is infinite or above the cap.  That order
-    bounds the index from below and a Finite(k) needs k rows, so no table
-    of max_cosets rows could have closed.
+    the trivial subgroup), and the result carries that table, compacted:
+    for the trivial subgroup, the regular permutation representation.
+    Exhausted(max_cosets) means the cap prevents a conclusion: either the
+    table filled, or, before any table is built, the order of G/HG' (the
+    abelianization of the group with the subgroup words added as relators)
+    is infinite or above the cap.  That order bounds the index from below
+    and a Finite(k) needs k rows, so no table of max_cosets rows could
+    have closed.
 
     Each relator is scanned once up to inversion: one equal to an earlier
     relator or to the inverse of one is dropped from the working list,
@@ -426,29 +441,17 @@ def todd_coxeter(
             if exp not in (1, -1):
                 raise ValueError(f"exponent must be +1 or -1, got {exp}")
     if strategy == "hlt":
-        runner = _run_hlt
+        enumerate_table = _hlt_table
     elif strategy == "felsch":
-        runner = _run_felsch
+        enumerate_table = _felsch_table
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    relators = _working_relators(presentation, subgroup_words, max_cosets)
-    if relators is None:
-        return EnumerationResult.exhausted(max_cosets)
-    subgroup = [_word_to_letters(free_reduce(w)) for w in subgroup_words]
-    return runner(count, relators, subgroup, max_cosets)
-
-
-def _working_relators(presentation, subgroup_words, max_cosets):
-    """The relators an enumeration scans, as letter tuples, each once up
-    to inversion; None when the index bound already rules out a table of
-    ``max_cosets`` rows."""
-    count = presentation.generator_count
     # [G:H] >= |G/HG'|, the product of the diagonal (infinite when short)
     diag = presentation.smith_diagonal
     if subgroup_words:
         diag = smith_normal_form(_exponent_rows(count, [*presentation.relators, *subgroup_words]))
     if len(diag) < count or math.prod(diag) > max_cosets:
-        return None
+        return EnumerationResult.exhausted(max_cosets)
     relators = []
     seen = set()
     for word in presentation.relators:
@@ -457,7 +460,11 @@ def _working_relators(presentation, subgroup_words, max_cosets):
             seen.add(letters)
             seen.add(_letters_inverse(letters))
             relators.append(letters)
-    return relators
+    subgroup = [_word_to_letters(free_reduce(w)) for w in subgroup_words]
+    ct = enumerate_table(count, relators, subgroup, max_cosets)
+    if ct is None:
+        return EnumerationResult.exhausted(max_cosets)
+    return EnumerationResult.finite(len(ct.table), ct.table)
 
 
 def _closes(table, alpha, rel) -> bool:
@@ -551,14 +558,9 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
             # rescan from the start (already-closed scans cost one trace)
 
 
-def _run_hlt(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
-    ct = _hlt_table(ngens, relators, subgroup, max_cosets)
-    if ct is None:
-        return EnumerationResult.exhausted(max_cosets)
-    return EnumerationResult.finite(len(ct.table))
-
-
-def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
+def _felsch_table(ngens, relators, subgroup, max_cosets):
+    """Felsch: the complete table, compacted and closed under every
+    relator at every coset, or None when the table fills."""
     ct = _CosetTable(ngens, max_cosets, record_deductions=True)
     by_letter = {x: [] for x in range(2 * ngens)}
     seen_rotations = set()
@@ -611,7 +613,7 @@ def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
                     start = 0
                     continue
                 if _closed(ct, relators):
-                    return EnumerationResult.finite(len(ct.table))
+                    return ct
                 table = ct.table  # the certificate compacted the table
                 p = ct.p
                 _scan_everywhere(ct, relators)
@@ -621,25 +623,11 @@ def _run_felsch(ngens, relators, subgroup, max_cosets) -> EnumerationResult:
             ct.define(*target)
             process_deductions()
     except _TableFull:
-        return EnumerationResult.exhausted(max_cosets)
+        return None
 
 
 # ---------------------------------------------------------------------------
 # Quotients read off a group's coset table
-
-
-def _group_table(presentation: FpPresentation, max_cosets: int):
-    """The closed HLT table of the trivial subgroup, compacted, so that
-    row g is the group element g (row 0 the identity) and entry [g][x] is
-    g times letter x: the regular permutation representation (Holt, Eick
-    & O'Brien, *Handbook of Computational Group Theory*, ch. 5).  None
-    exactly where ``todd_coxeter(presentation, max_cosets=max_cosets)``
-    is not Finite."""
-    relators = _working_relators(presentation, (), max_cosets)
-    if relators is None:
-        return None
-    ct = _hlt_table(presentation.generator_count, relators, [], max_cosets)
-    return None if ct is None else ct.table
 
 
 def _subgroup_orbit(table, J) -> set:
@@ -740,21 +728,22 @@ class FlagGroups:
     """The flag groups ``flag_presentation(m, J)`` of one diagram under one
     coset cap, the one way to a flag group's presentation and order: each
     presentation is built once, and the full flag group G (J empty) is
-    enumerated at most once, by HLT, its closed table kept.
+    enumerated at most once, by ``todd_coxeter``, its result kept.
 
-    The table is built lazily, on the first ``order(())``, so a caller
-    that needs many J asks for G first, and a caller that needs one
-    nonempty J never enumerates G.  Each pair relator x_i x_j^eps x_i^-1
-    x_j^-1 says x_i x_j x_i^-1 = x_j^eps, so <x_J> is normal in G and
-    killing x_J is the quotient by it: once G is Finite, the order at J is
-    |G| / |<x_J>|, read off the table (``_quotient_order``) at a cost of
-    O(|<x_J>| |J| + n |J|) lookups.  Before that, or where G is not Finite
-    under the cap, each nonempty J is enumerated directly."""
+    G is enumerated lazily, on the first ``order(())``, so a caller that
+    needs many J asks for G first, and a caller that needs one nonempty J
+    never enumerates G.  Each pair relator x_i x_j^eps x_i^-1 x_j^-1 says
+    x_i x_j x_i^-1 = x_j^eps, so <x_J> is normal in G and killing x_J is
+    the quotient by it: once G is Finite, the order at J is |G| / |<x_J>|,
+    read off the table that comes with G's result (``_quotient_order``) at
+    a cost of O(|<x_J>| |J| + n |J|) lookups.  Before that, or where G is
+    not Finite under the cap, each nonempty J is enumerated directly."""
 
     def __init__(self, m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS):
         self.m = m
         self.max_cosets = max_cosets
         self._presentations = {}
+        self._full = None  # G's result, set by the first order(())
 
     def presentation(self, J) -> FpPresentation:
         J = vertex_subset(J, self.m.n)
@@ -762,19 +751,14 @@ class FlagGroups:
             self._presentations[J] = flag_presentation(self.m, J)
         return self._presentations[J]
 
-    @cached_property
-    def _table(self):
-        return _group_table(self.presentation(()), self.max_cosets)
-
     def order(self, J) -> EnumerationResult:
         J = vertex_subset(J, self.m.n)
-        # G's table once it has been asked for; a nonempty J asked before
-        # then does not build it
-        table = self._table if not J or "_table" in self.__dict__ else None
-        if table is not None:
-            return EnumerationResult.finite(_quotient_order(table, J))
-        if not J:  # G itself, which the cap left open
-            return EnumerationResult.exhausted(self.max_cosets)
+        if not J:
+            if self._full is None:
+                self._full = todd_coxeter(self.presentation(()), max_cosets=self.max_cosets)
+            return self._full
+        if self._full is not None and self._full.is_finite:
+            return EnumerationResult.finite(_quotient_order(self._full.table, J))
         return todd_coxeter(self.presentation(J), max_cosets=self.max_cosets)
 
 
@@ -820,8 +804,10 @@ def check_flag(groups: FlagGroups, J, components):
     compare both against the product of what its parity components
     predict, given as (colour, size) pairs (``_colour_group``): a green one
     predicts an infinite group, a blue one no abelianization.  Returns the
-    invariants, the order and the (name, status, detail) checks; an
-    exhausted enumeration yields an inconclusive order check, not a
+    invariants, the order, the (name, status, detail) checks and the
+    predicted abelianization, the direct sum of the components' (None
+    when a component is blue, and then no abelianization check is made);
+    an exhausted enumeration yields an inconclusive order check, not a
     failure."""
     predictions = [_colour_group(colour, size) for colour, size in components]
     orders = [o for o, _ in predictions]
@@ -838,11 +824,12 @@ def check_flag(groups: FlagGroups, J, components):
     else:
         status, detail = "inconclusive", f"expected {math.prod(orders)}, got {order}"
     checks = [("order", status, detail)]
+    expected = None
     if None not in predicted:
         expected = _direct_sum(predicted)
         status = "pass" if invariants == expected else "fail"
         checks.append(("abelianization", status, f"expected {expected}, got {invariants}"))
-    return invariants, order, checks
+    return invariants, order, checks, expected
 
 
 def verify_component(groups: FlagGroups, J, colour: str) -> ComponentVerification:
@@ -853,7 +840,7 @@ def verify_component(groups: FlagGroups, J, colour: str) -> ComponentVerificatio
     if not vertices:
         raise ValueError("J must be nonempty")
     outside = set(range(groups.m.n)).difference(vertices)
-    invariants, order, checks = check_flag(groups, outside, [(colour, len(vertices))])
+    invariants, order, checks, _ = check_flag(groups, outside, [(colour, len(vertices))])
     return ComponentVerification(vertices, colour, invariants, order, checks)
 
 

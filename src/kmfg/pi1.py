@@ -159,13 +159,14 @@ def pi1_flag(
     """Presentation, abelian invariants and order of pi1 of the flag
     variety for the parabolic subset J.
 
-    With no blue component in ``adm.build_adm(m, J)`` the closed form is
-    Z per green component times C2 per vertex of a red one.  The flag
-    group is checked against its components' colours by
-    ``fpgroup.check_flag``, the check ``verify`` makes, and a failed check
-    is an InternalError.  The order comes from coset enumeration under the
-    cap; a positive free rank makes it Exhausted(max_cosets) before any
-    table is built.
+    The flag group is checked against the colours of the components of
+    ``adm.build_adm(m, J)`` by ``fpgroup.check_flag``, the check
+    ``verify`` makes, and a failed check is an InternalError.  The closed
+    form is the abelianization that check predicts, Z per green component
+    times C2 per vertex of a red one; with a blue component it predicts
+    none, and there is no closed form.  The order comes from coset
+    enumeration under the cap; a positive free rank makes it
+    Exhausted(max_cosets) before any table is built.
     """
     check_hypotheses(m, force)
     return _flag(fpgroup.FlagGroups(m, max_cosets), J)
@@ -175,12 +176,11 @@ def _flag(groups: fpgroup.FlagGroups, J) -> FlagInfo:
     J = cartan.vertex_subset(J, groups.m.n)
     graph = adm.build_adm(groups.m, J)
     components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
-    invariants, order, checks = fpgroup.check_flag(groups, J, components)
+    invariants, order, checks, expected = fpgroup.check_flag(groups, J, components)
     failed = [f"{name} {detail}" for name, status, detail in checks if status == "fail"]
     if failed:
         raise InternalError(f"flag group for J = {J} contradicts its colours: {'; '.join(failed)}")
-    red = sum(size for c, size in components if c == "r")
-    closed_form = None if "b" in graph.colours else Pi1Type(graph.colours.count("g"), red)
+    closed_form = None if expected is None else Pi1Type(expected.free_rank, len(expected.torsion))
     return FlagInfo(J, invariants, order, closed_form)
 
 

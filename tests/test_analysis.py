@@ -91,10 +91,11 @@ def test_contradiction_is_an_internal_error(monkeypatch):
 def test_order_contradiction_is_an_internal_error(monkeypatch):
     # B3's flag group is predicted to have order 2^3 x 2 = 16; a one-row
     # table makes the enumerated group trivial
-    def trivial(presentation, max_cosets):
-        return [[0] * (2 * presentation.generator_count)]
+    def trivial(presentation, **kwargs):
+        table = [[0] * (2 * presentation.generator_count)]
+        return kmfg.fpgroup.EnumerationResult.finite(1, table)
 
-    monkeypatch.setattr(kmfg.fpgroup, "_group_table", trivial)
+    monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", trivial)
     with pytest.raises(InternalError, match="order expected 16, got 1"):
         pi1_flag(from_named("B3"), ())
 

@@ -881,10 +881,11 @@ class TestInternalError:
 
     def test_order_contradiction_exit_5(self, monkeypatch):
         # a one-row table makes B3's full flag group trivial, not of order 16
-        def trivial(presentation, max_cosets):
-            return [[0] * (2 * presentation.generator_count)]
+        def trivial(presentation, **kwargs):
+            table = [[0] * (2 * presentation.generator_count)]
+            return kmfg.fpgroup.EnumerationResult.finite(1, table)
 
-        monkeypatch.setattr(kmfg.fpgroup, "_group_table", trivial)
+        monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", trivial)
         code, out, err = invoke(["flag", "--type", "B3"])
         assert (code, out) == (5, "")
         assert err.startswith("error[E501]:")

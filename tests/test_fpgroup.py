@@ -17,6 +17,7 @@ from kmfg import (
     flag_presentation,
     from_named,
     full_report,
+    pi1_flag,
     smith_normal_form,
     todd_coxeter,
     verify,
@@ -29,10 +30,9 @@ from kmfg.fpgroup import (
     _closed,
     _closes,
     _CosetTable,
-    _group_table,
+    _felsch_table,
+    _hlt_table,
     _quotient_order,
-    _run_felsch,
-    _run_hlt,
     _scan_everywhere,
     _subgroup_orbit,
     _word_to_letters,
@@ -156,6 +156,28 @@ class TestToddCoxeter:
             p, subgroup_words=((a,),), strategy="felsch"
         ) == EnumerationResult.finite(3)
 
+    @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+    def test_finite_result_carries_its_table(self, strategy):
+        # S3 = <a, b | a^2, b^2, (ab)^3>; equality, hashing and repr read
+        # the order alone, and the table is the closed one that certifies it
+        a, b = (0, 1), (1, 1)
+        s3 = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
+        result = todd_coxeter(s3, strategy=strategy)
+        assert result == EnumerationResult.finite(6)
+        assert hash(result) == hash(EnumerationResult.finite(6))
+        assert repr(result) == "EnumerationResult(status='finite', order=6, limit=None)"
+        assert len(result.table) == 6
+        assert all(
+            _closes(result.table, alpha, _word_to_letters(w))
+            for alpha in range(6)
+            for w in s3.relators
+        )
+        # the table fills at 5 rows; the free group stops at the guard
+        filled = todd_coxeter(s3, max_cosets=5, strategy=strategy)
+        assert filled == EnumerationResult.exhausted(5)
+        assert filled.table is None
+        assert todd_coxeter(FpPresentation(("x",), ()), strategy=strategy).table is None
+
     def test_bad_subgroup_word(self):
         p = FpPresentation(("x",), ())
         with pytest.raises(ValueError):
@@ -249,7 +271,7 @@ class TestToddCoxeter:
 
     def test_abelian_bound_with_subgroup_words(self):
         # [Z : <a^3>] = |Z / <3>| = 3 and [Z^2 : <a>] is infinite; where the
-        # guard stops a run, both strategies run raw reach the same answer
+        # guard stops a run, both strategies run raw return no table either
         a, b = (0, 1), (1, 1)
         z = FpPresentation(("a",), ())
         z2 = FpPresentation(("a", "b"), ((a, b, (0, -1), (1, -1)),))
@@ -259,9 +281,9 @@ class TestToddCoxeter:
             for strategy in ("hlt", "felsch"):
                 assert todd_coxeter(p, (word,), cap, strategy) == exhausted
             relators = [_word_to_letters(w) for w in p.relators]
-            for run in (_run_hlt, _run_felsch):
+            for run in (_hlt_table, _felsch_table):
                 subgroup = [_word_to_letters(word)]
-                assert run(p.generator_count, relators, subgroup, cap) == exhausted
+                assert run(p.generator_count, relators, subgroup, cap) is None
         for strategy in ("hlt", "felsch"):
             assert todd_coxeter(z, ((a, a, a),), 3, strategy) == EnumerationResult.finite(3)
 
@@ -755,7 +777,7 @@ class TestFlagGroups:
         # and killing a kills b too, so |G / <<a>>| = 1
         a, b = (0, 1), (1, 1)
         s3 = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
-        table = _group_table(s3, 100)
+        table = todd_coxeter(s3, max_cosets=100).table
         assert len(table) == 6
         assert len(table) // len(_subgroup_orbit(table, (0,))) == 3
         killed = FpPresentation(s3.generator_names, s3.relators + ((a,),))
@@ -778,6 +800,46 @@ class TestFlagGroups:
         for k in range(m.n):
             direct = todd_coxeter(flag_presentation(m, (k,)), max_cosets=cap)
             assert groups.order((k,)) == direct
+
+    @pytest.mark.parametrize("name", ["A1", "A2"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: verify(m, 0),
+            lambda m: full_report(m, 0),
+            lambda m: pi1_flag(m, (), 0),
+            lambda m: pi1_flag(m, (0,), 0),
+        ],
+    )
+    def test_cap_checked_on_every_path(self, name, call):
+        # the full flag group is enumerated through todd_coxeter, which
+        # checks the cap, like every other flag group
+        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+            call(from_named(name))
+
+    @pytest.mark.parametrize("run", [verify, full_report])
+    def test_full_flag_group_through_todd_coxeter(self, monkeypatch, run):
+        # E10's full flag group is the one enumeration, and its result
+        # carries the regular table: one row per element, and each letter's
+        # column a permutation of the rows
+        calls = []
+        todd_coxeter = kmfg.fpgroup.todd_coxeter
+
+        def counting(presentation, *args, **kwargs):
+            result = todd_coxeter(presentation, *args, **kwargs)
+            calls.append((presentation, result))
+            return result
+
+        monkeypatch.setattr(kmfg.fpgroup, "todd_coxeter", counting)
+        m = from_named("E10")
+        run(m)
+        assert len(calls) == 1
+        presentation, result = calls[0]
+        assert presentation == flag_presentation(m, ())
+        assert result == EnumerationResult.finite(2048)
+        assert len(result.table) == 2048
+        for x in range(2 * m.n):
+            assert sorted(row[x] for row in result.table) == list(range(2048))
 
     def test_presentations_built_once(self):
         groups = FlagGroups(from_named("B3"))

@@ -233,6 +233,27 @@ class TestPi1Flag:
         assert info.order == EnumerationResult.finite(128)
         assert [len(ct.table) for ct in coset_tables] == [128]
 
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "A2~", "C2~"])
+    def test_closed_form_is_the_predicted_abelianization(self, name):
+        # the closed form is Z per green component times C2 per red vertex,
+        # read off the direct sum check_flag predicts; a blue component
+        # leaves both the abelianization check and the closed form out
+        m = from_named(name)
+        groups = kmfg.fpgroup.FlagGroups(m)
+        for J in [()] + [(k,) for k in range(m.n)]:
+            graph = build_adm(m, J)
+            components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
+            invariants, _, checks, expected = kmfg.fpgroup.check_flag(groups, J, components)
+            blue = "b" in graph.colours
+            assert (expected is None) == blue == ("abelianization" not in [c[0] for c in checks])
+            closed_form = pi1_flag(m, J).closed_form
+            if blue:
+                assert closed_form is None
+            else:
+                assert expected == invariants
+                red = sum(size for colour, size in components if colour == "r")
+                assert closed_form == Pi1Type(graph.colours.count("g"), red)
+
     def test_gate(self):
         with pytest.raises(HypothesisError):
             pi1_flag(NEITHER, ())
