@@ -245,7 +245,8 @@ def parse_matrix(text: str) -> GeneralizedCartanMatrix:
 
 
 _NAME_RE = re.compile(r"([A-G])([0-9]+)(~?)\Z")
-# the largest rank a name may carry, checked before its n x n matrix is built
+# the largest rank of a named diagram, its affine node included, checked
+# before any matrix is built
 _MAX_NAMED_RANK = 1000
 
 
@@ -348,8 +349,9 @@ def from_named(name: str) -> GeneralizedCartanMatrix:
         )
     family, rank_str, affine = match.groups()
     n = int(rank_str)
-    if n > _MAX_NAMED_RANK:
-        raise UnknownNameError(f"a named diagram has rank at most {_MAX_NAMED_RANK}, got {n}")
+    rank = n + len(affine)
+    if rank > _MAX_NAMED_RANK:
+        raise UnknownNameError(f"a named diagram has rank at most {_MAX_NAMED_RANK}, got {rank}")
     a = _base_matrix(family, n)
     if affine:
         a = _affinize(family, n, a)

@@ -340,8 +340,8 @@ def _full_report_json(report: pi1.Pi1Report) -> dict:
 
 def _cmd_pi1(args, out):
     m = _load_matrix(args)
-    max_cosets = args.max_cosets or _default_max_cosets()
     if args.full:
+        max_cosets = args.max_cosets or _default_max_cosets()
         report = pi1.full_report(m, max_cosets=max_cosets, force=args.force)
         _render(out, args.format, _full_report_json(report), _full_report_lines(report))
         _check_orders(report.flags.values())

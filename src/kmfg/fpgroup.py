@@ -11,28 +11,32 @@ Coset enumeration has one entry, ``todd_coxeter``, which checks the cap
 and the subgroup words, applies the index bound and picks one of two
 strategies: the relator-scanning strategy with lookahead (default) or a
 deduction-driven strategy as an independent alternate.  Each strategy
-returns a complete closed table or None, and ``todd_coxeter`` alone makes
-the result: Finite(order) with that table attached, or an explicit
-Exhausted, never a silent truncation.  Exhausted(cap) means the
+only fills a table and returns it complete, or None, and ``todd_coxeter``
+alone makes the result: Finite(order) with that table attached, or an
+explicit Exhausted, never a silent truncation.  Exhausted(cap) means the
 cap prevents a conclusion: the table filled, or the order of G/HG', a
 lower bound on the index read off one Smith normal form before any table
 is built (the presentation's kept diagonal when there are no subgroup
 words), is infinite or already above the cap.  Each relator is scanned
 once up to inversion (the enumerator drops repeats and inverses from its
 own working list; presentations keep them), and a relator is traced before
-it is scanned.  Both strategies certify a complete table the same way
-(``_closed``): compacted, the table gives each letter a permutation of the
-cosets, and every relator closes at every coset exactly when the
-composition of its letters' columns is the identity.  The columns cost one
-integer per coset per letter while the check runs.  Only a failed
-certificate falls back to a pass over every relator at every coset, which
-fires the coincidences before the run goes on.  The deduction-driven
-strategy handles a deduction alpha.x = beta by scanning the relator
-rotations that start with x at alpha.  Rotations of both r and r^-1 are
-listed, so these cross the edge in every relator cycle through it, each
-cycle once; the rotations that start with x^-1 at beta would walk the same
-cycles backwards and are not scanned.  It resumes its search for the next
-undefined entry at the last coset that had one.
+it is scanned.  ``todd_coxeter`` compacts the table a strategy returns
+and certifies it once (``_closed``): the table gives each letter a
+permutation of the cosets, and every relator closes at every coset
+exactly when the composition of its letters' columns is the identity.
+The columns cost one integer per coset per letter while the check runs.
+Both strategies close every relator at every coset by construction, so a
+table that fails the certificate is an InternalError, like a failed
+normality test, and never a retry.  The relator-scanning strategy scans
+every relator at each live coset in turn; its lookahead, when the table
+fills, is a deduction-only pass over every relator at every coset
+(``_scan_everywhere``) that frees the rows its coincidences kill.  The
+deduction-driven strategy handles a deduction alpha.x = beta by scanning
+the relator rotations that start with x at alpha.  Rotations of both r
+and r^-1 are listed, so these cross the edge in every relator cycle
+through it, each cycle once; the rotations that start with x^-1 at beta
+would walk the same cycles backwards and are not scanned.  It resumes its
+search for the next undefined entry at the last coset that had one.
 
 The presentation builders turn a generalized Cartan matrix and a
 parabolic J into the flag presentation, the pair relators
@@ -307,9 +311,6 @@ class _CosetTable:
             p[k], k = l, p[k]
         return l
 
-    def n_alive(self):
-        return sum(1 for i, parent in enumerate(self.p) if parent == i)
-
     def define(self, alpha, x):
         if len(self.table) >= self.max_cosets:
             raise _TableFull
@@ -385,9 +386,13 @@ class _CosetTable:
                 return
             self.define(f, word[i])
 
-    def compact(self):
-        """Renumber live cosets consecutively, dropping dead rows."""
+    def compact(self) -> int:
+        """Renumber live cosets consecutively, dropping dead rows; returns
+        how many rows were dropped."""
         live = [i for i, parent in enumerate(self.p) if parent == i]
+        dropped = len(self.p) - len(live)
+        if not dropped:
+            return 0
         number = dict(zip(live, range(len(live))))
         # the new number of every coset, dead ones through their representative
         renumber = [number[self.rep(k)] for k in range(len(self.p))]
@@ -396,6 +401,7 @@ class _CosetTable:
             for i in live
         ]
         self.p = list(range(len(live)))
+        return dropped
 
 
 def _word_to_letters(word) -> tuple[int, ...]:
@@ -415,10 +421,14 @@ def todd_coxeter(
     """Enumerate the cosets of the subgroup generated by ``subgroup_words``,
     the one entry to the coset enumerator.
 
-    Finite(k) is returned only once the table is complete and closed under
-    every relator, in which case k is the exact index (the group order for
-    the trivial subgroup), and the result carries that table, compacted:
-    for the trivial subgroup, the regular permutation representation.
+    Finite(k) is returned only once the table is complete and certified
+    closed under every relator at every coset (``_closed``, run once on
+    the compacted table), in which case k is the exact index (the group
+    order for the trivial subgroup), and the result carries that table:
+    for the trivial subgroup, the regular permutation representation.  A
+    complete table that fails the certificate raises InternalError naming
+    the strategy: both close every relator by construction, so the failure
+    is a bug, not a property of the presentation.
     Exhausted(max_cosets) means the cap prevents a conclusion: either the
     table filled, or, before any table is built, the order of G/HG' (the
     abelianization of the group with the subgroup words added as relators)
@@ -464,6 +474,9 @@ def todd_coxeter(
     ct = enumerate_table(count, relators, subgroup, max_cosets)
     if ct is None:
         return EnumerationResult.exhausted(max_cosets)
+    ct.compact()
+    if not _closed(ct.table, relators):
+        raise InternalError(f"the {strategy} coset table does not close every relator at every coset")
     return EnumerationResult.finite(len(ct.table), ct.table)
 
 
@@ -479,8 +492,8 @@ def _closes(table, alpha, rel) -> bool:
 
 
 def _scan_everywhere(ct, relators):
-    """Deduction-only pass over every relator at every live coset;
-    coincidences may fire, definitions never happen."""
+    """The lookahead's pass: deductions only, over every relator at every
+    live coset; coincidences may fire, definitions never happen."""
     table = ct.table
     p = ct.p
     for alpha in range(len(table)):
@@ -493,18 +506,17 @@ def _scan_everywhere(ct, relators):
                 ct.scan(alpha, rel, fill=False)
 
 
-def _closed(ct, relators) -> bool:
-    """Whether the table, compacted here, is complete and every relator
-    closes at every coset.  A complete table is one permutation per
-    letter, so each letter's column is built once and a relator closes
-    everywhere exactly when the composition of its letters' columns is the
-    identity; reading whole columns keeps the accesses sequential."""
-    ct.compact()
-    table = ct.table
+def _closed(table, relators) -> bool:
+    """Whether a compacted table is complete and every relator closes at
+    every coset; the table is only read.  A complete table is one
+    permutation per letter, so each letter's column is built once and a
+    relator closes everywhere exactly when the composition of its letters'
+    columns is the identity; reading whole columns keeps the accesses
+    sequential."""
     if any(None in row for row in table):
         return False
     identity = list(range(len(table)))
-    columns = [[row[x] for row in table] for x in range(ct.width)]
+    columns = [[row[x] for row in table] for x in range(len(table[0]))]
     for rel in relators:
         image = identity
         for x in rel:
@@ -515,8 +527,10 @@ def _closed(ct, relators) -> bool:
 
 
 def _hlt_table(ngens, relators, subgroup, max_cosets):
-    """HLT with lookahead: the complete table, compacted and closed under
-    every relator at every coset, or None when the cap prevents one."""
+    """HLT with lookahead: the complete table, every relator closed at
+    every live coset, or None when the cap prevents one.  Each live coset
+    has every relator scanned at it before the next, and coincidences map
+    closed relator cycles to closed ones."""
     ct = _CosetTable(ngens, max_cosets)
     while True:
         try:
@@ -543,24 +557,20 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
                             if table[alpha][x] is None:
                                 ct.define(alpha, x)
                 alpha += 1
-            # the table is complete; certify closure before reporting, and
-            # should it fail, fire the coincidences and start over
-            if _closed(ct, relators):
-                return ct
-            _scan_everywhere(ct, relators)
+            return ct
         except _TableFull:
             # lookahead: collapse what can be collapsed, then reclaim the
             # dead rows; with none dead there is nothing to reclaim
             _scan_everywhere(ct, relators)
-            if ct.n_alive() == len(ct.table):
+            if not ct.compact():
                 return None
-            ct.compact()
             # rescan from the start (already-closed scans cost one trace)
 
 
 def _felsch_table(ngens, relators, subgroup, max_cosets):
-    """Felsch: the complete table, compacted and closed under every
-    relator at every coset, or None when the table fills."""
+    """Felsch: the complete table, every relator closed at every live
+    coset, or None when the table fills.  Every entry it sets is a
+    deduction, and processing one scans every relator cycle through it."""
     ct = _CosetTable(ngens, max_cosets, record_deductions=True)
     by_letter = {x: [] for x in range(2 * ngens)}
     seen_rotations = set()
@@ -593,8 +603,8 @@ def _felsch_table(ngens, relators, subgroup, max_cosets):
             process_deductions()
         # next-definition pointer: the search for an undefined entry resumes
         # at the last coset that had one; when it finds none from there, one
-        # sweep from coset 0 must confirm the table complete before closure
-        # is certified, so a Finite result never rests on the pointer
+        # sweep from coset 0 must confirm the table complete before it is
+        # returned, so a Finite result never rests on the pointer
         start = 0
         while True:
             target = None
@@ -612,13 +622,7 @@ def _felsch_table(ngens, relators, subgroup, max_cosets):
                 if start:
                     start = 0
                     continue
-                if _closed(ct, relators):
-                    return ct
-                table = ct.table  # the certificate compacted the table
-                p = ct.p
-                _scan_everywhere(ct, relators)
-                process_deductions()
-                continue
+                return ct
             start = target[0]
             ct.define(*target)
             process_deductions()

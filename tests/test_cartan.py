@@ -132,6 +132,11 @@ class TestNamed:
         with pytest.raises(UnknownNameError):
             from_named(name)
 
+    def test_rank_bound_counts_the_affine_node(self):
+        with pytest.raises(UnknownNameError, match="at most 1000, got 1001"):
+            from_named("A1000~")
+        assert from_named("A999~").n == 1000
+
     @pytest.mark.parametrize("name", NAMED_AFFINE)
     def test_affine_matrices_are_singular_and_symmetrizable(self, name):
         m = from_named(name)

@@ -315,6 +315,11 @@ class TestInputHandling:
         assert (code, out) == (2, "")
         assert err == "error[E202]: a named diagram has rank at most 1000, got 50000\n"
 
+    def test_affine_node_counts_toward_the_named_limit(self):
+        code, out, err = invoke(["info", "--type", "A1000~"])
+        assert (code, out) == (2, "")
+        assert err == "error[E202]: a named diagram has rank at most 1000, got 1001\n"
+
     def test_unknown_name_exit_2(self):
         code, _, err = invoke(["pi1", "--type", "H3"])
         assert code == 2
@@ -618,6 +623,17 @@ class TestCapValidation:
         assert err.startswith("error[E101]:")
         assert "must be >= 1" in err
 
+    def test_env_cap_read_only_where_cosets_are_enumerated(self, monkeypatch):
+        # plain pi1 enumerates nothing, so a malformed KMFG_MAX_COSETS
+        # leaves it alone; --full reads the variable and refuses it
+        expected = invoke(["pi1", "--type", "A3"])
+        assert expected[0] == 0
+        monkeypatch.setenv("KMFG_MAX_COSETS", "abc")
+        assert invoke(["pi1", "--type", "A3"]) == expected
+        code, out, err = invoke(["pi1", "--type", "A3", "--full"])
+        assert (code, out) == (1, "")
+        assert err == "error[E101]: KMFG_MAX_COSETS must be an integer, got 'abc'\n"
+
     def test_non_integer_cap(self):
         code, _, err = invoke(["weyl", "--type", "A2", "--max-length", "3", "--cap", "x"])
         assert code == 1
@@ -900,6 +916,20 @@ class TestInternalError:
         code, out, err = invoke(["pi1", "--type", "B3", "--full"])
         assert (code, out) == (5, "")
         assert err.startswith("error[E501]:")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--type", "A3"], ["pi1", "--type", "A3", "--full"]],
+        ids=["verify", "pi1-full"],
+    )
+    def test_failed_certificate_exit_5(self, monkeypatch, argv):
+        # the strategies close every relator by construction, so a table
+        # that fails todd_coxeter's certificate is a bug, not a retry
+        monkeypatch.setattr(kmfg.fpgroup, "_closed", lambda table, relators: False)
+        code, out, err = invoke(argv)
+        assert (code, out) == (5, "")
+        assert err.startswith("error[E501]: the hlt coset table does not close")
         assert len(err.splitlines()) == 1
 
     def test_unexpected_value_error_exit_5(self, monkeypatch):

@@ -335,8 +335,10 @@ def _hand_table(rows) -> _CosetTable:
 
 
 class TestClosureCertificate:
-    """``_closed`` certifies a complete table by composing, per relator,
-    the permutations its letters induce on the cosets."""
+    """``_closed`` certifies a complete compacted table by composing, per
+    relator, the permutations its letters induce on the cosets;
+    ``todd_coxeter`` runs it once per Finite result, and a table that fails
+    it is an InternalError."""
 
     A, B = (0, 1), (1, 1)
     S3 = FpPresentation(("a", "b"), ((A, A), (B, B), (A, B) * 3))
@@ -345,69 +347,72 @@ class TestClosureCertificate:
     S3_ON_THREE = [[0, 0, 1, 1], [2, 2, 0, 0], [1, 1, 2, 2]]
 
     def test_closed_permutation_table(self):
-        assert _closed(_hand_table(self.S3_ON_THREE), self.S3_RELATORS)
+        assert _closed(self.S3_ON_THREE, self.S3_RELATORS)
 
     def test_undefined_entry_at_a_live_coset(self):
         rows = [list(row) for row in self.S3_ON_THREE]
         rows[2][3] = None
-        assert not _closed(_hand_table(rows), self.S3_RELATORS)
+        assert not _closed(rows, self.S3_RELATORS)
 
     def test_one_relator_open_at_the_fewest_cosets(self):
         # a relator of a complete table acts as a permutation, so one that
         # moves any coset moves at least two; the killer a moves exactly
         # cosets 1 and 2 while every relator of S3 closes everywhere
-        ct = _hand_table(self.S3_ON_THREE)
+        rows = self.S3_ON_THREE
         killer = _word_to_letters((self.A,))
-        assert [_closes(ct.table, g, killer) for g in range(3)] == [True, False, False]
-        assert not _closed(ct, self.S3_RELATORS + [killer])
+        assert [_closes(rows, g, killer) for g in range(3)] == [True, False, False]
+        assert not _closed(rows, self.S3_RELATORS + [killer])
 
     def test_certifies_a_table_with_dead_rows(self, monkeypatch):
         # at the default cap HLT completes S3 in 8 rows, 2 of them dead;
-        # the certificate compacts them away before composing columns
+        # todd_coxeter compacts them away, then certifies the 6 left
         seen = []
 
-        def spy(ct, relators):
-            rows, alive = len(ct.table), ct.n_alive()
-            closed = _closed(ct, relators)
-            seen.append((rows, alive, closed, len(ct.table)))
-            return closed
+        class Spy(_CosetTable):
+            def compact(self):
+                rows = len(self.table)
+                dropped = super().compact()
+                seen.append(("compact", rows, dropped, len(self.table)))
+                return dropped
 
-        monkeypatch.setattr(kmfg.fpgroup, "_closed", spy)
+        def closed(table, relators):
+            seen.append(("closed", len(table), _closed(table, relators)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(kmfg.fpgroup, "_CosetTable", Spy)
+        monkeypatch.setattr(kmfg.fpgroup, "_closed", closed)
         assert todd_coxeter(self.S3) == EnumerationResult.finite(6)
-        assert seen == [(8, 6, True, 6)]
+        assert seen == [("compact", 8, 2, 6), ("closed", 6, True)]
 
     @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-    def test_failed_certificate_falls_back(self, monkeypatch, strategy):
-        # a certificate that fails once sends the run through
-        # _scan_everywhere and round again, to the same order
+    def test_failed_certificate_is_an_internal_error(self, monkeypatch, strategy):
+        # both strategies close every relator by construction, so a table
+        # that fails the certificate is a bug: no retry, no lookahead pass
         calls = []
-
-        def fail_once(ct, relators):
-            calls.append("closed")
-            return _closed(ct, relators) and calls.count("closed") > 1
 
         def scan_everywhere(ct, relators):
             calls.append("scan")
             _scan_everywhere(ct, relators)
 
-        monkeypatch.setattr(kmfg.fpgroup, "_closed", fail_once)
+        monkeypatch.setattr(kmfg.fpgroup, "_closed", lambda table, relators: False)
         monkeypatch.setattr(kmfg.fpgroup, "_scan_everywhere", scan_everywhere)
         icosahedral = FpPresentation(
             ("a", "b"), ((self.A, self.A), (self.B, self.B, self.B), (self.A, self.B) * 5)
         )
-        assert todd_coxeter(icosahedral, strategy=strategy) == EnumerationResult.finite(60)
-        assert calls == ["closed", "scan", "closed"]
+        with pytest.raises(InternalError, match=f"the {strategy} coset table"):
+            todd_coxeter(icosahedral, strategy=strategy)
+        assert calls == []
 
-    def test_fallback_fires_the_coincidences(self):
+    def test_lookahead_pass_fires_the_coincidences(self):
         # a complete two-coset table with a = (0 1) and b the identity:
         # a^2 and b^2 close, (ab)^3 = a^3 does not, and the deduction-only
         # pass merges the two cosets into a table that closes
         rows = [[1, 1, 0, 0], [0, 0, 1, 1]]
         ct = _hand_table(rows)
-        assert not _closed(ct, self.S3_RELATORS)
+        assert not _closed(ct.table, self.S3_RELATORS)
         _scan_everywhere(ct, self.S3_RELATORS)
-        assert ct.n_alive() == 1
-        assert _closed(ct, self.S3_RELATORS)
+        assert ct.compact() == 1
+        assert _closed(ct.table, self.S3_RELATORS)
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@
 two enumeration strategies agree on flag-variety groups of random
 generalized Cartan matrices and on random short presentations, the
 closure certificate agrees with tracing every relator at every coset,
+each strategy's table, compacted, closes every relator at every coset,
 repeated and inverted relators change no enumeration at any cap and,
 with zero-row commutators too, no abelianization, the enumerator's
 abelian guard reports exactly what both strategies reach by filling the
@@ -11,11 +12,9 @@ their exponent sums predict, and the orders read off the full flag
 group's table are the enumerated ones."""
 
 import math
-from unittest import mock
 
 import pytest
 
-import kmfg.fpgroup
 from kmfg import (
     AbelianInvariants,
     EnumerationResult,
@@ -119,21 +118,26 @@ def test_strategies_agree(p):
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(short_presentations())
 def test_strategies_agree_on_short_presentations(p):
-    # Felsch scans each relator cycle through a deduction from one end only,
-    # and a cycle that crosses the edge twice must still be caught: its
-    # deductions alone close the table, so the first certificate passes
-    certificates = []
-
-    def closed(ct, relators):
-        certificates.append(_closed(ct, relators))
-        return certificates[-1]
-
-    with mock.patch.object(kmfg.fpgroup, "_closed", closed):
-        felsch = todd_coxeter(p, max_cosets=500, strategy="felsch")
-    assert certificates == ([True] if felsch.is_finite else [])
+    felsch = todd_coxeter(p, max_cosets=500, strategy="felsch")
     hlt = todd_coxeter(p, max_cosets=500, strategy="hlt")
     if hlt.is_finite and felsch.is_finite:
         assert hlt.order == felsch.order
+
+
+@pytest.mark.parametrize("strategy", [_hlt_table, _felsch_table], ids=["hlt", "felsch"])
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.one_of(short_presentations(), flag_presentations()))
+def test_strategies_return_closed_tables(strategy, p):
+    # the invariant that leaves todd_coxeter's certificate nothing to catch:
+    # HLT scans every relator at every live coset, Felsch every relator
+    # cycle through each deduction (a cycle that crosses the deduced edge
+    # twice included), and coincidences keep closed cycles closed
+    relators = [_word_to_letters(w) for w in p.relators]
+    ct = strategy(p.generator_count, relators, [], 500)
+    if ct is not None:
+        ct.compact()
+        assert all(None not in row for row in ct.table)
+        assert all(_closes(ct.table, g, rel) for g in range(len(ct.table)) for rel in relators)
 
 
 @st.composite
@@ -163,7 +167,7 @@ def permutation_tables(draw):
 def test_certificate_is_closure_at_every_coset(table_and_relators):
     ct, relators = table_and_relators
     traced = all(_closes(ct.table, g, rel) for g in range(len(ct.table)) for rel in relators)
-    assert _closed(ct, relators) == traced
+    assert _closed(ct.table, relators) == traced
 
 
 @hypothesis.settings(max_examples=12, deadline=None)
