@@ -245,14 +245,22 @@ def _dot_lines(graph) -> list[str]:
     return ["graph adm {", "  node [style=filled];", *vertices, *edges, "}"]
 
 
-def _order_status(info: pi1.FlagInfo) -> str:
+def _order_status(info: fpgroup.FlagCheck) -> str:
     """What is known of the order of a flag's group: "infinite" with a
     positive free rank, else the enumeration's "finite" or "exhausted"."""
     return "infinite" if info.invariants.free_rank else info.order.status
 
 
-def _flag_json(info: pi1.FlagInfo) -> dict:
+def _closed_form(info: fpgroup.FlagCheck) -> pi1.Pi1Type | None:
+    """The closed form of a flag's group in exponent form: each factor of
+    the predicted abelianization is Z or C2."""
+    form = info.closed_form
+    return None if form is None else pi1.Pi1Type(form.free_rank, len(form.torsion))
+
+
+def _flag_json(info: fpgroup.FlagCheck) -> dict:
     status = _order_status(info)
+    closed_form = _closed_form(info)
     order = {"status": status}
     if status == "finite":
         order["order"] = info.order.order
@@ -261,7 +269,7 @@ def _flag_json(info: pi1.FlagInfo) -> dict:
     return {
         "abelian": {"z": info.invariants.free_rank, "torsion": list(info.invariants.torsion)},
         "order": order,
-        "closed_form": None if info.closed_form is None else _type_json(info.closed_form),
+        "closed_form": None if closed_form is None else _type_json(closed_form),
     }
 
 
@@ -383,8 +391,9 @@ def _cmd_flag(args, out):
     max_cosets = args.max_cosets or _default_max_cosets()
     info = pi1.pi1_flag(m, J, max_cosets=max_cosets, force=args.force)
     lines = []
-    if info.closed_form is not None:
-        lines.append(f"pi1(G/P_J) = {info.closed_form}")
+    closed_form = _closed_form(info)
+    if closed_form is not None:
+        lines.append(f"pi1(G/P_J) = {closed_form}")
     lines.append(f"J = {_fmt_set(info.parabolic)}")
     lines.append(f"abelianization: {info.invariants}")
     status = _order_status(info)
@@ -460,13 +469,14 @@ def _cmd_verify(args, out):
     result = report.result
     lines = []
     components = []
-    for v in report.components:
+    graph = report.graph
+    for comp, colour, v in zip(graph.components, graph.colours, report.components):
         summary = "; ".join(f"{name} {status} ({detail})" for name, status, detail in v.checks)
-        lines.append(f"component {_fmt_set(v.vertices)} colour {v.colour}: {summary}")
+        lines.append(f"component {_fmt_set(comp)} colour {colour}: {summary}")
         components.append(
             {
-                "vertices": [i + 1 for i in v.vertices],
-                "colour": v.colour,
+                "vertices": [i + 1 for i in comp],
+                "colour": colour,
                 "checks": [
                     {"name": name, "status": status, "detail": detail}
                     for name, status, detail in v.checks

@@ -1,8 +1,11 @@
 """Finitely presented groups: presentations, abelianization, coset enumeration.
 
 Words are tuples of (generator index, exponent) pairs with exponents +1 or
--1, freely reduced.  Abelianization goes through an exact integer Smith
-normal form: diagonalize, then normalize the diagonal with C_a x C_b =
+-1, freely reduced.  Relators and subgroup words pass one check
+(``_checked_word``): each entry must be an integer by ``operator.index``,
+so 1.5 or "1" is a ValueError, never truncated or converted.
+Abelianization goes through an exact integer Smith normal form:
+diagonalize, then normalize the diagonal with C_a x C_b =
 C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.  A
 presentation is abelianized once: it keeps its Smith normal form
 diagonal, which ``abelianization`` and the index bound of ``todd_coxeter``
@@ -54,22 +57,26 @@ cap, each J is enumerated directly.
 ``_colour_group`` states what group each colour of parity-graph
 component predicts, and ``check_flag`` compares a flag group of a
 ``FlagGroups`` with the product of its components' predictions, the one
-check of that kind: ``verify`` makes it for every component C on the flag
-group with every vertex outside C killed, the one kind of group it
-enumerates, and ``pi1.pi1_flag`` makes it for the components outside its
-parabolic.  ``verify`` and ``pi1.full_report`` ask for G first, so each
-makes one enumeration per diagram; ``pi1.pi1_flag`` asks for its own J
-only.
+check of that kind, and returns the one record of a checked flag group, a
+``FlagCheck``: parabolic, invariants, order, checks and the closed form,
+the predicted abelianization.  ``verify`` makes it for every component C
+of ``build_adm(m)`` on the flag group with every vertex outside C killed,
+the one kind of group it enumerates, and keeps the graph beside the
+records; ``pi1.pi1_flag`` makes it for the components outside its
+parabolic and returns the record.  ``verify`` and ``pi1.full_report`` ask
+for G first, so each makes one enumeration per diagram;
+``pi1.pi1_flag`` asks for its own J only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .adm import build_adm
+from .adm import AdmGraph, build_adm
 from .cartan import GeneralizedCartanMatrix, vertex_subset
 from .coxeter import WeylGroup
 from .errors import InternalError
@@ -78,7 +85,7 @@ __all__ = [
     "FpPresentation",
     "AbelianInvariants",
     "EnumerationResult",
-    "ComponentVerification",
+    "FlagCheck",
     "Verification",
     "free_reduce",
     "smith_normal_form",
@@ -88,7 +95,6 @@ __all__ = [
     "FlagGroups",
     "check_flag",
     "cw_presentation",
-    "verify_component",
     "verify",
 ]
 
@@ -107,25 +113,35 @@ def free_reduce(word) -> Word:
     return tuple(out)
 
 
+def _checked_word(word, count) -> Word:
+    """``word`` as a tuple of (generator, exponent) pairs of ints, the one
+    check of a relator or subgroup word.  Entries go through
+    ``operator.index``, so 1.5 or "1" is refused rather than truncated; a
+    generator outside range(count) or an exponent other than +1 or -1 is
+    refused too, each with a ValueError."""
+    try:
+        checked = tuple((operator.index(gen), operator.index(exp)) for gen, exp in word)
+    except TypeError:
+        raise ValueError(f"word {word!r} is not a sequence of integer pairs") from None
+    for gen, exp in checked:
+        if not 0 <= gen < count:
+            raise ValueError(f"generator index {gen} out of range")
+        if exp not in (1, -1):
+            raise ValueError(f"exponent must be +1 or -1, got {exp}")
+    return checked
+
+
 @dataclass(frozen=True)
 class FpPresentation:
     generator_names: tuple[str, ...]
     relators: tuple[Word, ...]
 
     def __post_init__(self):
-        count = len(self.generator_names)
-        normalized = []
-        for word in self.relators:
-            word = tuple((int(g), int(e)) for g, e in word)
-            for gen, exp in word:
-                if not 0 <= gen < count:
-                    raise ValueError(f"generator index {gen} out of range")
-                if exp not in (1, -1):
-                    raise ValueError(f"exponent must be +1 or -1, got {exp}")
+        relators = tuple(_checked_word(word, self.generator_count) for word in self.relators)
+        for word in relators:
             if free_reduce(word) != word:
                 raise ValueError(f"relator {word} is not freely reduced")
-            normalized.append(word)
-        object.__setattr__(self, "relators", tuple(normalized))
+        object.__setattr__(self, "relators", relators)
 
     @property
     def generator_count(self) -> int:
@@ -444,12 +460,7 @@ def todd_coxeter(
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     count = presentation.generator_count
-    for word in subgroup_words:
-        for gen, exp in word:
-            if not 0 <= gen < count:
-                raise ValueError(f"subgroup word index {gen} out of range")
-            if exp not in (1, -1):
-                raise ValueError(f"exponent must be +1 or -1, got {exp}")
+    subgroup_words = [_checked_word(word, count) for word in subgroup_words]
     if strategy == "hlt":
         enumerate_table = _hlt_table
     elif strategy == "felsch":
@@ -767,16 +778,22 @@ class FlagGroups:
 
 
 # ---------------------------------------------------------------------------
-# Component verification
+# Flag-group checks
 
 
 @dataclass
-class ComponentVerification:
-    vertices: tuple[int, ...]
-    colour: str
-    observed_invariants: AbelianInvariants
-    observed_order: EnumerationResult
-    checks: list = field(default_factory=list)
+class FlagCheck:
+    """What ``check_flag`` found for the flag group at ``parabolic``: its
+    abelian invariants, its order (Exhausted when the cap or a positive
+    free rank left it open), the (name, status, detail) checks, and the
+    closed form, the abelianization the components' colours predict (None
+    when a component is blue)."""
+
+    parabolic: tuple[int, ...]
+    invariants: AbelianInvariants
+    order: EnumerationResult
+    checks: list
+    closed_form: AbelianInvariants | None
 
     @property
     def passed(self) -> bool:
@@ -803,19 +820,19 @@ def _colour_group(colour: str, size: int):
     raise ValueError(f"unknown colour {colour!r}")
 
 
-def check_flag(groups: FlagGroups, J, components):
+def check_flag(groups: FlagGroups, J, components) -> FlagCheck:
     """Abelianize and enumerate the flag group at J of ``groups`` and
     compare both against the product of what its parity components
     predict, given as (colour, size) pairs (``_colour_group``): a green one
-    predicts an infinite group, a blue one no abelianization.  Returns the
-    invariants, the order, the (name, status, detail) checks and the
-    predicted abelianization, the direct sum of the components' (None
-    when a component is blue, and then no abelianization check is made);
-    an exhausted enumeration yields an inconclusive order check, not a
-    failure."""
+    predicts an infinite group, a blue one no abelianization.  The closed
+    form is the predicted abelianization, the direct sum of the
+    components'; with a blue component there is none, and no
+    abelianization check is made.  An exhausted enumeration yields an
+    inconclusive order check, not a failure."""
     predictions = [_colour_group(colour, size) for colour, size in components]
     orders = [o for o, _ in predictions]
     predicted = [inv for _, inv in predictions]
+    J = vertex_subset(J, groups.m.n)
     order = groups.order(J)
     invariants = abelianization(groups.presentation(J))
     if None in orders:
@@ -833,33 +850,18 @@ def check_flag(groups: FlagGroups, J, components):
         expected = _direct_sum(predicted)
         status = "pass" if invariants == expected else "fail"
         checks.append(("abelianization", status, f"expected {expected}, got {invariants}"))
-    return invariants, order, checks, expected
-
-
-def verify_component(groups: FlagGroups, J, colour: str) -> ComponentVerification:
-    """``check_flag`` on the group of a parity component J of the given
-    colour: the flag group at S - J, every vertex outside J killed, so the
-    relators are the pair relators and killers alone."""
-    vertices = vertex_subset(J, groups.m.n)
-    if not vertices:
-        raise ValueError("J must be nonempty")
-    outside = set(range(groups.m.n)).difference(vertices)
-    invariants, order, checks, _ = check_flag(groups, outside, [(colour, len(vertices))])
-    return ComponentVerification(vertices, colour, invariants, order, checks)
-
-
-def _green(v: ComponentVerification) -> bool:
-    """Whether ``v`` checked a green component; its order check stays open."""
-    return v.colour == "g"
+    return FlagCheck(J, invariants, order, checks, expected)
 
 
 @dataclass
 class Verification:
-    """What ``verify`` found: each parity component's checks, then the
-    whole-diagram checks, each a (name, status, detail) record like a
-    component's; an empty detail means the check has none."""
+    """What ``verify`` found: the parity graph it checked, one
+    ``FlagCheck`` per component of it, aligned with ``graph.components``,
+    then the whole-diagram checks, each a (name, status, detail) record
+    like a component's; an empty detail means the check has none."""
 
-    components: list[ComponentVerification]
+    graph: AdmGraph
+    components: list[FlagCheck]
     checks: list
 
     @property
@@ -870,18 +872,21 @@ class Verification:
         if "fail" in statuses or not all(v.passed for v in self.components):
             return "FAIL"
         # a green component's capped order check leaves nothing open
+        colours = self.graph.colours
         if "inconclusive" in statuses or any(
-            v.inconclusive for v in self.components if not _green(v)
+            v.inconclusive for v, colour in zip(self.components, colours) if colour != "g"
         ):
             return "INCONCLUSIVE"
         return "PASS"
 
 
 def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> Verification:
-    """The enumeration-side counterpart of ``pi1.full_report``: the
-    component checks of ``verify_component`` on every parity component,
-    then the whole-diagram checks ``product_law_abelian`` (the full flag
-    group abelianizes to the direct sum of the components'),
+    """The enumeration-side counterpart of ``pi1.full_report``:
+    ``check_flag`` on the group of every parity component C of
+    ``build_adm(m)``, the flag group at S - C, every vertex outside C
+    killed, so the relators are the pair relators and killers alone; then
+    the whole-diagram checks ``product_law_abelian`` (the full flag group
+    abelianizes to the direct sum of the components'),
     ``presentation_routes`` (the all-pairs and two-skeleton presentations
     abelianize alike for the empty and every singleton parabolic) and,
     with no green component, ``product_law_order`` (the full flag group's
@@ -893,12 +898,13 @@ def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     groups = FlagGroups(m, max_cosets)
     total = groups.order(())
     graph = build_adm(m)
+    vertices = set(range(m.n))
     components = [
-        verify_component(groups, comp, colour)
+        check_flag(groups, vertices.difference(comp), [(colour, len(comp))])
         for comp, colour in zip(graph.components, graph.colours)
     ]
     observed = abelianization(groups.presentation(()))
-    combined = _direct_sum(v.observed_invariants for v in components)
+    combined = _direct_sum(v.invariants for v in components)
     status = "pass" if observed == combined else "fail"
     checks = [("product_law_abelian", status, f"{observed} vs {combined}")]
     routes_agree = observed == abelianization(cw_presentation(m, ())) and all(
@@ -907,13 +913,13 @@ def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         for k in range(m.n)
     )
     checks.append(("presentation_routes", "pass" if routes_agree else "fail", ""))
-    if not any(_green(v) for v in components):
+    if "g" not in graph.colours:
         # a Finite total makes every component's order Finite; with the
         # total open there is no product to compare against
         if not total.is_finite:
             checks.append(("product_law_order", "inconclusive", "cap exhausted"))
         else:
-            product = math.prod(v.observed_order.order for v in components)
+            product = math.prod(v.order.order for v in components)
             status = "pass" if total.order == product else "fail"
             checks.append(("product_law_order", status, f"{total.order} vs {product}"))
-    return Verification(components, checks)
+    return Verification(graph, components, checks)

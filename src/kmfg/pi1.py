@@ -9,7 +9,10 @@ component it is Z per green component times C2 per vertex of a red one.
 The finitely-presented-group engine is wired in as a cross-check, never
 as the source of the closed-form answers: ``pi1_flag`` checks each flag
 group with ``fpgroup.check_flag``, the check ``verify`` makes per
-component.  Both read their flag groups from an ``fpgroup.FlagGroups``.
+component, and returns its ``fpgroup.FlagCheck``, the record ``verify``
+keeps per component; its closed form is the abelianization the colours
+predict, and a failed check is an InternalError that names J 1-based.
+Both read their flag groups from an ``fpgroup.FlagGroups``.
 ``full_report`` asks it for the full flag group first, so that group is
 enumerated once and each singleton's order is read off its table as the
 index of <x_k>; ``pi1_flag`` asks for its one J, so a nonempty J never
@@ -34,7 +37,6 @@ from .errors import HypothesisError, InternalError
 __all__ = [
     "Pi1Type",
     "KPi1Result",
-    "FlagInfo",
     "Pi1Report",
     "pi1_group",
     "pi1_maximal_compact",
@@ -71,14 +73,6 @@ def _pi1(colours) -> Pi1Type:
 class KPi1Result(NamedTuple):
     value: Pi1Type
     k_only: bool  # True when the K = G identification is not established
-
-
-@dataclass
-class FlagInfo:
-    parabolic: tuple[int, ...]
-    invariants: fpgroup.AbelianInvariants
-    order: fpgroup.EnumerationResult  # Exhausted when the free rank is positive
-    closed_form: Pi1Type | None
 
 
 def check_hypotheses(
@@ -155,9 +149,10 @@ def pi1_flag(
     J,
     max_cosets: int = fpgroup.DEFAULT_MAX_COSETS,
     force: bool = False,
-) -> FlagInfo:
-    """Presentation, abelian invariants and order of pi1 of the flag
-    variety for the parabolic subset J.
+) -> fpgroup.FlagCheck:
+    """pi1 of the flag variety for the parabolic subset J, as the
+    ``fpgroup.FlagCheck`` of its flag group: abelian invariants, order and
+    closed form.
 
     The flag group is checked against the colours of the components of
     ``adm.build_adm(m, J)`` by ``fpgroup.check_flag``, the check
@@ -172,16 +167,17 @@ def pi1_flag(
     return _flag(fpgroup.FlagGroups(m, max_cosets), J)
 
 
-def _flag(groups: fpgroup.FlagGroups, J) -> FlagInfo:
-    J = cartan.vertex_subset(J, groups.m.n)
+def _flag(groups: fpgroup.FlagGroups, J) -> fpgroup.FlagCheck:
     graph = adm.build_adm(groups.m, J)
     components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
-    invariants, order, checks, expected = fpgroup.check_flag(groups, J, components)
-    failed = [f"{name} {detail}" for name, status, detail in checks if status == "fail"]
-    if failed:
-        raise InternalError(f"flag group for J = {J} contradicts its colours: {'; '.join(failed)}")
-    closed_form = None if expected is None else Pi1Type(expected.free_rank, len(expected.torsion))
-    return FlagInfo(J, invariants, order, closed_form)
+    check = fpgroup.check_flag(groups, J, components)
+    if not check.passed:
+        vertices = ",".join(str(v + 1) for v in check.parabolic)
+        failed = [f"{name} {detail}" for name, status, detail in check.checks if status == "fail"]
+        raise InternalError(
+            f"flag group for J = {{{vertices}}} contradicts its colours: {'; '.join(failed)}"
+        )
+    return check
 
 
 @dataclass
@@ -191,7 +187,7 @@ class Pi1Report:
     hypotheses: cartan.HypothesisReport
     graph: adm.AdmGraph
     spin: list[tuple[str, Pi1Type]]  # (kappa bits, type)
-    flags: dict[tuple[int, ...], FlagInfo]
+    flags: dict[tuple[int, ...], fpgroup.FlagCheck]
 
     @property
     def contributions(self) -> tuple[str, ...]:

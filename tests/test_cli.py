@@ -907,6 +907,23 @@ class TestInternalError:
         assert err.startswith("error[E501]:")
         assert len(err.splitlines()) == 1
 
+    def test_failed_flag_check_names_j_1_based(self, monkeypatch):
+        # with red predicting 2^(size+1), A3's flag group at J = {1}, of
+        # order 4, contradicts its one red component {2,3}
+        colour_group = kmfg.fpgroup._colour_group
+
+        def doubled_red(colour, size):
+            order, invariants = colour_group(colour, size)
+            return (2 * order if colour == "r" else order), invariants
+
+        monkeypatch.setattr(kmfg.fpgroup, "_colour_group", doubled_red)
+        assert invoke(["flag", "--type", "A3", "--set", "1"]) == (
+            5,
+            "",
+            "error[E501]: flag group for J = {1} contradicts its colours: "
+            "order expected 8, got 4\n",
+        )
+
     def test_non_normal_subgroup_exit_5(self, monkeypatch):
         # the pair relators make every <x_J> normal in the full flag group,
         # so a failed normality test is a bug, not a fallback

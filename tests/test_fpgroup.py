@@ -13,6 +13,7 @@ from kmfg import (
     WeylGroup,
     abelianization,
     build_adm,
+    check_flag,
     cw_presentation,
     flag_presentation,
     from_named,
@@ -21,7 +22,6 @@ from kmfg import (
     smith_normal_form,
     todd_coxeter,
     verify,
-    verify_component,
 )
 from kmfg.cartan import vertex_subset
 from kmfg.errors import InternalError
@@ -47,6 +47,16 @@ CORPUS_RANK_LE_5 = [
     "C2", "C3", "C4", "C5", "D4", "D5", "F4", "G2",
 ]
 
+# every named diagram of rank at most 8, finite and affine
+NAMED_RANK_LE_8 = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+    + [f"A{n}~" for n in range(1, 8)] + [f"B{n}~" for n in range(3, 8)]
+    + [f"C{n}~" for n in range(2, 8)] + [f"D{n}~" for n in range(4, 8)]
+    + ["E6~", "E7~", "F4~", "G2~"]
+)
+
 
 class TestPresentation:
     def test_free_reduce(self):
@@ -64,6 +74,16 @@ class TestPresentation:
     def test_rejects_bad_exponent(self):
         with pytest.raises(ValueError):
             FpPresentation(("x",), (((0, 2),),))
+
+    @pytest.mark.parametrize("pair", [(0, 1.5), (0.5, 1), (0.0, 1), ("0", 1), (0, "1")])
+    def test_rejects_non_integer_entries(self, pair):
+        # entries go through operator.index: 1.5 is refused, not truncated
+        # to 1, and the string "1" is refused, not converted
+        with pytest.raises(ValueError, match="not a sequence of integer pairs"):
+            FpPresentation(("a",), ((pair,),))
+
+    def test_keeps_integer_entries(self):
+        assert FpPresentation(("a",), ([[0, -1]],)).relators == (((0, -1),),)
 
 
 class TestSmithNormalForm:
@@ -182,6 +202,16 @@ class TestToddCoxeter:
         p = FpPresentation(("x",), ())
         with pytest.raises(ValueError):
             todd_coxeter(p, subgroup_words=(((3, 1),),))
+
+    @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+    @pytest.mark.parametrize("pair", [(0.0, 1), (0, 1.0), (0, 1.5), ("0", 1)])
+    def test_subgroup_word_entries_checked_like_relators(self, strategy, pair):
+        # subgroup words go through the relators' check: a float index is
+        # a ValueError, not a TypeError from the table lookup
+        a, b = (0, 1), (1, 1)
+        s3 = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
+        with pytest.raises(ValueError, match="not a sequence of integer pairs"):
+            todd_coxeter(s3, subgroup_words=((pair,),), strategy=strategy)
 
     def test_strategies_agree(self):
         # the group of each parity component, every vertex outside it killed
@@ -598,6 +628,13 @@ class TestCwPresentation:
                 )
 
 
+def _component_check(groups, comp, colour):
+    """``check_flag`` on the group of the parity component ``comp``, the
+    flag group with every vertex outside it killed, as ``verify`` makes it."""
+    outside = set(range(groups.m.n)).difference(comp)
+    return check_flag(groups, outside, [(colour, len(comp))])
+
+
 def _corpus_components(colour):
     """(diagram, component) for every corpus component of this colour."""
     for name in CORPUS_RANK_LE_5 + ["E10", "A1~"]:
@@ -609,15 +646,15 @@ def _corpus_components(colour):
 
 
 class TestClassify:
-    """The group verify_component predicts for each colour, read from the
-    expectations its checks report on every corpus component."""
+    """The group ``check_flag`` predicts for each colour of component, read
+    from the expectations its checks report on every corpus component."""
 
     def test_red(self):
         sizes = set()
         for m, comp in _corpus_components("r"):
             size = len(comp)
             sizes.add(size)
-            v = verify_component(FlagGroups(m, 5000), comp, "r")
+            v = _component_check(FlagGroups(m, 5000), comp, "r")
             c2s = AbelianInvariants(0, (2,) * size)
             assert v.checks == [
                 ("order", "pass", f"expected {2**size}, got {2**size}"),
@@ -629,7 +666,7 @@ class TestClassify:
         seen = 0
         for m, comp in _corpus_components("g"):
             seen += 1
-            v = verify_component(FlagGroups(m, 500), comp, "g")
+            v = _component_check(FlagGroups(m, 500), comp, "g")
             assert v.checks == [
                 ("order", "inconclusive", "infinite group predicted; enumeration gave "
                  "Exhausted(500)"),
@@ -642,7 +679,7 @@ class TestClassify:
         for m, comp in _corpus_components("b"):
             size = len(comp)
             sizes.add(size)
-            v = verify_component(FlagGroups(m, 5000), comp, "b")
+            v = _component_check(FlagGroups(m, 5000), comp, "b")
             order = 2 ** (size + 1)
             assert v.checks == [("order", "pass", f"expected {order}, got {order}")]
         assert sizes == {2, 3, 4, 5, 10}
@@ -650,27 +687,30 @@ class TestClassify:
 
 class TestVerifyComponent:
     def test_a2_blue(self):
-        v = verify_component(FlagGroups(from_named("A2")), (0, 1), "b")
+        v = _component_check(FlagGroups(from_named("A2")), (0, 1), "b")
         assert v.passed
-        assert v.observed_order == EnumerationResult.finite(8)
+        assert v.parabolic == ()
+        assert v.order == EnumerationResult.finite(8)
         # no abelianization is predicted for a blue component
         assert v.checks == [("order", "pass", "expected 8, got 8")]
+        assert v.closed_form is None
 
     def test_c4_red(self):
-        v = verify_component(FlagGroups(from_named("C4")), (0, 1, 2), "r")
+        v = _component_check(FlagGroups(from_named("C4")), (0, 1, 2), "r")
         assert v.passed
-        assert v.observed_order == EnumerationResult.finite(8)
-        assert v.observed_invariants == AbelianInvariants(0, (2, 2, 2))
+        assert v.parabolic == (3,)
+        assert v.order == EnumerationResult.finite(8)
+        assert v.invariants == v.closed_form == AbelianInvariants(0, (2, 2, 2))
         assert v.checks == [
             ("order", "pass", "expected 8, got 8"),
             ("abelianization", "pass", "expected C2 x C2 x C2, got C2 x C2 x C2"),
         ]
 
     def test_a1_green_inconclusive_order(self):
-        v = verify_component(FlagGroups(from_named("A1"), 500), (0,), "g")
+        v = _component_check(FlagGroups(from_named("A1"), 500), (0,), "g")
         assert v.passed
         assert v.inconclusive
-        assert v.observed_invariants == AbelianInvariants(1, ())
+        assert v.invariants == v.closed_form == AbelianInvariants(1, ())
         assert v.checks == [
             ("order", "inconclusive", "infinite group predicted; enumeration gave "
              "Exhausted(500)"),
@@ -679,20 +719,17 @@ class TestVerifyComponent:
 
     def test_green_must_be_singleton(self):
         with pytest.raises(ValueError, match="single vertex"):
-            verify_component(FlagGroups(from_named("A2")), (0, 1), "g")
-
-    def test_empty_component(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            verify_component(FlagGroups(from_named("A2")), (), "r")
+            _component_check(FlagGroups(from_named("A2")), (0, 1), "g")
 
     def test_unknown_colour(self):
         with pytest.raises(ValueError, match="unknown colour 'x'"):
-            verify_component(FlagGroups(from_named("A2")), (0, 1), "x")
+            _component_check(FlagGroups(from_named("A2")), (0, 1), "x")
 
     @pytest.mark.parametrize("name", CORPUS_RANK_LE_5 + ["E10", "A1~"])
     def test_whole_corpus_verifies(self, name):
-        for v in verify(from_named(name), 5000).components:
-            assert v.passed, (name, v.vertices, v.checks)
+        report = verify(from_named(name), 5000)
+        for comp, v in zip(report.graph.components, report.components, strict=True):
+            assert v.passed, (name, comp, v.checks)
 
 
 class TestVerify:
@@ -737,7 +774,7 @@ class TestVerify:
         monkeypatch.setattr(kmfg.adm, "has_witness", never)
         monkeypatch.setattr(kmfg.fpgroup, "has_witness", never, raising=False)
         report = verify(from_named(f"C{n}"))
-        assert report.components[0].colour == "b"
+        assert report.graph.colours[0] == "b"
         assert report.components[0].checks[0] == (
             "order", "fail", f"expected {2**n}, got {2 ** (n - 1)}"
         )
@@ -749,6 +786,17 @@ class TestVerify:
         # and both orders are read off the full flag group's one table
         assert verify(from_named(name)).result == "PASS"
         assert len(coset_tables) == tables
+
+    @pytest.mark.parametrize("name", NAMED_RANK_LE_8)
+    def test_component_checks_are_pi1_flags(self, name):
+        # verify checks each component C on the flag group at S - C with
+        # C's colour in build_adm(m), and pi1_flag colours that group by
+        # build_adm(m, S - C): both make one check and return one record
+        m = from_named(name)
+        report = verify(m)
+        for comp, check in zip(report.graph.components, report.components, strict=True):
+            outside = tuple(v for v in range(m.n) if v not in comp)
+            assert check == pi1_flag(m, outside, force=True)
 
     def test_e8_smith_normal_forms(self, monkeypatch):
         # one per distinct presentation: the full flag group's, shared by
@@ -858,7 +906,7 @@ class TestVertexSubset:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m: verify_component(FlagGroups(m), (5,), "r"),
+            lambda m: check_flag(FlagGroups(m), (5,), [("r", 1)]),
             lambda m: flag_presentation(m, (5,)),
             lambda m: cw_presentation(m, (5,)),
             lambda m: WeylGroup(m).cell_counts((5,), 2),

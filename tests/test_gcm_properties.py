@@ -1,9 +1,10 @@
 """Property tests of the analysis over random generalized Cartan matrices:
 invariance under relabelling the vertices, the neighbour list, the
 predicates and the coloured parity graph at every parabolic J against
-their dense definitions, the spherical predicate against Sylvester's
-criterion, the colouring rule for pi1(G/P_J) at every parabolic J, and
-its closed form on connected simply-laced diagrams."""
+their dense definitions, each parity component alone in its colour at its
+complement, the spherical predicate against Sylvester's criterion, the
+colouring rule for pi1(G/P_J) at every parabolic J, and its closed form
+on connected simply-laced diagrams."""
 
 import itertools
 import math
@@ -11,9 +12,9 @@ import math
 import pytest
 
 from kmfg import (
+    AbelianInvariants,
     EnumerationResult,
     GeneralizedCartanMatrix,
-    Pi1Type,
     build_adm,
     flag_presentation,
     hypothesis_report,
@@ -103,6 +104,17 @@ def test_sparse_reading_is_the_dense_definition(m):
 
 @hypothesis.settings(max_examples=80, deadline=None)
 @hypothesis.given(gcms())
+def test_component_alone_outside_its_complement(m):
+    # the flag graph at S - C is C alone, in C's colour: an edge or a
+    # witness from C to a killed vertex k would put k in C or make C red
+    graph = build_adm(m)
+    for comp, colour in zip(graph.components, graph.colours):
+        alone = build_adm(m, set(range(m.n)).difference(comp))
+        assert (alone.components, alone.colours) == ((comp,), (colour,))
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(gcms())
 def test_spherical_is_sylvester(m):
     d = symmetrizer(m)
     if d is None:
@@ -138,7 +150,7 @@ def test_simply_laced_flag_closed_form(case):
     m, J = case
     info = pi1_flag(m, J)
     k = m.n - len(J)
-    assert info.closed_form == Pi1Type(0, k)
+    assert info.closed_form == AbelianInvariants(0, (2,) * k)
     assert info.order == EnumerationResult.finite(2**k)
 
 
@@ -173,7 +185,8 @@ def test_flag_colouring_rule(case):
     assert (info.closed_form is None) == ("b" in graph.colours)
     if info.closed_form is not None:
         assert info.closed_form.free_rank == m.n - len(factors)
-        assert [d for d in factors if d > 1] == [2] * info.closed_form.c2_count
+        torsion = list(info.closed_form.torsion)
+        assert [d for d in factors if d > 1] == [2] * len(torsion) == torsion
     index = math.prod(
         2 ** (len(comp) + (colour == "b"))
         for comp, colour in zip(graph.components, graph.colours)

@@ -6,6 +6,7 @@ import pytest
 
 import kmfg.fpgroup
 from kmfg import (
+    AbelianInvariants,
     GeneralizedCartanMatrix,
     Pi1Type,
     build_adm,
@@ -204,7 +205,8 @@ class TestBlueComponentOrder:
 class TestPi1Flag:
     def test_a3_singleton(self):
         info = pi1_flag(from_named("A3"), (0,))
-        assert info.closed_form == Pi1Type(0, 2)
+        assert info.parabolic == (0,)
+        assert info.closed_form == AbelianInvariants(0, (2, 2))
         assert info.order.order == 4
         assert str(info.invariants) == "C2 x C2"
 
@@ -243,16 +245,18 @@ class TestPi1Flag:
         for J in [()] + [(k,) for k in range(m.n)]:
             graph = build_adm(m, J)
             components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
-            invariants, _, checks, expected = kmfg.fpgroup.check_flag(groups, J, components)
+            check = kmfg.fpgroup.check_flag(groups, J, components)
+            expected = check.closed_form
             blue = "b" in graph.colours
-            assert (expected is None) == blue == ("abelianization" not in [c[0] for c in checks])
+            names = [name for name, _, _ in check.checks]
+            assert (expected is None) == blue == ("abelianization" not in names)
             closed_form = pi1_flag(m, J).closed_form
             if blue:
                 assert closed_form is None
             else:
-                assert expected == invariants
+                assert expected == check.invariants
                 red = sum(size for colour, size in components if colour == "r")
-                assert closed_form == Pi1Type(graph.colours.count("g"), red)
+                assert closed_form == AbelianInvariants(graph.colours.count("g"), (2,) * red)
 
     def test_gate(self):
         with pytest.raises(HypothesisError):
@@ -268,7 +272,7 @@ class TestFullReport:
         assert spin["2"] == Pi1Type(0, 0)
         for J, info in report.flags.items():
             if J:
-                assert info.closed_form == Pi1Type(0, 4 - len(J))
+                assert info.closed_form == AbelianInvariants(0, (2,) * (4 - len(J)))
 
     def test_g2(self):
         assert full_report(from_named("G2")).group == Pi1Type(0, 1)
