@@ -18,6 +18,7 @@ and all rendered reports use 1-based indices.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -145,10 +146,21 @@ class GeneralizedCartanMatrix:
         return _two_skeleton_pairs(self)
 
 
+def _checked_int(value, what: str) -> int:
+    """``value`` as an int, the one check of a vertex, a word letter, a
+    length bound or a cap.  It goes through ``operator.index``, so 1.5 or
+    "1" is refused with a ValueError naming ``what`` rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def vertex_subset(J, n: int) -> tuple[int, ...]:
     """The vertex set J of a rank-n diagram as a sorted tuple without
-    repeats; raises ValueError for a vertex outside 0..n-1."""
-    J = tuple(sorted(set(J)))
+    repeats; raises ValueError for a vertex that is not an integer in
+    0..n-1."""
+    J = tuple(sorted({_checked_int(v, "vertex") for v in J}))
     if J and not (0 <= J[0] and J[-1] < n):
         raise ValueError(f"vertex set {list(J)} out of range for rank {n}")
     return J

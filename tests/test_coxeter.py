@@ -131,6 +131,59 @@ class TestReducedWord:
             assert affine.from_word(word) == w
 
 
+class TestReadingKernel:
+    """Words, inverses and closures are read by stripping in place: the
+    work is pinned by counts, not by a time."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, group_cls, name):
+        calls = []
+        method = getattr(group_cls, name)
+
+        def counted(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(group_cls, name, counted)
+        return calls
+
+    def test_reduced_word_is_two_strips(self, monkeypatch):
+        group = WeylGroup(from_named("E8"))
+        w = group.from_word((0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6))
+        steps = self._count_calls(monkeypatch, WeylGroup, "_step")
+        strips = self._count_calls(monkeypatch, WeylGroup, "_strip")
+        assert len(w.reduced_word()) == 14
+        assert (len(steps), len(strips)) == (0, 2)
+
+    def test_inverse_is_one_strip(self, monkeypatch, a3):
+        w = a3.from_word((0, 1, 2, 0))
+        steps = self._count_calls(monkeypatch, WeylGroup, "_step")
+        strips = self._count_calls(monkeypatch, WeylGroup, "_strip")
+        inverse = w.inverse()
+        assert (len(steps), len(strips)) == (0, 1)
+        # the strip's letters are the inverse's lexicographically least word
+        assert inverse.reduced_word() == (0, 2, 1, 0)
+        assert len(strips) == 1
+        assert inverse == a3.from_word((2, 0, 1, 0))
+        assert a3.from_word((2, 0, 1, 0)).reduced_word() == (0, 2, 1, 0)
+
+    def test_closure_cells_carry_their_lengths(self):
+        group = WeylGroup(from_named("D5"))
+        w = group.from_word((0, 1, 2, 3, 4, 2, 1, 0))
+        cells = group.closure_cells(w, (3,))
+        assert cells
+        for x in cells:
+            assert x._length == len(group._strip(x.heights)[0])
+
+    def test_cap_one_below_the_interval(self):
+        # the interval below w has 2,916 elements, and J = () keeps them all
+        group = WeylGroup(from_named("E8"))
+        w = group.from_word((0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6))
+        assert len(group.closure_cells(w, (), cap=2916)) == 2916
+        with pytest.raises(ResourceLimitError, match=r"^element cap 2915 exceeded at length 14$"):
+            group.closure_cells(w, (), cap=2915)
+
+
 class TestRootSequence:
     def test_single_letter(self, a2):
         assert a2.root_sequence((0,)) == [(1, 0)]
@@ -200,6 +253,34 @@ class TestWordLetters:
     def test_generator(self, a2):
         with pytest.raises(ValueError, match="letter -1 out of range"):
             a2.generator(-1)
+
+    @pytest.mark.parametrize("letter", [0.0, 1.5, "1"])
+    def test_not_an_integer(self, a2, letter):
+        # 0.0 used to reach a tuple index and raise a bare TypeError
+        for call in (a2.from_word, a2.is_reduced, a2.root_sequence):
+            with pytest.raises(ValueError, match="^word letter .* is not an integer$"):
+                call((letter, 1))
+
+
+class TestIntegerBounds:
+    """A length bound or a cap that is not an integer is a ValueError."""
+
+    def test_length_bound(self, a3):
+        # 2.5 used to reach range() and raise a bare TypeError
+        with pytest.raises(ValueError, match=r"^length bound 2\.5 is not an integer$"):
+            a3.cell_counts((), 2.5)
+        with pytest.raises(ValueError, match=r"^length bound 2\.5 is not an integer$"):
+            a3.elements_up_to(2.5)
+
+    def test_cap(self, a3):
+        w = a3.from_word((0, 1, 2))
+        for call in (
+            lambda: a3.cell_counts((), 2, cap=7.5),
+            lambda: a3.elements_up_to(2, cap=7.5),
+            lambda: a3.closure_cells(w, (), cap=7.5),
+        ):
+            with pytest.raises(ValueError, match=r"^element cap 7\.5 is not an integer$"):
+                call()
 
 
 class TestBruhatOrder:

@@ -919,3 +919,19 @@ class TestVertexSubset:
     def test_sorted_without_repeats(self):
         assert vertex_subset((2, 0, 2), 3) == (0, 2)
         assert vertex_subset((), 1) == ()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: vertex_subset((1.5,), 3),
+            lambda m: build_adm(m, (1.5,)),
+            lambda m: flag_presentation(m, (0, 1.5)),
+            # the float 0.5 was once read as "no vertex": J = () silently
+            lambda m: WeylGroup(m).cell_counts((0.5,), 2),
+            lambda m: WeylGroup(m).closure_cells(WeylGroup(m).identity(), (1.5,)),
+        ],
+        ids=["vertex_subset", "build_adm", "flag_presentation", "cell_counts", "closure_cells"],
+    )
+    def test_not_an_integer(self, call):
+        with pytest.raises(ValueError, match=r"^vertex (1\.5|0\.5) is not an integer$"):
+            call(from_named("A3"))

@@ -72,3 +72,20 @@ def test_closure_cells_by_definition(case, letters):
     assert sorted(group.closure_cells(w, J), key=lambda x: x.heights) == sorted(
         expected, key=lambda x: x.heights
     )
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(gcms(), st.lists(st.integers(0, 5), max_size=8))
+def test_inverse_and_word_by_strip(m, letters):
+    """One strip gives w^{-1} and its lexicographically least word, two give
+    w's; indefinite matrices, with unbounded heights, included."""
+    group, oracle = WeylGroup(m), MatrixWeylGroup(m)
+    word = [i % m.n for i in letters]
+    w, matrix = group.from_word(word), oracle.from_word(word)
+    inverse = w.inverse()
+    assert inverse == group.from_word(reversed(w.reduced_word()))
+    assert (w * inverse).is_identity()
+    assert (inverse * w).is_identity()
+    assert w.reduced_word() == oracle.reduced_word(matrix)
+    assert inverse.reduced_word() == oracle.reduced_word(oracle.inverse(matrix))
+    assert inverse.length == w.length == oracle.length(matrix)
