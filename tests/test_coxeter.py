@@ -136,42 +136,43 @@ class TestReadingKernel:
     work is pinned by counts, not by a time."""
 
     @staticmethod
-    def _count_calls(monkeypatch, group_cls, name):
+    def _count_calls(monkeypatch, name):
         calls = []
-        method = getattr(group_cls, name)
+        method = getattr(WeylGroup, name)
 
         def counted(self, *args):
             calls.append(args)
             return method(self, *args)
 
-        monkeypatch.setattr(group_cls, name, counted)
+        monkeypatch.setattr(WeylGroup, name, counted)
         return calls
 
     def test_reduced_word_is_two_strips(self, monkeypatch):
         group = WeylGroup(from_named("E8"))
         w = group.from_word((0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6))
-        steps = self._count_calls(monkeypatch, WeylGroup, "_step")
-        strips = self._count_calls(monkeypatch, WeylGroup, "_strip")
+        steps = self._count_calls(monkeypatch, "_step")
+        strips = self._count_calls(monkeypatch, "_strip")
         assert len(w.reduced_word()) == 14
         assert (len(steps), len(strips)) == (0, 2)
 
     def test_inverse_is_one_strip(self, monkeypatch, a3):
         w = a3.from_word((0, 1, 2, 0))
-        steps = self._count_calls(monkeypatch, WeylGroup, "_step")
-        strips = self._count_calls(monkeypatch, WeylGroup, "_strip")
+        steps = self._count_calls(monkeypatch, "_step")
+        strips = self._count_calls(monkeypatch, "_strip")
         inverse = w.inverse()
         assert (len(steps), len(strips)) == (0, 1)
-        # the strip's letters are the inverse's lexicographically least word
+        # the strip's letters are the inverse's lexicographically least
+        # word, kept on it, so reading that word strips nothing more
         assert inverse.reduced_word() == (0, 2, 1, 0)
         assert len(strips) == 1
         assert inverse == a3.from_word((2, 0, 1, 0))
-        assert a3.from_word((2, 0, 1, 0)).reduced_word() == (0, 2, 1, 0)
 
     def test_closure_cells_carry_their_lengths(self):
         group = WeylGroup(from_named("D5"))
         w = group.from_word((0, 1, 2, 3, 4, 2, 1, 0))
         cells = group.closure_cells(w, (3,))
         assert cells
+        # each length comes with the interval, and it is the stripped one
         for x in cells:
             assert x._length == len(group._strip(x.heights)[0])
 
@@ -256,7 +257,6 @@ class TestWordLetters:
 
     @pytest.mark.parametrize("letter", [0.0, 1.5, "1"])
     def test_not_an_integer(self, a2, letter):
-        # 0.0 used to reach a tuple index and raise a bare TypeError
         for call in (a2.from_word, a2.is_reduced, a2.root_sequence):
             with pytest.raises(ValueError, match="^word letter .* is not an integer$"):
                 call((letter, 1))
@@ -266,7 +266,6 @@ class TestIntegerBounds:
     """A length bound or a cap that is not an integer is a ValueError."""
 
     def test_length_bound(self, a3):
-        # 2.5 used to reach range() and raise a bare TypeError
         with pytest.raises(ValueError, match=r"^length bound 2\.5 is not an integer$"):
             a3.cell_counts((), 2.5)
         with pytest.raises(ValueError, match=r"^length bound 2\.5 is not an integer$"):

@@ -926,7 +926,7 @@ class TestVertexSubset:
             lambda m: vertex_subset((1.5,), 3),
             lambda m: build_adm(m, (1.5,)),
             lambda m: flag_presentation(m, (0, 1.5)),
-            # the float 0.5 was once read as "no vertex": J = () silently
+            # a float in J must not be read as "no vertex", J = ()
             lambda m: WeylGroup(m).cell_counts((0.5,), 2),
             lambda m: WeylGroup(m).closure_cells(WeylGroup(m).identity(), (1.5,)),
         ],
