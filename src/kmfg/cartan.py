@@ -6,6 +6,10 @@ affine extension), entry parities, and the hypothesis predicates
 (irreducible, symmetrizable, two-spherical, spherical) that gate the
 fundamental-group formulas.
 
+The plain format is read in one pass: each line is cut at ``#`` and split
+into words by ``str.split()``, and the words are converted by ``int``.  A
+word's line and 1-based column are found only for the word that an error
+names, by finding the words of its line in turn.
 Construction validates all n^2 entries of its input.  The analyses (the
 predicates here, the parity graph in ``adm``, the Weyl group in
 ``coxeter``) read the diagram only through ``neighbours``, the nonzero
@@ -21,8 +25,8 @@ import json
 import operator
 import re
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import InputError, InvariantViolationError, MatrixFormatError, UnknownNameError
 
@@ -130,7 +134,7 @@ class GeneralizedCartanMatrix:
             irreducible=is_irreducible(self),
             symmetrizable=d is not None,
             two_spherical=is_two_spherical(self),
-            spherical=d is not None and _positive_definite(self, d),
+            spherical=d is not None and _positive_definite(self),
         )
 
     @cached_property
@@ -149,11 +153,14 @@ class GeneralizedCartanMatrix:
 def _checked_int(value, what: str) -> int:
     """``value`` as an int, the one check of a vertex, a word letter, a
     length bound or a cap.  It goes through ``operator.index``, so 1.5 or
-    "1" is refused with a ValueError naming ``what`` rather than truncated."""
+    "1" is refused with a ValueError naming ``what`` rather than truncated;
+    so is a bool, as in JSON matrix input."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
+        pass
+    raise ValueError(f"{what} {value!r} is not an integer")
 
 
 def vertex_subset(J, n: int) -> tuple[int, ...]:
@@ -177,42 +184,51 @@ class HypothesisReport:
         return asdict(self)
 
 
-def _tokenize(text):
-    """Whitespace tokens with (line, column) positions; ``#`` starts a comment."""
-    tokens = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for match in re.finditer(r"\S+", body):
-            tokens.append((match.group(), lineno, match.start() + 1))
-    return tokens
-
-
 def _parse_plain(text: str) -> GeneralizedCartanMatrix:
-    tokens = _tokenize(text)
-    if not tokens:
+    lines = []  # (line number, body, words) of each line that has words
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.partition("#")[0]
+        words = body.split()
+        if words:
+            lines.append((lineno, body, words))
+    words = [word for _, _, line_words in lines for word in line_words]
+    if not words:
         raise MatrixFormatError("empty input")
 
-    def take_int(pos, what):
-        if pos >= len(tokens):
-            raise MatrixFormatError(f"unexpected end of input, expected {what}")
-        word, line, col = tokens[pos]
-        try:
-            return int(word)
-        except ValueError:
-            raise MatrixFormatError(
-                f"expected {what}, got {word!r}", line, col
-            ) from None
+    def at(index):
+        """The (line, column) of word ``index``, found only for an error:
+        a word starts at its first occurrence after the word before it."""
+        for lineno, body, line_words in lines:
+            if index < len(line_words):
+                start = end = 0
+                for word in line_words[: index + 1]:
+                    start = body.index(word, end)
+                    end = start + len(word)
+                return lineno, start + 1
+            index -= len(line_words)
 
-    n = take_int(0, "the rank")
+    try:
+        n = int(words[0])
+    except ValueError:
+        raise MatrixFormatError(f"expected the rank, got {words[0]!r}", *at(0)) from None
     if n <= 0:
-        word, line, col = tokens[0]
-        raise MatrixFormatError(f"rank must be positive, got {n}", line, col)
-    values = [take_int(1 + k, "a matrix entry") for k in range(n * n)]
-    if len(tokens) > 1 + n * n:
-        word, line, col = tokens[1 + n * n]
-        raise MatrixFormatError(f"trailing token {word!r}", line, col)
-    rows = tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
-    return GeneralizedCartanMatrix(rows)
+        raise MatrixFormatError(f"rank must be positive, got {n}", *at(0))
+    size = n * n
+    try:
+        values = list(map(int, words[1 : 1 + size]))
+    except ValueError:
+        for k, word in enumerate(words[1 : 1 + size], start=1):
+            try:
+                int(word)
+            except ValueError:
+                raise MatrixFormatError(
+                    f"expected a matrix entry, got {word!r}", *at(k)
+                ) from None
+    if len(values) < size:
+        raise MatrixFormatError("unexpected end of input, expected a matrix entry")
+    if len(words) > 1 + size:
+        raise MatrixFormatError(f"trailing token {words[1 + size]!r}", *at(1 + size))
+    return GeneralizedCartanMatrix(tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def _parse_json(text: str) -> GeneralizedCartanMatrix:
@@ -388,24 +404,37 @@ def is_two_spherical(m: GeneralizedCartanMatrix) -> bool:
 
 
 def symmetrizer(m: GeneralizedCartanMatrix):
-    """Positive rationals d with diag(d)*A symmetric, or None.
+    """The least positive integers d with d_i * a[i][j] = d_j * a[j][i], gcd 1
+    on each diagram component, or None when there are none.
 
     The ratios d_j/d_i = a[i][j]/a[j][i] are propagated along a spanning
-    tree of each diagram component; every non-tree edge is then checked
-    for consistency.  Exact rational arithmetic throughout.
+    tree of each component.  The d found so far are a component's least
+    solution on the vertices reached; when the next ratio is not integral,
+    that part is scaled by the least factor that makes it so, which keeps it
+    least.  Every non-tree edge is then checked by cross-multiplication.  A
+    symmetrizer exists exactly when every cycle's products agree (Kac,
+    *Infinite Dimensional Lie Algebras*, Ex. 2.1).
     """
     a = m.entries
-    d = [None] * m.n
+    d = [0] * m.n
     for root in range(m.n):
-        if d[root] is not None:
+        if d[root]:
             continue
-        d[root] = Fraction(1)
+        d[root] = 1
+        component = [root]
         stack = [root]
         while stack:
             i = stack.pop()
             for j, v in m.neighbours[i]:
-                if d[j] is None:
-                    d[j] = d[i] * Fraction(v, a[j][i])
+                if not d[j]:
+                    num, den = -d[i] * v, -a[j][i]
+                    if num % den:
+                        scale = den // gcd(num, den)
+                        for k in component:
+                            d[k] *= scale
+                        num *= scale
+                    d[j] = num // den
+                    component.append(j)
                     stack.append(j)
                 elif d[i] * v != d[j] * a[j][i]:
                     return None
@@ -422,26 +451,39 @@ def is_spherical(m: GeneralizedCartanMatrix) -> bool:
     return hypothesis_report(m).spherical
 
 
-def _positive_definite(m: GeneralizedCartanMatrix, d) -> bool:
-    """Whether diag(d) * A is positive definite, by rational LDL^T pivots.
+def _positive_definite(m: GeneralizedCartanMatrix) -> bool:
+    """Whether diag(d) * A is positive definite, for the symmetrizer d, by
+    LDL^T pivots in integers.
 
-    The matrix is symmetric, so each row is kept as its nonzero entries and
-    a pivot updates only the rows and columns of its row's nonzero tail."""
-    s = [{i: 2 * d[i], **{j: d[i] * v for j, v in row}} for i, row in enumerate(m.neighbours)]
-    for k, row in enumerate(s):
-        pivot = row.get(k, 0)
+    Each row is kept as its nonzero entries and stands for a positive
+    multiple of that row of the symmetric Schur complement, so a pivot's
+    sign is the sign of an integer.  Row i of A is 1/d_i times row i of
+    diag(d) * A, so the rows of A are the start.  Pivot row k, with pivot
+    p > 0, turns each row i with entry f in column k into p * r_i - f * r_k,
+    the fraction-free step (Bareiss, Math. Comp. 22, 1968), which is a
+    positive multiple again, and divides it by the gcd of its entries.  A
+    pivot touches only the rows of its row's nonzero tail, so a path or a
+    tree in order costs time linear in its edges."""
+    rows = [{i: 2, **dict(row)} for i, row in enumerate(m.neighbours)]
+    for k, row in enumerate(rows):
+        pivot = row.pop(k, 0)
         if pivot <= 0:
             return False
-        tail = [(j, v) for j, v in row.items() if j > k]
-        for i, v in tail:
-            factor = v / pivot
-            target = s[i]
-            for j, w in tail:
-                x = target.get(j, 0) - factor * w
+        # entries left of k were eliminated: the tail is the rest of the row
+        for i in row:
+            target = rows[i]
+            factor = target.pop(k)
+            target = {j: pivot * x for j, x in target.items()}
+            for j, v in row.items():
+                x = target.get(j, 0) - factor * v
                 if x:
                     target[j] = x
                 else:
                     target.pop(j, None)
+            g = gcd(*target.values())
+            if g > 1:
+                target = {j: x // g for j, x in target.items()}
+            rows[i] = target
     return True
 
 

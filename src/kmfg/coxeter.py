@@ -21,7 +21,9 @@ place twice, once on w's heights and once on a copy of the identity's, and
 returns the letters with the heights of w^{-1}: an inverse costs one strip.
 The least right descent of w is the least left descent of w^{-1}, so the
 letters are also w^{-1}'s lexicographically least reduced word, and w's
-own is the strip of w^{-1}: two strips in all.
+own is the strip of w^{-1}: two strips in all.  A product w * x and the
+action of w need only some reduced word, and the letters of one strip,
+reversed, are one; the canonical word is read only when it is kept.
 All arithmetic is exact Python integers; coordinates grow without bound in
 indefinite type and must never wrap.
 """
@@ -258,9 +260,19 @@ class WeylElement:
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         self._require_same_group(other)
-        heights, change = self.group._step(self.heights, other.reduced_word())
+        heights, change = self.group._step(self.heights, other._some_reduced_word())
         length = None if self._length is None else self._length + change
         return WeylElement(self.group, heights, _length=length)
+
+    def _some_reduced_word(self) -> tuple[int, ...]:
+        """A reduced word of w: the kept canonical one, or else the letters
+        of one strip reversed, since w = s_{i_r} ... s_{i_1}.  The strip
+        also gives the length."""
+        if self._word is not None:
+            return self._word
+        letters, _ = self.group._strip(self.heights)
+        self._length = len(letters)
+        return letters[::-1]
 
     def is_identity(self) -> bool:
         return self.heights == self.group._one
@@ -270,18 +282,23 @@ class WeylElement:
             raise ValueError(
                 f"vector of length {len(vector)} under a rank-{self.group.n} group"
             )
+        return self._act(self._some_reduced_word(), vector)
+
+    def _act(self, word, vector) -> tuple[int, ...]:
         v = list(vector)
         neighbours = self.group.cartan.neighbours
         # the word's last letter acts first; sigma_i(v) = v - (sum_j a[i][j] v_j) e_i
-        for i in reversed(self.reduced_word()):
+        for i in reversed(word):
             v[i] = -v[i] - sum(a * v[j] for j, a in neighbours[i])
         return tuple(v)
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The action matrix, built on demand; column j is w alpha_j."""
+        """The action matrix, built on demand from one reduced word; column
+        j is w alpha_j."""
         group = self.group
-        return tuple(zip(*(self.act(group.simple_root(j)) for j in range(group.n))))
+        word = self._some_reduced_word()
+        return tuple(zip(*(self._act(word, group.simple_root(j)) for j in range(group.n))))
 
     def is_minimal_rep(self, parabolic) -> bool:
         """Whether w is the minimal-length element of its coset w W_J, for J

@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .adm import AdmGraph, build_adm
-from .cartan import GeneralizedCartanMatrix, vertex_subset
+from .cartan import GeneralizedCartanMatrix, _checked_int, vertex_subset
 from .coxeter import WeylGroup
 from .errors import InternalError
 
@@ -101,6 +101,14 @@ __all__ = [
 Word = tuple  # of (generator, exponent) pairs
 
 DEFAULT_MAX_COSETS = 100_000
+
+
+def _checked_cap(max_cosets) -> int:
+    """A coset cap: an integer by ``cartan._checked_int``, at least 1."""
+    max_cosets = _checked_int(max_cosets, "coset cap")
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
+    return max_cosets
 
 
 def free_reduce(word) -> Word:
@@ -457,8 +465,7 @@ def todd_coxeter(
     since on a consistent table r closes at a coset exactly when r^-1 does
     (r^-1 walks the same cycle backwards).
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
+    max_cosets = _checked_cap(max_cosets)
     count = presentation.generator_count
     subgroup_words = [_checked_word(word, count) for word in subgroup_words]
     if strategy == "hlt":
@@ -756,7 +763,7 @@ class FlagGroups:
 
     def __init__(self, m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS):
         self.m = m
-        self.max_cosets = max_cosets
+        self.max_cosets = _checked_cap(max_cosets)
         self._presentations = {}
         self._full = None  # G's result, set by the first order(())
 

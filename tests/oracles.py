@@ -4,7 +4,8 @@ Everything here is deliberately written against different machinery than
 the package under test: permutations in one-line notation for the type-A
 Coxeter checks, polynomial multiplication for Poincare series, exact
 rational elimination and determinant-divisor gcds for integer linear
-algebra, integer matrix products for the Weyl group, the diagram
+algebra, integer matrix products for the Weyl group, a regex tokenizer for
+the plain matrix format, rational ratios for the symmetrizer, the diagram
 predicates and the coloured parity graph read over all n^2 entries, and
 a direct brute-force reading of the admissible-colouring definition.
 """
@@ -12,10 +13,12 @@ a direct brute-force reading of the admissible-colouring definition.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 
 from kmfg import GeneralizedCartanMatrix, build_adm
+from kmfg.errors import MatrixFormatError
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +364,69 @@ X_TRIPLES = [(1, 2), (9, 12)]
 
 def diagram_x():
     return gcm_from_edges(16, X_SINGLES, X_DOUBLES, X_TRIPLES)
+
+
+# ---------------------------------------------------------------------------
+# The plain matrix format by a regex tokenizer, and the symmetrizer by
+# rational ratios
+
+
+def tokenize_plain(text):
+    """Whitespace tokens with (line, column) positions; ``#`` starts a comment."""
+    tokens = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        for match in re.finditer(r"\S+", body):
+            tokens.append((match.group(), lineno, match.start() + 1))
+    return tokens
+
+
+def parse_plain_reference(text):
+    """The rows of a plain-format matrix, or MatrixFormatError with the
+    message, line and column that the parser must give."""
+    tokens = tokenize_plain(text)
+    if not tokens:
+        raise MatrixFormatError("empty input")
+
+    def take_int(pos, what):
+        if pos >= len(tokens):
+            raise MatrixFormatError(f"unexpected end of input, expected {what}")
+        word, line, col = tokens[pos]
+        try:
+            return int(word)
+        except ValueError:
+            raise MatrixFormatError(f"expected {what}, got {word!r}", line, col) from None
+
+    n = take_int(0, "the rank")
+    if n <= 0:
+        word, line, col = tokens[0]
+        raise MatrixFormatError(f"rank must be positive, got {n}", line, col)
+    values = [take_int(1 + k, "a matrix entry") for k in range(n * n)]
+    if len(tokens) > 1 + n * n:
+        word, line, col = tokens[1 + n * n]
+        raise MatrixFormatError(f"trailing token {word!r}", line, col)
+    return tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
+
+
+def symmetrizer_rational(m):
+    """Positive rationals d with d_i a[i][j] = d_j a[j][i], d = 1 at the
+    least vertex of each component, or None: ratios propagated over all
+    n^2 entries, every edge checked."""
+    a = m.entries
+    d = [None] * m.n
+    for root in range(m.n):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in range(m.n):
+                if j != i and a[i][j] and d[j] is None:
+                    d[j] = d[i] * Fraction(a[i][j], a[j][i])
+                    stack.append(j)
+    ok = all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(m.n) for j in range(m.n))
+    return tuple(d) if ok else None
 
 
 # ---------------------------------------------------------------------------

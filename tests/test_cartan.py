@@ -12,9 +12,10 @@ from kmfg import (
     is_two_spherical,
     parse_matrix,
 )
+from kmfg.cartan import symmetrizer
 from kmfg.errors import InvariantViolationError, MatrixFormatError, UnknownNameError
 
-from oracles import exact_det, gcm_from_edges
+from oracles import direct_sum, exact_det, gcm_from_edges
 
 NAMED_FINITE = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
@@ -232,6 +233,17 @@ class TestSymmetrizable:
     @pytest.mark.parametrize("name", ALL_NAMED)
     def test_named_are_symmetrizable(self, name):
         assert is_symmetrizable(from_named(name))
+
+    @pytest.mark.parametrize(
+        "name, d",
+        [("B3", (2, 2, 1)), ("C3", (1, 1, 2)), ("G2", (3, 1)), ("F4", (1, 1, 2, 2))],
+    )
+    def test_least_positive_integers(self, name, d):
+        assert symmetrizer(from_named(name)) == d
+
+    def test_gcd_one_per_component(self):
+        # G2 + B2: each component is scaled on its own
+        assert symmetrizer(direct_sum(from_named("G2"), from_named("B2"))) == (3, 1, 2, 1)
 
 
 class TestTwoSpherical:

@@ -7,6 +7,7 @@ from kmfg.coxeter import is_negative_root_vector, is_positive_root_vector
 from kmfg.errors import InputError, ResourceLimitError
 
 from oracles import (
+    MatrixWeylGroup,
     all_permutations,
     all_reduced_words,
     bruhat_oracle,
@@ -166,6 +167,28 @@ class TestReadingKernel:
         assert inverse.reduced_word() == (0, 2, 1, 0)
         assert len(strips) == 1
         assert inverse == a3.from_word((2, 0, 1, 0))
+
+    def test_product_is_one_strip(self, monkeypatch):
+        # the reversed letters of one strip of a fresh y are a reduced word;
+        # reading y's canonical word would cost two strips
+        group = WeylGroup(from_named("E8"))
+        word = (0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5, 6)
+        x, y = group.from_word(word[:5]), group.from_word(word)
+        strips = self._count_calls(monkeypatch, "_strip")
+        product = x * y
+        assert len(strips) == 1
+        expected = group.from_word(word[:5] + word)
+        assert (product, product.length) == (expected, expected.length)
+        assert len(strips) == 1
+
+    def test_action_and_matrix_are_one_strip(self, monkeypatch, a3):
+        word = (0, 1, 2, 0, 1)
+        oracle = MatrixWeylGroup(a3.cartan).from_word(word)
+        strips = self._count_calls(monkeypatch, "_strip")
+        assert a3.from_word(word).act((1, -2, 3)) == MatrixWeylGroup.act(oracle, (1, -2, 3))
+        assert len(strips) == 1
+        assert a3.from_word(word).matrix == oracle
+        assert len(strips) == 2
 
     def test_closure_cells_carry_their_lengths(self):
         group = WeylGroup(from_named("D5"))

@@ -870,6 +870,24 @@ class TestFlagGroups:
         with pytest.raises(ValueError, match="max_cosets must be >= 1"):
             call(from_named(name))
 
+    @pytest.mark.parametrize("cap", [2.5, 20.5, True, "100"], ids=repr)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, cap: todd_coxeter(flag_presentation(m, ()), max_cosets=cap),
+            lambda m, cap: FlagGroups(m, cap).order(()),
+            lambda m, cap: verify(m, cap),
+            lambda m, cap: pi1_flag(m, (), cap),
+            lambda m, cap: full_report(m, cap),
+        ],
+        ids=["todd_coxeter", "FlagGroups", "verify", "pi1_flag", "full_report"],
+    )
+    def test_cap_is_an_integer(self, cap, call):
+        # a float cap is not truncated or compared as it stands, and True is
+        # not read as 1
+        with pytest.raises(ValueError, match=r"^coset cap .* is not an integer$"):
+            call(from_named("A3"), cap)
+
     @pytest.mark.parametrize("run", [verify, full_report])
     def test_full_flag_group_through_todd_coxeter(self, monkeypatch, run):
         # E10's full flag group is the one enumeration, and its result
@@ -919,6 +937,10 @@ class TestVertexSubset:
     def test_sorted_without_repeats(self):
         assert vertex_subset((2, 0, 2), 3) == (0, 2)
         assert vertex_subset((), 1) == ()
+
+    def test_bool_is_not_a_vertex(self):
+        with pytest.raises(ValueError, match=r"^vertex True is not an integer$"):
+            vertex_subset([True], 3)
 
     @pytest.mark.parametrize(
         "call",

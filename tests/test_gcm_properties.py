@@ -1,13 +1,16 @@
 """Property tests of the analysis over random generalized Cartan matrices:
-invariance under relabelling the vertices, the neighbour list, the
-predicates and the coloured parity graph at every parabolic J against
-their dense definitions, each parity component alone in its colour at its
-complement, the spherical predicate against Sylvester's criterion, the
-colouring rule for pi1(G/P_J) at every parabolic J, and its closed form
-on connected simply-laced diagrams."""
+the plain-format parser against a regex tokenizer, invariance under
+relabelling the vertices, the neighbour list, the predicates and the
+coloured parity graph at every parabolic J against their dense
+definitions, the least integer symmetrizer against rational ratios, each
+parity component alone in its colour at its complement, the spherical
+predicate against Sylvester's criterion, the colouring rule for
+pi1(G/P_J) at every parabolic J, and its closed form on connected
+simply-laced diagrams."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,12 +21,13 @@ from kmfg import (
     build_adm,
     flag_presentation,
     hypothesis_report,
+    parse_matrix,
     pi1_flag,
     pi1_group,
     todd_coxeter,
 )
 from kmfg.cartan import symmetrizer
-from kmfg.errors import HypothesisError
+from kmfg.errors import HypothesisError, InvariantViolationError, MatrixFormatError
 
 from oracles import (
     coloured_components_dense,
@@ -31,6 +35,8 @@ from oracles import (
     exact_det,
     minors_gcd_invariant_factors,
     parity_edges_dense,
+    parse_plain_reference,
+    symmetrizer_rational,
     two_spherical_dense,
 )
 
@@ -50,6 +56,61 @@ def gcms(draw):
                 a[i][j] = draw(st.integers(-4, -1))
                 a[j][i] = draw(st.integers(-4, -1))
     return GeneralizedCartanMatrix(tuple(tuple(row) for row in a))
+
+
+# Whitespace that str.split() and the regex \s both know, line breaks that
+# splitlines() knows, and comments that hold numbers and junk.
+SEPARATORS = (
+    " ", "  ", "\t", "\n", "\n\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85",
+    "\xa0", "\u2028", "\u3000", " # a comment, 1 2\n", "#x 7\n", "\n  # 3 -1\t\n",
+)
+# words int() refuses, and Arabic-Indic digits, which it reads
+ODD_WORDS = ("x", "1.5", "--1", "2-", "0x3", "1e2", "+", "\u0661\u0662")
+
+
+@st.composite
+def plain_texts(draw):
+    """The plain format of a random GCM, laid out with random whitespace
+    and comments, or a mutant of it: a junk token, a missing or trailing
+    token, a rank <= 0, an empty input, or an entry that breaks a GCM
+    invariant."""
+    m = draw(gcms())
+    words = [str(m.n)] + [str(v) for row in m.entries for v in row]
+    mutation = draw(st.sampled_from(("none", "junk", "drop", "trailing", "rank", "empty", "entry")))
+    if mutation == "junk":
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(ODD_WORDS))
+    elif mutation == "drop":
+        del words[draw(st.integers(0, len(words) - 1))]
+    elif mutation == "trailing":
+        words += draw(st.lists(st.sampled_from(("7", "-1", "x")), min_size=1, max_size=2))
+    elif mutation == "rank":
+        words[0] = str(draw(st.integers(-3, 0)))
+    elif mutation == "empty":
+        words = []
+    elif mutation == "entry":
+        words[draw(st.integers(1, len(words) - 1))] = str(draw(st.integers(-3, 3)))
+    text = draw(st.sampled_from(("", "\n", "# header\n", " \t")))
+    for word in words:
+        text += word + draw(st.sampled_from(SEPARATORS))
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except MatrixFormatError as exc:
+        return ("format", str(exc), exc.line, exc.column)
+    except InvariantViolationError as exc:
+        return ("invariant", str(exc), exc.invariant, exc.entry)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(plain_texts())
+def test_parse_plain_is_the_tokenizer_reference(text):
+    """The same matrix, or the same error with the same line and column."""
+    assert _outcome(lambda t: parse_matrix(t).entries, text) == _outcome(
+        lambda t: GeneralizedCartanMatrix(parse_plain_reference(t)).entries, text
+    )
 
 
 @st.composite
@@ -100,6 +161,43 @@ def test_sparse_reading_is_the_dense_definition(m):
             graph = build_adm(m, J)
             assert graph.edges == parity_edges_dense(m, J)
             assert (graph.components, graph.colours) == coloured_components_dense(m, J)
+
+
+def _components_dense(m):
+    """The vertex sets of the diagram's components, over all n^2 entries."""
+    a = m.entries
+    components, seen = [], set()
+    for root in range(m.n):
+        if root in seen:
+            continue
+        component, stack = [], [root]
+        seen.add(root)
+        while stack:
+            i = stack.pop()
+            component.append(i)
+            for j in range(m.n):
+                if a[i][j] and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        components.append(component)
+    return components
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(gcms())
+def test_symmetrizer_is_least_in_integers(m):
+    """Positive ints, gcd 1 on each component and proportional there to the
+    rational ratios; None exactly when the ratios are inconsistent."""
+    d = symmetrizer(m)
+    rational = symmetrizer_rational(m)
+    assert (d is None) == (rational is None)
+    if d is None:
+        return
+    assert all(type(x) is int and x > 0 for x in d)
+    for component in _components_dense(m):
+        assert math.gcd(*(d[i] for i in component)) == 1
+        scale = Fraction(d[component[0]]) / rational[component[0]]
+        assert all(d[i] == scale * rational[i] for i in component)
 
 
 @hypothesis.settings(max_examples=80, deadline=None)

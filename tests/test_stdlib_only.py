@@ -1,14 +1,17 @@
 """kmfg depends on nothing outside the standard library: every absolute
 import in ``src/kmfg`` names a top-level module of the standard library,
-and relative imports are kmfg's own."""
+and relative imports are kmfg's own.  Its arithmetic is in integers, so
+importing it loads neither ``fractions`` nor ``decimal``."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "kmfg").glob("*.py"))
+SRC = pathlib.Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "kmfg").glob("*.py"))
 
 
 def _absolute_imports(path):
@@ -32,3 +35,21 @@ def test_imports_are_stdlib(path):
         if module.split(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+def test_import_loads_no_rational_arithmetic():
+    # a fresh interpreter, since the test suite itself imports fractions
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kmfg, kmfg.cli\n"
+        "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -1,5 +1,6 @@
 """Property test: on random generalized Cartan matrices the heights-vector
-Weyl engine and the integer-matrix oracle agree element by element."""
+Weyl engine and the integer-matrix oracle agree element by element, and
+on products and the action of fresh elements."""
 
 import pytest
 
@@ -89,3 +90,23 @@ def test_inverse_and_word_by_strip(m, letters):
     assert w.reduced_word() == oracle.reduced_word(matrix)
     assert inverse.reduced_word() == oracle.reduced_word(oracle.inverse(matrix))
     assert inverse.length == w.length == oracle.length(matrix)
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    gcms(),
+    st.lists(st.integers(0, 5), max_size=8),
+    st.lists(st.integers(0, 5), max_size=8),
+    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
+)
+def test_products_and_action_of_fresh_elements(m, left, right, vector):
+    """Each factor is read off one strip, reversed; the product, its length,
+    the action and the matrix are the oracle's."""
+    group, oracle = WeylGroup(m), MatrixWeylGroup(m)
+    u, v = [i % m.n for i in left], [i % m.n for i in right]
+    x, y = group.from_word(u), group.from_word(v)
+    product = x * y
+    matrix = oracle.mul(oracle.from_word(u), oracle.from_word(v))
+    assert product.matrix == matrix
+    assert product.length == oracle.length(matrix)
+    assert group.from_word(v).act(vector[: m.n]) == oracle.act(oracle.from_word(v), vector[: m.n])
