@@ -150,17 +150,25 @@ class GeneralizedCartanMatrix:
         return _two_skeleton_pairs(self)
 
 
+def _index(value) -> int:
+    """``value`` as an int, the library's one integer rule: it goes through
+    ``operator.index``, so 1.5 or "1" is refused with a TypeError rather
+    than truncated; so is a bool, as in JSON matrix input."""
+    if value.__class__ is bool:
+        raise TypeError("a bool is not an integer here")
+    return operator.index(value)
+
+
 def _checked_int(value, what: str) -> int:
-    """``value`` as an int, the one check of a vertex, a word letter, a
-    length bound or a cap.  It goes through ``operator.index``, so 1.5 or
-    "1" is refused with a ValueError naming ``what`` rather than truncated;
-    so is a bool, as in JSON matrix input."""
+    """``value`` as an int by ``_index``, the one check of a vertex, a word
+    letter, a length bound or a cap; a ValueError names ``what``.  An exact
+    int is returned as it is, with no call."""
+    if value.__class__ is int:
+        return value
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        return _index(value)
     except TypeError:
-        pass
-    raise ValueError(f"{what} {value!r} is not an integer")
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 def vertex_subset(J, n: int) -> tuple[int, ...]:

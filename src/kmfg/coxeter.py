@@ -15,6 +15,14 @@ c_j -> c_j - a[i][j] * c_i over the pairs (j, a[i][j]) that the matrix's
 elsewhere the same moves walk the cells of G/P_J.  The action on vectors
 and its matrix are built on demand from a reduced word.
 
+A walk fires only coordinates > 0, one length layer at a time, and builds
+each position once.  A position one firing up has one least negative
+coordinate i, and firing i is its one parent; so firing i at c is kept
+only when no k < i is negative after it, which is read off c and row i
+of the matrix before anything is built.  A layer is then a plain list,
+and a histogram counts its last layer's kept firings without building
+them.
+
 A strip that ends at the identity, w * s_{i_1} * ... * s_{i_r} = e, also
 spells w^{-1} = s_{i_1} ... s_{i_r}.  So ``_strip`` fires each letter in
 place twice, once on w's heights and once on a copy of the identity's, and
@@ -37,10 +45,13 @@ __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_r
 
 # Positions a walk visits, or elements of a closure's interval: each costs at
 # most about 300 bytes, so the cap bounds a run at about 300 MB of memory.
-# Measured with tracemalloc on CPython 3.11: 188 B per element that
-# elements_up_to holds (E8 to length 9); a closure's interval, which keeps
-# heights and a length per point, 115 to 205 B per point on E8 and E10, and
-# 235 to 260 B with J = (), where every point is also returned as a cell.
+# Measured with tracemalloc on CPython 3.11: 184 B per element at the peak
+# of elements_up_to (E8 to length 9); a histogram holds one built layer
+# while it builds the next and builds no last layer, 117 to 132 B per
+# position of its two widest built layers (E8 to 9, E10 to 12, A6~ to 14);
+# a closure's interval, which keeps heights and a length per point, 115 to
+# 205 B per point on E8 and E10, and 235 to 260 B with J = (), where every
+# point is also returned as a cell.
 DEFAULT_ELEMENT_CAP = 1_000_000
 
 
@@ -145,46 +156,65 @@ class WeylGroup:
         word = self._letters(word)
         return self._step(self._one, word)[1] == len(word)
 
-    def _walk(self, start, length: int, cap: int):
-        """Yield the layers of the numbers game from ``start``, firing only
-        coordinates > 0, up to ``length`` firings.  No position is reached by
-        two numbers of firings (Bjorner & Brenti, ch. 4), so each layer is
-        deduplicated alone.  Raises ResourceLimitError past ``cap`` visits."""
+    def _walk(self, start, length: int, cap: int, count_last: bool = False):
+        """Yield ``(size, layer)`` for each layer of the numbers game from
+        ``start``, firing only coordinates > 0, up to ``length`` firings.
+
+        Each position is reached once, so no layer is deduplicated.  A
+        position y one firing up has a least negative coordinate i, and
+        firing i again is y's one parent (Bjorner & Brenti, ch. 4): so
+        firing i at c is kept only when every k < i with c[k] < 0 is lifted
+        to c[k] - a[i][k] * c[i] >= 0, a test on c before anything is built
+        (reverse search; Avis & Fukuda, Discrete Appl. Math. 65, 1996).
+        With ``count_last`` the last layer's kept firings are counted and
+        not built, and its layer is None.  ``visited`` counts every kept
+        firing, so ResourceLimitError comes past ``cap`` positions at the
+        level where the total first exceeds it, built or counted."""
         if length < 0:
             raise ValueError("length bound must be >= 0")
-        neighbours = self.cartan.neighbours
-        layer = (start,)
+        neighbours, rows = self.cartan.neighbours, self.cartan.entries
+        layer = [start]
         visited = 1
-        yield layer
+        yield 1, layer
         for level in range(1, length + 1):
-            grown_layer = {}  # a dict keeps the discovery order
+            build = not (count_last and level == length)
+            grown_layer = []
+            before = visited
             for c in layer:
+                descents = []  # the k < i with c[k] < 0
                 for i, ci in enumerate(c):
-                    if ci <= 0:
+                    if ci < 0:
+                        descents.append(i)
                         continue
-                    grown = list(c)
-                    grown[i] = -ci
-                    for j, a in neighbours[i]:
-                        grown[j] -= a * ci
-                    grown = tuple(grown)
-                    if grown not in grown_layer:
+                    if not ci:
+                        continue
+                    row = rows[i]
+                    for k in descents:
+                        if c[k] < row[k] * ci:
+                            break
+                    else:
                         if visited >= cap:
                             raise ResourceLimitError(
                                 f"element cap {cap} exceeded at length {level}", cap
                             )
                         visited += 1
-                        grown_layer[grown] = None
-            if not grown_layer:
+                        if build:
+                            grown = list(c)
+                            grown[i] = -ci
+                            for j, a in neighbours[i]:
+                                grown[j] -= a * ci
+                            grown_layer.append(tuple(grown))
+            if visited == before:
                 return
-            layer = grown_layer
-            yield layer
+            layer = grown_layer if build else None
+            yield visited - before, layer
 
     def elements_up_to(self, length: int, cap: int = DEFAULT_ELEMENT_CAP):
         """All elements of length <= ``length``, breadth-first by length."""
         length, cap = _checked_int(length, "length bound"), _checked_int(cap, "element cap")
         return [
             WeylElement(self, c, _length=level)
-            for level, layer in enumerate(self._walk(self._one, length, cap))
+            for level, (_, layer) in enumerate(self._walk(self._one, length, cap))
             for c in layer
         ]
 
@@ -194,7 +224,8 @@ class WeylGroup:
         J = vertex_subset(parabolic, self.n)
         length, cap = _checked_int(length, "length bound"), _checked_int(cap, "element cap")
         start = tuple(0 if i in J else 1 for i in range(self.n))
-        return {level: len(layer) for level, layer in enumerate(self._walk(start, length, cap))}
+        walk = self._walk(start, length, cap, count_last=True)
+        return {level: size for level, (size, _) in enumerate(walk)}
 
     def closure_cells(self, w: "WeylElement", parabolic, cap: int = DEFAULT_ELEMENT_CAP):
         """The minimal representatives below ``w`` in the strong order, which

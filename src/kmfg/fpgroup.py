@@ -2,8 +2,9 @@
 
 Words are tuples of (generator index, exponent) pairs with exponents +1 or
 -1, freely reduced.  Relators and subgroup words pass one check
-(``_checked_word``): each entry must be an integer by ``operator.index``,
-so 1.5 or "1" is a ValueError, never truncated or converted.
+(``_checked_word``): each entry must be an integer by the library's one
+rule, ``cartan._index``, so 1.5, "1" or True is a ValueError, never
+truncated or converted.
 Abelianization goes through an exact integer Smith normal form:
 diagonalize, then normalize the diagonal with C_a x C_b =
 C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.  A
@@ -71,13 +72,12 @@ for G first, so each makes one enumeration per diagram;
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .adm import AdmGraph, build_adm
-from .cartan import GeneralizedCartanMatrix, _checked_int, vertex_subset
+from .cartan import GeneralizedCartanMatrix, _checked_int, _index, vertex_subset
 from .coxeter import WeylGroup
 from .errors import InternalError
 
@@ -123,12 +123,18 @@ def free_reduce(word) -> Word:
 
 def _checked_word(word, count) -> Word:
     """``word`` as a tuple of (generator, exponent) pairs of ints, the one
-    check of a relator or subgroup word.  Entries go through
-    ``operator.index``, so 1.5 or "1" is refused rather than truncated; a
-    generator outside range(count) or an exponent other than +1 or -1 is
-    refused too, each with a ValueError."""
+    check of a relator or subgroup word.  An entry that is not an exact int
+    goes through ``cartan._index``, so 1.5, "1" or True is refused rather
+    than converted; a generator outside range(count) or an exponent other
+    than +1 or -1 is refused too, each with a ValueError."""
+    checked = []
     try:
-        checked = tuple((operator.index(gen), operator.index(exp)) for gen, exp in word)
+        for gen, exp in word:
+            if gen.__class__ is not int:
+                gen = _index(gen)
+            if exp.__class__ is not int:
+                exp = _index(exp)
+            checked.append((gen, exp))
     except TypeError:
         raise ValueError(f"word {word!r} is not a sequence of integer pairs") from None
     for gen, exp in checked:
@@ -136,7 +142,7 @@ def _checked_word(word, count) -> Word:
             raise ValueError(f"generator index {gen} out of range")
         if exp not in (1, -1):
             raise ValueError(f"exponent must be +1 or -1, got {exp}")
-    return checked
+    return tuple(checked)
 
 
 @dataclass(frozen=True)

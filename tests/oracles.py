@@ -186,22 +186,28 @@ class MatrixWeylGroup:
         return out
 
     def elements_up_to(self, length):
-        """(matrix, length) pairs breadth-first, each layer in the order
-        its elements are first reached from the previous one."""
-        seen = {self.one}
+        """(matrix, length) pairs breadth-first.  An element of length
+        l + 1 is listed once, as matrix * s_i for the matrix of length l
+        that gives it its least right descent i: each layer lists, for each
+        element of the previous layer in turn and each i in increasing
+        order, the products matrix * s_i whose least right descent is i.
+        Every product one letter up is also collected, and the layer is
+        asserted to hold each of them exactly once."""
         out = [(self.one, 0)]
         layer = [self.one]
         for level in range(1, length + 1):
+            reached = set()
             next_layer = []
             for matrix in layer:
                 for i in range(self.n):
                     if self.descends(matrix, i):
                         continue
                     grown = _mat_mul(matrix, self.gens[i])
-                    if grown not in seen:
-                        seen.add(grown)
+                    reached.add(grown)
+                    if self._first_descent(grown) == i:
                         next_layer.append(grown)
-                        out.append((grown, level))
+            assert sorted(next_layer) == sorted(reached), level
+            out.extend((matrix, level) for matrix in next_layer)
             layer = next_layer
         return out
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from kmfg import WeylGroup, from_named
+from kmfg import WeylGroup, coxeter, from_named
 from kmfg.coxeter import is_negative_root_vector, is_positive_root_vector
 from kmfg.errors import InputError, ResourceLimitError
 
@@ -385,6 +385,51 @@ class TestEnumeration:
             group.elements_up_to(6, cap=2507)
         with pytest.raises(ResourceLimitError, match=r"^element cap 2507 exceeded at length 6$"):
             group.cell_counts((), 6, cap=2507)
+
+    def test_each_position_built_once(self, monkeypatch):
+        # the walk builds a position only for a firing it keeps, and
+        # cell_counts builds none on its last level: W(E8) has 2,507
+        # non-identity elements of length <= 6, where building one position
+        # per ascent of each element would build 6,336
+        built = []
+
+        def counting_tuple(iterable=()):
+            built.append(None)
+            return tuple(iterable)
+
+        group = WeylGroup(from_named("E8"))
+        monkeypatch.setattr(coxeter, "tuple", counting_tuple, raising=False)
+        elements = group.elements_up_to(6)
+        assert (len(elements), len(built)) == (2508, 2507)
+        built.clear()
+        histogram = group.cell_counts((), 6)
+        # the start and the positions of lengths 1 to 5
+        assert len(built) == sum(histogram[level] for level in range(6))
+
+
+class TestCellCountCap:
+    """The cap counts every position, the counted last level's included, so
+    it raises at the level where the total first exceeds it.  A6~ with
+    J = {3} has 4,159 cells to length 8, 2,268 of them to length 7."""
+
+    @pytest.fixture(scope="class")
+    def a6_affine(self):
+        return WeylGroup(from_named("A6~"))
+
+    def test_cap_equal_to_the_total(self, a6_affine):
+        assert a6_affine.cell_counts((3,), 8, cap=4159) == {
+            0: 1, 1: 6, 2: 22, 3: 62, 4: 148, 5: 314, 6: 610, 7: 1105, 8: 1891
+        }
+
+    @pytest.mark.parametrize("cap,level", [(4158, 8), (2268, 8), (2267, 7), (1, 1), (0, 1)])
+    def test_cap_exceeded(self, a6_affine, cap, level):
+        message = rf"^element cap {cap} exceeded at length {level}$"
+        with pytest.raises(ResourceLimitError, match=message):
+            a6_affine.cell_counts((3,), 8, cap=cap)
+
+    @pytest.mark.parametrize("cap", [0, 1, 4159])
+    def test_length_zero(self, a6_affine, cap):
+        assert a6_affine.cell_counts((3,), 0, cap=cap) == {0: 1}
 
 
 def minimal_reps(group, J, length):

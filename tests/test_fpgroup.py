@@ -75,10 +75,13 @@ class TestPresentation:
         with pytest.raises(ValueError):
             FpPresentation(("x",), (((0, 2),),))
 
-    @pytest.mark.parametrize("pair", [(0, 1.5), (0.5, 1), (0.0, 1), ("0", 1), (0, "1")])
+    @pytest.mark.parametrize(
+        "pair", [(0, 1.5), (0.5, 1), (0.0, 1), ("0", 1), (0, "1"), (0, True), (False, 1)]
+    )
     def test_rejects_non_integer_entries(self, pair):
-        # entries go through operator.index: 1.5 is refused, not truncated
-        # to 1, and the string "1" is refused, not converted
+        # entries follow the library's one integer rule: 1.5 is refused, not
+        # truncated to 1, the string "1" is refused, not converted, and a
+        # bool is refused as a vertex or a cap is
         with pytest.raises(ValueError, match="not a sequence of integer pairs"):
             FpPresentation(("a",), ((pair,),))
 
@@ -204,10 +207,11 @@ class TestToddCoxeter:
             todd_coxeter(p, subgroup_words=(((3, 1),),))
 
     @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-    @pytest.mark.parametrize("pair", [(0.0, 1), (0, 1.0), (0, 1.5), ("0", 1)])
+    @pytest.mark.parametrize("pair", [(0.0, 1), (0, 1.0), (0, 1.5), ("0", 1), (0, True)])
     def test_subgroup_word_entries_checked_like_relators(self, strategy, pair):
         # subgroup words go through the relators' check: a float index is
-        # a ValueError, not a TypeError from the table lookup
+        # a ValueError, not a TypeError from the table lookup, and True is
+        # not taken for the exponent 1
         a, b = (0, 1), (1, 1)
         s3 = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
         with pytest.raises(ValueError, match="not a sequence of integer pairs"):

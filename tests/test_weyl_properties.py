@@ -59,6 +59,16 @@ def test_cell_counts_by_definition(case):
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(gcms_with_parabolic(), st.integers(0, 5))
+def test_cell_counts_match_the_matrix_oracle(case, length):
+    """The walk's histogram, its last level counted and not built, is the
+    matrix oracle's count of the elements with no right descent in J;
+    indefinite and non-symmetrizable matrices included."""
+    m, J = case
+    assert WeylGroup(m).cell_counts(J, length) == MatrixWeylGroup(m).cell_counts(J, length)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(gcms_with_parabolic(), st.lists(st.integers(0, 5), max_size=LENGTH))
 def test_closure_cells_by_definition(case, letters):
     """Subword products give the minimal representatives below w in the
