@@ -114,6 +114,15 @@ def _build_graph(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
     return AdmGraph(m.n, edges, tuple(components), tuple(colours))
 
 
+def _checked_kappa(value) -> int:
+    """A kappa value, the one check of one: the exact int 1 or 2, so 1.0 or
+    True is refused.  A colouring keeps its values as given, so nothing
+    else may stand for one."""
+    if value.__class__ is not int or value not in (1, 2):
+        raise InadmissibleKappaError(f"kappa value must be 1 or 2, got {value!r}")
+    return value
+
+
 def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
     if len(kappa.values) != len(graph.components):
         raise InadmissibleKappaError(
@@ -121,9 +130,7 @@ def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
             f"got {len(kappa.values)}"
         )
     for idx, value in enumerate(kappa.values):
-        if value not in (1, 2):
-            raise InadmissibleKappaError(f"kappa value must be 1 or 2, got {value}")
-        if value == 2 and graph.colours[idx] == "r":
+        if _checked_kappa(value) == 2 and graph.colours[idx] == "r":
             vertices = ", ".join(str(v + 1) for v in graph.components[idx])
             raise InadmissibleKappaError(
                 f"kappa must equal 1 on the r-coloured component {{{vertices}}}"
@@ -146,6 +153,8 @@ def enumerate_kappa(graph: AdmGraph) -> list[KappaColouring]:
 def kappa_from_bits(graph: AdmGraph, bits: str) -> KappaColouring:
     """Colouring from a '1'/'2' string over the free components in canonical
     order; r components are filled in as 1."""
+    if not isinstance(bits, str):
+        raise InadmissibleKappaError(f"kappa bits must be a string, got {bits!r}")
     free = graph.free_components()
     if len(bits) != len(free):
         raise InadmissibleKappaError(
@@ -162,12 +171,8 @@ def kappa_from_bits(graph: AdmGraph, bits: str) -> KappaColouring:
 
 def kappa_constant(graph: AdmGraph, value: int) -> KappaColouring:
     """The colouring that is ``value`` on every free component."""
-    if value not in (1, 2):
-        raise InadmissibleKappaError(f"kappa value must be 1 or 2, got {value}")
-    values = [
-        value if colour != "r" else 1 for colour in graph.colours
-    ]
-    return KappaColouring(tuple(values))
+    value = _checked_kappa(value)
+    return KappaColouring(tuple(value if colour != "r" else 1 for colour in graph.colours))
 
 
 def kappa_bits(graph: AdmGraph, kappa: KappaColouring) -> str:

@@ -17,6 +17,18 @@ off-diagonal entries of each row, so they cost time linear in its edges.
 
 Indices are 0-based throughout the Python API; the text formats, the CLI
 and all rendered reports use 1-based indices.
+
+The argument rules of the library live here, each in one place.
+``_index`` is the integer rule (``operator.index`` with ``bool``
+refused), and ``_checked_int`` applies it to a length bound or a vector
+entry.  ``_checked_index`` adds the range check of a vertex (for
+``vertex_subset``), a word letter, a simple root or a relator's
+generator, and ``_checked_cap`` the lower bound 1 of a coset or element
+cap.  The ``GeneralizedCartanMatrix`` constructor is the one check of a
+matrix entry, and ``adm._checked_kappa`` that of a kappa value.  A loop
+that checks a letter or an entry at a time tests for an exact ``int`` (in
+range) inline and calls the helper only for anything else, so the rule
+and its errors stay in one place.
 """
 
 from __future__ import annotations
@@ -62,9 +74,12 @@ class GeneralizedCartanMatrix:
                 raise MatrixFormatError(
                     f"matrix is not square: rank {n}, row of length {len(row)}"
                 )
+            # a row of exact ints passes as it is; any other is converted or
+            # refused entry by entry
             for v in row:
-                if not isinstance(v, int):
-                    raise MatrixFormatError(f"non-integer entry {v!r}")
+                if v.__class__ is not int:
+                    row = tuple(map(_matrix_entry, row))
+                    break
             rows.append(row)
         object.__setattr__(self, "entries", tuple(rows))
         a = self.entries
@@ -160,9 +175,10 @@ def _index(value) -> int:
 
 
 def _checked_int(value, what: str) -> int:
-    """``value`` as an int by ``_index``, the one check of a vertex, a word
-    letter, a length bound or a cap; a ValueError names ``what``.  An exact
-    int is returned as it is, with no call."""
+    """``value`` as an int by ``_index``, the one check of a length bound or
+    a vector entry and the first of ``_checked_index`` and ``_checked_cap``;
+    a ValueError names ``what``.  An exact int is returned as it is, with no
+    call."""
     if value.__class__ is int:
         return value
     try:
@@ -171,14 +187,37 @@ def _checked_int(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _checked_index(value, n: int, what: str) -> int:
+    """``value`` as an int in range(n) by ``_checked_int``, the one check of
+    a vertex, a word letter, a simple root or a generator; a ValueError
+    names ``what``."""
+    value = _checked_int(value, what)
+    if not 0 <= value < n:
+        raise ValueError(f"{what} {value} out of range")
+    return value
+
+
+def _checked_cap(value, what: str) -> int:
+    """``value`` as an int >= 1 by ``_checked_int``, the one check of a
+    coset or element cap; a ValueError names ``what``."""
+    value = _checked_int(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
+
+
+def _matrix_entry(value) -> int:
+    """A matrix entry as an int by ``_index``, for the constructor."""
+    try:
+        return _index(value)
+    except TypeError:
+        raise MatrixFormatError(f"non-integer entry {value!r}") from None
+
+
 def vertex_subset(J, n: int) -> tuple[int, ...]:
     """The vertex set J of a rank-n diagram as a sorted tuple without
-    repeats; raises ValueError for a vertex that is not an integer in
-    0..n-1."""
-    J = tuple(sorted({_checked_int(v, "vertex") for v in J}))
-    if J and not (0 <= J[0] and J[-1] < n):
-        raise ValueError(f"vertex set {list(J)} out of range for rank {n}")
-    return J
+    repeats, each vertex checked by ``_checked_index``."""
+    return tuple(sorted({_checked_index(v, n, "vertex") for v in J}))
 
 
 @dataclass(frozen=True)
@@ -257,15 +296,10 @@ def _parse_json(text: str) -> GeneralizedCartanMatrix:
         raise MatrixFormatError(f"'size' must be a positive integer, got {n!r}")
     if not isinstance(entries, list) or len(entries) != n:
         raise MatrixFormatError(f"'entries' must be a list of {n} rows")
-    rows = []
     for row in entries:
         if not isinstance(row, list) or len(row) != n:
             raise MatrixFormatError(f"each row must be a list of {n} integers")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise MatrixFormatError(f"non-integer entry {v!r}")
-        rows.append(tuple(row))
-    return GeneralizedCartanMatrix(tuple(rows))
+    return GeneralizedCartanMatrix(tuple(entries))
 
 
 def parse_matrix(text: str) -> GeneralizedCartanMatrix:

@@ -38,7 +38,8 @@ indefinite type and must never wrap.
 
 from __future__ import annotations
 
-from .cartan import GeneralizedCartanMatrix, _checked_int, vertex_subset
+from .cartan import GeneralizedCartanMatrix
+from .cartan import _checked_cap, _checked_index, _checked_int, vertex_subset
 from .errors import InputError, ResourceLimitError
 
 __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_root_vector"]
@@ -121,16 +122,17 @@ class WeylGroup:
         return self.from_word((i,))
 
     def simple_root(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.n:
-            raise ValueError(f"simple root index {i} out of range")
+        i = _checked_index(i, self.n, "simple root index")
         return tuple(1 if j == i else 0 for j in range(self.n))
 
     def _letters(self, word) -> tuple[int, ...]:
-        """``word`` as a tuple, each letter checked to be a vertex index."""
-        word = tuple(_checked_int(i, "word letter") for i in word)
+        """``word`` as a tuple, each letter checked to be a vertex index by
+        ``_checked_index``, which is called only if some letter is not an
+        exact int in range."""
+        word, n = tuple(word), self.n
         for i in word:
-            if not 0 <= i < self.n:
-                raise ValueError(f"word letter {i} out of range")
+            if i.__class__ is not int or not 0 <= i < n:
+                return tuple(_checked_index(i, n, "word letter") for i in word)
         return word
 
     def from_word(self, word) -> "WeylElement":
@@ -169,7 +171,9 @@ class WeylGroup:
         With ``count_last`` the last layer's kept firings are counted and
         not built, and its layer is None.  ``visited`` counts every kept
         firing, so ResourceLimitError comes past ``cap`` positions at the
-        level where the total first exceeds it, built or counted."""
+        level where the total first exceeds it, built or counted.  The
+        bounds are checked here, for both callers, before the first layer."""
+        length, cap = _checked_int(length, "length bound"), _checked_cap(cap, "element cap")
         if length < 0:
             raise ValueError("length bound must be >= 0")
         neighbours, rows = self.cartan.neighbours, self.cartan.entries
@@ -211,7 +215,6 @@ class WeylGroup:
 
     def elements_up_to(self, length: int, cap: int = DEFAULT_ELEMENT_CAP):
         """All elements of length <= ``length``, breadth-first by length."""
-        length, cap = _checked_int(length, "length bound"), _checked_int(cap, "element cap")
         return [
             WeylElement(self, c, _length=level)
             for level, (_, layer) in enumerate(self._walk(self._one, length, cap))
@@ -222,7 +225,6 @@ class WeylGroup:
         """Histogram length -> number of cells of that dimension in G/P_J, i.e.
         of minimal representatives of W_J w (inverses of those of w W_J)."""
         J = vertex_subset(parabolic, self.n)
-        length, cap = _checked_int(length, "length bound"), _checked_int(cap, "element cap")
         start = tuple(0 if i in J else 1 for i in range(self.n))
         walk = self._walk(start, length, cap, count_last=True)
         return {level: size for level, (size, _) in enumerate(walk)}
@@ -234,8 +236,8 @@ class WeylGroup:
         Thm 2.2.2), grown a letter at a time; ``cap`` bounds its size."""
         self.identity()._require_same_group(w)
         J = vertex_subset(parabolic, self.n)
-        cap = _checked_int(cap, "element cap")
-        if not w.is_minimal_rep(J):
+        cap = _checked_cap(cap, "element cap")
+        if not _no_descent_in(w.heights, J):
             raise InputError(
                 "element is not a minimal coset representative for the parabolic"
             )
@@ -313,6 +315,7 @@ class WeylElement:
             raise ValueError(
                 f"vector of length {len(vector)} under a rank-{self.group.n} group"
             )
+        vector = [_checked_int(x, "vector entry") for x in vector]
         return self._act(self._some_reduced_word(), vector)
 
     def _act(self, word, vector) -> tuple[int, ...]:
@@ -334,7 +337,7 @@ class WeylElement:
     def is_minimal_rep(self, parabolic) -> bool:
         """Whether w is the minimal-length element of its coset w W_J, for J
         the vertex list ``parabolic``: w has no right descent in J."""
-        return _no_descent_in(self.heights, parabolic)
+        return _no_descent_in(self.heights, vertex_subset(parabolic, self.group.n))
 
     @property
     def length(self) -> int:

@@ -4,7 +4,8 @@ Words are tuples of (generator index, exponent) pairs with exponents +1 or
 -1, freely reduced.  Relators and subgroup words pass one check
 (``_checked_word``): each entry must be an integer by the library's one
 rule, ``cartan._index``, so 1.5, "1" or True is a ValueError, never
-truncated or converted.
+truncated or converted, and each generator in range by
+``cartan._checked_index``.
 Abelianization goes through an exact integer Smith normal form:
 diagonalize, then normalize the diagonal with C_a x C_b =
 C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.  A
@@ -77,7 +78,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .adm import AdmGraph, build_adm
-from .cartan import GeneralizedCartanMatrix, _checked_int, _index, vertex_subset
+from .cartan import GeneralizedCartanMatrix, _checked_cap, _checked_index, _index, vertex_subset
 from .coxeter import WeylGroup
 from .errors import InternalError
 
@@ -103,14 +104,6 @@ Word = tuple  # of (generator, exponent) pairs
 DEFAULT_MAX_COSETS = 100_000
 
 
-def _checked_cap(max_cosets) -> int:
-    """A coset cap: an integer by ``cartan._checked_int``, at least 1."""
-    max_cosets = _checked_int(max_cosets, "coset cap")
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
-    return max_cosets
-
-
 def free_reduce(word) -> Word:
     out = []
     for gen, exp in word:
@@ -125,23 +118,21 @@ def _checked_word(word, count) -> Word:
     """``word`` as a tuple of (generator, exponent) pairs of ints, the one
     check of a relator or subgroup word.  An entry that is not an exact int
     goes through ``cartan._index``, so 1.5, "1" or True is refused rather
-    than converted; a generator outside range(count) or an exponent other
-    than +1 or -1 is refused too, each with a ValueError."""
+    than converted; a generator outside range(count), by
+    ``cartan._checked_index``, or an exponent other than +1 or -1 is
+    refused too, each with a ValueError."""
     checked = []
     try:
         for gen, exp in word:
-            if gen.__class__ is not int:
-                gen = _index(gen)
+            if gen.__class__ is not int or not 0 <= gen < count:
+                gen = _checked_index(_index(gen), count, "generator index")
             if exp.__class__ is not int:
                 exp = _index(exp)
+            if exp not in (1, -1):
+                raise ValueError(f"exponent must be +1 or -1, got {exp}")
             checked.append((gen, exp))
     except TypeError:
         raise ValueError(f"word {word!r} is not a sequence of integer pairs") from None
-    for gen, exp in checked:
-        if not 0 <= gen < count:
-            raise ValueError(f"generator index {gen} out of range")
-        if exp not in (1, -1):
-            raise ValueError(f"exponent must be +1 or -1, got {exp}")
     return tuple(checked)
 
 
@@ -471,7 +462,7 @@ def todd_coxeter(
     since on a consistent table r closes at a coset exactly when r^-1 does
     (r^-1 walks the same cycle backwards).
     """
-    max_cosets = _checked_cap(max_cosets)
+    max_cosets = _checked_cap(max_cosets, "coset cap")
     count = presentation.generator_count
     subgroup_words = [_checked_word(word, count) for word in subgroup_words]
     if strategy == "hlt":
@@ -769,7 +760,7 @@ class FlagGroups:
 
     def __init__(self, m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS):
         self.m = m
-        self.max_cosets = _checked_cap(max_cosets)
+        self.max_cosets = _checked_cap(max_cosets, "coset cap")
         self._presentations = {}
         self._full = None  # G's result, set by the first order(())
 

@@ -174,6 +174,13 @@ class TestKappa:
         with pytest.raises(InadmissibleKappaError):
             kappa_from_bits(g, "3")
 
+    @pytest.mark.parametrize("bits", [[2], ["2"], b"2", 2, None], ids=repr)
+    def test_from_bits_must_be_a_string(self, bits):
+        # a list of one value has the right length, and its item is not a
+        # character to look up in "12"
+        with pytest.raises(InadmissibleKappaError, match="^kappa bits must be a string"):
+            kappa_from_bits(build_adm(from_named("C3")), bits)
+
     def test_inadmissible_rejected(self):
         g = build_adm(from_named("C3"))
         with pytest.raises(InadmissibleKappaError):

@@ -421,15 +421,29 @@ class TestCellCountCap:
             0: 1, 1: 6, 2: 22, 3: 62, 4: 148, 5: 314, 6: 610, 7: 1105, 8: 1891
         }
 
-    @pytest.mark.parametrize("cap,level", [(4158, 8), (2268, 8), (2267, 7), (1, 1), (0, 1)])
+    @pytest.mark.parametrize("cap,level", [(4158, 8), (2268, 8), (2267, 7), (1, 1)])
     def test_cap_exceeded(self, a6_affine, cap, level):
         message = rf"^element cap {cap} exceeded at length {level}$"
         with pytest.raises(ResourceLimitError, match=message):
             a6_affine.cell_counts((3,), 8, cap=cap)
 
-    @pytest.mark.parametrize("cap", [0, 1, 4159])
+    @pytest.mark.parametrize("cap", [1, 4159])
     def test_length_zero(self, a6_affine, cap):
         assert a6_affine.cell_counts((3,), 0, cap=cap) == {0: 1}
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_cap_below_one(self, a6_affine, cap):
+        # a cap below 1 is a bad argument, as for todd_coxeter, not a
+        # resource limit, and not ignored at length 0
+        w = a6_affine.from_word((0,))
+        for call in (
+            lambda: a6_affine.cell_counts((3,), 0, cap=cap),
+            lambda: a6_affine.cell_counts((3,), 8, cap=cap),
+            lambda: a6_affine.elements_up_to(2, cap=cap),
+            lambda: a6_affine.closure_cells(w, (), cap=cap),
+        ):
+            with pytest.raises(ValueError, match=rf"^element cap must be >= 1, got {cap}$"):
+                call()
 
 
 def minimal_reps(group, J, length):

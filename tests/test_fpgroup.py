@@ -871,7 +871,7 @@ class TestFlagGroups:
     def test_cap_checked_on_every_path(self, name, call):
         # the full flag group is enumerated through todd_coxeter, which
         # checks the cap, like every other flag group
-        with pytest.raises(ValueError, match="max_cosets must be >= 1"):
+        with pytest.raises(ValueError, match=r"^coset cap must be >= 1, got 0$"):
             call(from_named(name))
 
     @pytest.mark.parametrize("cap", [2.5, 20.5, True, "100"], ids=repr)
@@ -935,7 +935,7 @@ class TestVertexSubset:
         ],
     )
     def test_out_of_range(self, call):
-        with pytest.raises(ValueError, match=r"^vertex set \[5\] out of range for rank 3$"):
+        with pytest.raises(ValueError, match=r"^vertex 5 out of range$"):
             call(from_named("A3"))
 
     def test_sorted_without_repeats(self):
