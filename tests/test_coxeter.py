@@ -421,15 +421,24 @@ class TestCellCountCap:
             0: 1, 1: 6, 2: 22, 3: 62, 4: 148, 5: 314, 6: 610, 7: 1105, 8: 1891
         }
 
-    @pytest.mark.parametrize("cap,level", [(4158, 8), (2268, 8), (2267, 7), (1, 1)])
+    @pytest.mark.parametrize("cap,level", [(4158, 8), (2268, 8), (2267, 7), (1, 1), (0, 1)])
     def test_cap_exceeded(self, a6_affine, cap, level):
-        message = rf"^element cap {cap} exceeded at length {level}$"
-        with pytest.raises(ResourceLimitError, match=message):
+        if cap < 1:
+            # refused as a bad argument before the walk, not at any level
+            error, message = ValueError, rf"^element cap must be >= 1, got {cap}$"
+        else:
+            error, message = ResourceLimitError, rf"^element cap {cap} exceeded at length {level}$"
+        with pytest.raises(error, match=message):
             a6_affine.cell_counts((3,), 8, cap=cap)
 
-    @pytest.mark.parametrize("cap", [1, 4159])
+    @pytest.mark.parametrize("cap", [0, 1, 4159])
     def test_length_zero(self, a6_affine, cap):
-        assert a6_affine.cell_counts((3,), 0, cap=cap) == {0: 1}
+        if cap < 1:
+            # not ignored at length 0: the cap is checked before the walk
+            with pytest.raises(ValueError, match=rf"^element cap must be >= 1, got {cap}$"):
+                a6_affine.cell_counts((3,), 0, cap=cap)
+        else:
+            assert a6_affine.cell_counts((3,), 0, cap=cap) == {0: 1}
 
     @pytest.mark.parametrize("cap", [0, -3])
     def test_cap_below_one(self, a6_affine, cap):
