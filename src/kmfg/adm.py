@@ -124,6 +124,8 @@ def _checked_kappa(value) -> int:
 
 
 def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
+    if not isinstance(kappa, KappaColouring):
+        raise InadmissibleKappaError(f"a colouring must be a KappaColouring, got {kappa!r}")
     if len(kappa.values) != len(graph.components):
         raise InadmissibleKappaError(
             f"expected {len(graph.components)} component values, "

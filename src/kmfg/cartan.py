@@ -3,8 +3,10 @@
 Construction and validation, the plain-text and JSON input formats, the
 named families A..G (with an optional trailing ``~`` for the untwisted
 affine extension), entry parities, and the hypothesis predicates
-(irreducible, symmetrizable, two-spherical, spherical) that gate the
-fundamental-group formulas.
+(irreducible, symmetrizable, two-spherical, spherical).  Symmetrizable or
+two-spherical is the one hypothesis that gates the fundamental-group
+formulas; irreducibility is only reported, since a reducible diagram's
+answers are the products of its factors'.
 
 The plain format is read in one pass: each line is cut at ``#`` and split
 into words by ``str.split()``, and the words are converted by ``int``.  A
@@ -19,9 +21,11 @@ Indices are 0-based throughout the Python API; the text formats, the CLI
 and all rendered reports use 1-based indices.
 
 The argument rules of the library live here, each in one place.
-``_index`` is the integer rule (``operator.index`` with ``bool``
-refused), and ``_checked_int`` applies it to a length bound or a vector
-entry.  ``_checked_index`` adds the range check of a vertex (for
+``_checked_tuple`` reads a container argument (a vertex set, a word, a
+vector, a list of words) and refuses one that is not iterable.  ``_index``
+is the integer rule (``operator.index`` with ``bool`` refused), and
+``_checked_int`` applies it to a length bound or a vector entry.
+``_checked_index`` adds the range check of a vertex (for
 ``vertex_subset``), a word letter, a simple root or a relator's
 generator, and ``_checked_cap`` the lower bound 1 of a coset or element
 cap.  The ``GeneralizedCartanMatrix`` constructor is the one check of a
@@ -64,12 +68,12 @@ class GeneralizedCartanMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.entries)
+        entries = _checked_tuple(self.entries, "matrix", MatrixFormatError)
+        rows = [_checked_tuple(row, "matrix row", MatrixFormatError) for row in entries]
+        n = len(rows)
         if n == 0:
             raise MatrixFormatError("matrix must have positive rank")
-        rows = []
-        for row in self.entries:
-            row = tuple(row)
+        for k, row in enumerate(rows):
             if len(row) != n:
                 raise MatrixFormatError(
                     f"matrix is not square: rank {n}, row of length {len(row)}"
@@ -78,9 +82,8 @@ class GeneralizedCartanMatrix:
             # refused entry by entry
             for v in row:
                 if v.__class__ is not int:
-                    row = tuple(map(_matrix_entry, row))
+                    rows[k] = tuple(map(_matrix_entry, row))
                     break
-            rows.append(row)
         object.__setattr__(self, "entries", tuple(rows))
         a = self.entries
         for i in range(n):
@@ -187,6 +190,18 @@ def _checked_int(value, what: str) -> int:
         raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
+def _checked_tuple(value, what: str, error=ValueError) -> tuple:
+    """``value`` as a tuple, the one check of a container argument: a vertex
+    set, a word, a vector, the relators or subgroup words of a presentation,
+    or a matrix and its rows (with ``error`` MatrixFormatError).  An
+    ``error``, by default a ValueError, names ``what`` when it is not
+    iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise error(f"{what} {value!r} is not a sequence") from None
+
+
 def _checked_index(value, n: int, what: str) -> int:
     """``value`` as an int in range(n) by ``_checked_int``, the one check of
     a vertex, a word letter, a simple root or a generator; a ValueError
@@ -216,7 +231,10 @@ def _matrix_entry(value) -> int:
 
 def vertex_subset(J, n: int) -> tuple[int, ...]:
     """The vertex set J of a rank-n diagram as a sorted tuple without
-    repeats, each vertex checked by ``_checked_index``."""
+    repeats, each vertex checked by ``_checked_index``; a tuple is read as
+    it is, anything else through ``_checked_tuple``."""
+    if J.__class__ is not tuple:
+        J = _checked_tuple(J, "vertex set")
     return tuple(sorted({_checked_index(v, n, "vertex") for v in J}))
 
 

@@ -47,6 +47,10 @@ _NOT_SYMMETRIZABLE = (
     "note: not symmetrizable; the value is established for K, the "
     "identification with pi1(G) is not"
 )
+_REDUCIBLE = (
+    "note: reducible diagram; the answers are the products over the "
+    "irreducible factors"
+)
 
 
 class UsageError(Exception):
@@ -273,6 +277,15 @@ def _flag_json(info: fpgroup.FlagCheck) -> dict:
     }
 
 
+def _note_reducible(m, payload, lines, at=None):
+    """Mark the answers for a reducible diagram as the products over its
+    irreducible factors: the JSON payload ends with ``"reducible": true``,
+    and the text gets the note, as its last line unless ``at`` is given."""
+    if not cartan.hypothesis_report(m).irreducible:
+        payload["reducible"] = True
+        lines.insert(len(lines) if at is None else at, _REDUCIBLE)
+
+
 def _check_orders(flags):
     """After the output is written: exit 4 if a coset cap left the order of
     a flag's group open."""
@@ -300,11 +313,6 @@ def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
         "hypotheses: "
         + " ".join(f"{k.replace('_', '-')}={'yes' if v else 'no'}" for k, v in hyp.items())
     ]
-    if report.reducible:
-        lines.append(
-            "note: reducible diagram; the answers are the products over the "
-            "irreducible factors"
-        )
     for idx, comp in enumerate(report.graph.components):
         lines.append(
             f"component {_fmt_set(comp)}: colour {report.graph.colours[idx]}, "
@@ -326,7 +334,7 @@ def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
 
 def _full_report_json(report: pi1.Pi1Report) -> dict:
     components = _graph_json(report.graph)["components"]
-    payload = {
+    return {
         "hypotheses": report.hypotheses.to_json_dict(),
         "components": [
             {**entry, "contribution": contribution}
@@ -341,9 +349,6 @@ def _full_report_json(report: pi1.Pi1Report) -> dict:
             for J, info in sorted(report.flags.items())
         },
     }
-    if report.reducible:
-        payload["reducible"] = True
-    return payload
 
 
 def _cmd_pi1(args, out):
@@ -351,7 +356,10 @@ def _cmd_pi1(args, out):
     if args.full:
         max_cosets = args.max_cosets or _default_max_cosets()
         report = pi1.full_report(m, max_cosets=max_cosets, force=args.force)
-        _render(out, args.format, _full_report_json(report), _full_report_lines(report))
+        payload, lines = _full_report_json(report), _full_report_lines(report)
+        # the note follows the hypotheses line
+        _note_reducible(m, payload, lines, at=1)
+        _render(out, args.format, payload, lines)
         _check_orders(report.flags.values())
         return
     # pi1(G) and pi1(K) have the same value; k_only marks the caveat
@@ -364,6 +372,7 @@ def _cmd_pi1(args, out):
     lines = [f"pi1(G) = {compact.value}", f"pi1(K) = {compact.value}"]
     if compact.k_only:
         lines.append(_NOT_SYMMETRIZABLE)
+    _note_reducible(m, payload, lines)
     _render(out, args.format, payload, lines)
 
 
@@ -382,6 +391,7 @@ def _cmd_spin(args, out):
     # one admissible colouring per choice of 1 or 2 on each free component
     lines = [f"admissible colourings: {2 ** len(graph.free_components())}"]
     lines += [f"kappa {bits or '-'}: pi1(Spin) = {value}" for bits, value in rows]
+    _note_reducible(m, payload, lines)
     _render(out, args.format, payload, lines)
 
 
@@ -404,6 +414,7 @@ def _cmd_flag(args, out):
     else:
         lines.append(f"order: undecided, coset table capped at {info.order.limit}")
     payload = {"J": [v + 1 for v in info.parabolic], **_flag_json(info)}
+    _note_reducible(m, payload, lines)
     _render(out, args.format, payload, lines)
     _check_orders([info])
 

@@ -25,13 +25,13 @@ them.
 
 A strip that ends at the identity, w * s_{i_1} * ... * s_{i_r} = e, also
 spells w^{-1} = s_{i_1} ... s_{i_r}.  So ``_strip`` fires each letter in
-place twice, once on w's heights and once on a copy of the identity's, and
-returns the letters with the heights of w^{-1}: an inverse costs one strip.
-The least right descent of w is the least left descent of w^{-1}, so the
-letters are also w^{-1}'s lexicographically least reduced word, and w's
-own is the strip of w^{-1}: two strips in all.  A product w * x and the
-action of w need only some reduced word, and the letters of one strip,
-reversed, are one; the canonical word is read only when it is kept.
+place on w's heights and returns the letters, and an inverse is one strip
+and one ``_step`` of its letters from the identity.  The least right
+descent of w is the least left descent of w^{-1}, so the letters are also
+w^{-1}'s lexicographically least reduced word, and w's own is the strip of
+w^{-1}: a strip, a step and a strip.  A product w * x and the action of w
+need only some reduced word, and the letters of one strip, reversed, are
+one; the canonical word is read only when it is kept.
 All arithmetic is exact Python integers; coordinates grow without bound in
 indefinite type and must never wrap.
 """
@@ -39,7 +39,7 @@ indefinite type and must never wrap.
 from __future__ import annotations
 
 from .cartan import GeneralizedCartanMatrix
-from .cartan import _checked_cap, _checked_index, _checked_int, vertex_subset
+from .cartan import _checked_cap, _checked_index, _checked_int, _checked_tuple, vertex_subset
 from .errors import InputError, ResourceLimitError
 
 __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_root_vector"]
@@ -92,28 +92,23 @@ class WeylGroup:
                 c[j] -= a * ci
         return tuple(c), change
 
-    def _strip(self, heights) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def _strip(self, heights) -> tuple[int, ...]:
         """Right-multiply by the least right descent until the identity
-        remains.  The letters i_1, ..., i_r give w = s_{i_r} ... s_{i_1}, and
-        the same letters fired from the identity give w^{-1}: returns the
-        letters and the heights of w^{-1}."""
+        remains, and return the letters i_1, ..., i_r: w = s_{i_r} ...
+        s_{i_1}, and the same letters fired from the identity give w^{-1}."""
         neighbours = self.cartan.neighbours
         c = list(heights)
-        inverse = list(self._one)
         letters = []
         while True:
             for i, ci in enumerate(c):
                 if ci < 0:
                     break
             else:
-                return tuple(letters), tuple(inverse)
+                return tuple(letters)
             letters.append(i)
-            vi = inverse[i]
             c[i] = -ci
-            inverse[i] = -vi
             for j, a in neighbours[i]:
                 c[j] -= a * ci
-                inverse[j] -= a * vi
 
     def identity(self) -> "WeylElement":
         return WeylElement(self, self._one, _length=0)
@@ -129,7 +124,7 @@ class WeylGroup:
         """``word`` as a tuple, each letter checked to be a vertex index by
         ``_checked_index``, which is called only if some letter is not an
         exact int in range."""
-        word, n = tuple(word), self.n
+        word, n = _checked_tuple(word, "word"), self.n
         for i in word:
             if i.__class__ is not int or not 0 <= i < n:
                 return tuple(_checked_index(i, n, "word letter") for i in word)
@@ -303,7 +298,7 @@ class WeylElement:
         also gives the length."""
         if self._word is not None:
             return self._word
-        letters, _ = self.group._strip(self.heights)
+        letters = self.group._strip(self.heights)
         self._length = len(letters)
         return letters[::-1]
 
@@ -311,11 +306,11 @@ class WeylElement:
         return self.heights == self.group._one
 
     def act(self, vector) -> tuple[int, ...]:
+        vector = [_checked_int(x, "vector entry") for x in _checked_tuple(vector, "vector")]
         if len(vector) != self.group.n:
             raise ValueError(
                 f"vector of length {len(vector)} under a rank-{self.group.n} group"
             )
-        vector = [_checked_int(x, "vector entry") for x in vector]
         return self._act(self._some_reduced_word(), vector)
 
     def _act(self, word, vector) -> tuple[int, ...]:
@@ -344,12 +339,13 @@ class WeylElement:
         """Word length, computed once by stripping right descents (least
         index first) until the identity remains."""
         if self._length is None:
-            self._length = len(self.group._strip(self.heights)[0])
+            self._length = len(self.group._strip(self.heights))
         return self._length
 
     def inverse(self) -> "WeylElement":
-        letters, heights = self.group._strip(self.heights)
-        inverse = WeylElement(self.group, heights, _length=len(letters))
+        letters = self.group._strip(self.heights)
+        # the letters fired from the identity: the heights of w^{-1} and its length
+        inverse = WeylElement(self.group, *self.group._step(self.group._one, letters))
         # the least right descents of w are the least left descents of w^{-1}
         inverse._word = letters
         return inverse
@@ -360,8 +356,8 @@ class WeylElement:
         word is computed once and kept on the element."""
         if self._word is None:
             # i is a left descent of w exactly when w^{-1} has i as a right one
-            _, inverse = self.group._strip(self.heights)
-            self._word, _ = self.group._strip(inverse)
+            inverse, _ = self.group._step(self.group._one, self.group._strip(self.heights))
+            self._word = self.group._strip(inverse)
             self._length = len(self._word)
         return self._word
 

@@ -34,10 +34,11 @@ class UnknownNameError(KmfgError):
 
 
 class HypothesisError(KmfgError):
-    """Input refused because a validity hypothesis of the closed forms fails.
+    """Input refused because the closed forms' one hypothesis fails: the
+    matrix is neither symmetrizable nor two-spherical, so the Bruhat
+    decomposition is not known to be a CW decomposition.
 
-    ``reason`` is ``"reducible"`` or ``"hypotheses"`` (neither symmetrizable
-    nor two-spherical).
+    ``reason`` is ``"hypotheses"``, its only value.
     """
 
     def __init__(self, message, reason):

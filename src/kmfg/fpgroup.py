@@ -78,7 +78,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .adm import AdmGraph, build_adm
-from .cartan import GeneralizedCartanMatrix, _checked_cap, _checked_index, _index, vertex_subset
+from .cartan import GeneralizedCartanMatrix, _checked_cap, _checked_index, _checked_tuple, _index
+from .cartan import vertex_subset
 from .coxeter import WeylGroup
 from .errors import InternalError
 
@@ -142,7 +143,8 @@ class FpPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
-        relators = tuple(_checked_word(word, self.generator_count) for word in self.relators)
+        words = _checked_tuple(self.relators, "relators")
+        relators = tuple(_checked_word(word, self.generator_count) for word in words)
         for word in relators:
             if free_reduce(word) != word:
                 raise ValueError(f"relator {word} is not freely reduced")
@@ -464,7 +466,8 @@ def todd_coxeter(
     """
     max_cosets = _checked_cap(max_cosets, "coset cap")
     count = presentation.generator_count
-    subgroup_words = [_checked_word(word, count) for word in subgroup_words]
+    words = _checked_tuple(subgroup_words, "subgroup words")
+    subgroup_words = [_checked_word(word, count) for word in words]
     if strategy == "hlt":
         enumerate_table = _hlt_table
     elif strategy == "felsch":

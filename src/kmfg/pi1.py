@@ -18,12 +18,17 @@ enumerated once and each singleton's order is read off its table as the
 index of <x_k>; ``pi1_flag`` asks for its one J, so a nonempty J never
 enumerates the full flag group.
 
-Formulas are gated: the diagram must be irreducible and either
-symmetrizable or two-spherical, otherwise the computation refuses unless
-forced.  The identification of pi1(G) with pi1(K) carries a caveat flag
-outside the symmetrizable case.  Each public function passes the gate
-once; the report and the parity graph are computed once per matrix.
-Results are plain values; the CLI renders them as text or JSON.
+Formulas are gated by the paper's one hypothesis, that the Bruhat
+decomposition of the flag variety is a CW decomposition: the matrix must
+be symmetrizable or two-spherical, otherwise the computation refuses
+unless forced.  A reducible diagram passes: its group is the product of
+its factors' groups, no parity edge or witness crosses two factors, and
+every answer is the product of the factors' answers.  The identification
+of pi1(G) with pi1(K) carries a caveat flag outside the symmetrizable
+case.  Each public function passes the gate once; the report and the
+parity graph are computed once per matrix.  Results are plain values; the
+CLI renders them as text or JSON, and marks a reducible diagram's answers
+as products.
 """
 
 from __future__ import annotations
@@ -76,21 +81,12 @@ class KPi1Result(NamedTuple):
 
 
 def check_hypotheses(
-    m: cartan.GeneralizedCartanMatrix,
-    force: bool = False,
-    require_irreducible: bool = True,
+    m: cartan.GeneralizedCartanMatrix, force: bool = False
 ) -> cartan.HypothesisReport:
     """Gate for the closed-form formulas; raises HypothesisError unless the
-    required hypotheses hold or ``force`` is set."""
+    matrix is symmetrizable or two-spherical or ``force`` is set."""
     report = cartan.hypothesis_report(m)
-    if force:
-        return report
-    if require_irreducible and not report.irreducible:
-        raise HypothesisError(
-            "the diagram is reducible; compute per irreducible factor or force",
-            reason="reducible",
-        )
-    if not (report.symmetrizable or report.two_spherical):
+    if not (force or report.symmetrizable or report.two_spherical):
         raise HypothesisError(
             "the matrix is neither symmetrizable nor two-spherical, so the "
             "cell-decomposition hypothesis is not established",
@@ -202,10 +198,6 @@ class Pi1Report:
     def maximal_compact(self) -> KPi1Result:
         return _maximal_compact(self.hypotheses, self.graph)
 
-    @property
-    def reducible(self) -> bool:
-        return not self.hypotheses.irreducible
-
 
 def full_report(
     m: cartan.GeneralizedCartanMatrix,
@@ -219,12 +211,8 @@ def full_report(
     The flag groups come from one ``fpgroup.FlagGroups``, and J = () comes
     first: the full flag group is enumerated once, and each singleton's
     order is read off its coset table where it is Finite under the cap.
-
-    Reducible diagrams are not refused here: the counts factor over the
-    irreducible components, and the report is marked as the product of the
-    per-factor answers.
     """
-    hypotheses = check_hypotheses(m, force, require_irreducible=False)
+    hypotheses = check_hypotheses(m, force)
     graph = adm.build_adm(m)
     spin = spin_rows(graph, adm.enumerate_kappa(graph))
     groups = fpgroup.FlagGroups(m, max_cosets)

@@ -3,7 +3,8 @@ word letters, simple roots, length bounds, element and coset caps, relator
 and subgroup-word entries, kappa values and the entries of a vector under
 the action.  An exact int that the argument admits gives its result; every
 other value (a float, a bool, a string, None, or an int out of range) is
-refused with the argument's typed error, never answered."""
+refused with the argument's typed error, never answered.  So is a
+container argument that is not iterable."""
 
 import pytest
 
@@ -237,3 +238,26 @@ def test_integer_result_or_typed_error(slot, value):
     else:
         with pytest.raises(RANGE_ERROR.get(slot, error)):
             call(value)
+
+
+# a container argument that is not iterable: the call and its typed error
+NOT_ITERABLE = {
+    "matrix_rows": (lambda: GeneralizedCartanMatrix((5, 6)), MatrixFormatError),
+    "matrix": (lambda: GeneralizedCartanMatrix(5), MatrixFormatError),
+    "vertex_subset": (lambda: vertex_subset(5, 3), ValueError),
+    "cell_counts": (lambda: W.cell_counts(5, 2), ValueError),
+    "flag_presentation": (lambda: flag_presentation(A3, 5), ValueError),
+    "from_word": (lambda: W.from_word(5), ValueError),
+    "root_sequence": (lambda: W.root_sequence(5), ValueError),
+    "act": (lambda: ELEMENT.act(5), ValueError),
+    "relators": (lambda: FpPresentation(("a",), 5), ValueError),
+    "subgroup_words": (lambda: todd_coxeter(S3, subgroup_words=5), ValueError),
+    "pi1_spin": (lambda: pi1_spin(from_named("A1"), (1,)), InadmissibleKappaError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ITERABLE))
+def test_not_iterable_container_is_typed_error(name):
+    call, error = NOT_ITERABLE[name]
+    with pytest.raises(error):
+        call()

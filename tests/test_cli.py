@@ -400,7 +400,8 @@ class TestSpinCommand:
             "spin": [
                 {"kappa": bits, "z": 1, "c2": c2}
                 for bits, c2 in (("11", 1), ("21", 0), ("12", 1), ("22", 0))
-            ]
+            ],
+            "reducible": True,
         }
         assert invoke(
             ["spin", "--all", "--force", "--format", "json", "--matrix", "-"],
@@ -1025,6 +1026,10 @@ class TestEntryPoint:
         assert done.stdout == "pi1(G) = C2\npi1(K) = C2\n"
 
     def test_refused_diagram_exit_3(self):
-        done = self._run(["pi1", "--matrix", "-"], TestPi1FullExact.REDUCIBLE)
+        done = self._run(["pi1", "--matrix", "-"], TestHypothesisGate.ROWS)
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr.startswith("error[E301]:")
+        # a reducible diagram is answered as the product over its factors
+        done = self._run(["pi1", "--matrix", "-"], TestPi1FullExact.REDUCIBLE)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[0] == "pi1(G) = Z x C2"

@@ -5,8 +5,9 @@ coloured parity graph at every parabolic J against their dense
 definitions, the least integer symmetrizer against rational ratios, each
 parity component alone in its colour at its complement, the spherical
 predicate against Sylvester's criterion, the colouring rule for
-pi1(G/P_J) at every parabolic J, and its closed form on connected
-simply-laced diagrams."""
+pi1(G/P_J) at every parabolic J, its closed form on connected
+simply-laced diagrams, and the answers for a direct sum as the products
+of its factors' answers."""
 
 import itertools
 import math
@@ -18,20 +19,26 @@ from kmfg import (
     AbelianInvariants,
     EnumerationResult,
     GeneralizedCartanMatrix,
+    Pi1Type,
+    abelianization,
     build_adm,
+    enumerate_kappa,
     flag_presentation,
     hypothesis_report,
     parse_matrix,
     pi1_flag,
     pi1_group,
+    pi1_spin,
     todd_coxeter,
 )
+from kmfg.adm import KappaColouring
 from kmfg.cartan import symmetrizer
 from kmfg.errors import HypothesisError, InvariantViolationError, MatrixFormatError
 
 from oracles import (
     coloured_components_dense,
     connected_dense,
+    direct_sum,
     exact_det,
     minors_gcd_invariant_factors,
     parity_edges_dense,
@@ -45,10 +52,10 @@ st = hypothesis.strategies
 
 
 @st.composite
-def gcms(draw):
-    """Rank 1-8, off-diagonal entries in {0, -1, -2, -3, -4}, symmetric
-    zero pattern."""
-    n = draw(st.integers(1, 8))
+def gcms(draw, max_rank=8):
+    """Rank 1 to ``max_rank``, off-diagonal entries in {0, -1, -2, -3, -4},
+    symmetric zero pattern."""
+    n = draw(st.integers(1, max_rank))
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -294,3 +301,65 @@ def test_flag_colouring_rule(case):
         assert info.order == EnumerationResult.finite(index)
     subgroup = [((g, 1),) for g in green]
     assert todd_coxeter(presentation, subgroup_words=subgroup) == EnumerationResult.finite(index)
+
+
+def _gated(m):
+    report = hypothesis_report(m)
+    return report.symmetrizable or report.two_spherical
+
+
+def _elementary_divisors(invariants):
+    """An abelian group as its free rank and the sorted prime powers of its
+    torsion, a form that does not depend on how the torsion is written."""
+    powers = []
+    for d in invariants.torsion:
+        p = 2
+        while d > 1:
+            q = 1
+            while d % p == 0:
+                d //= p
+                q *= p
+            if q > 1:
+                powers.append(q)
+            p += 1
+    return invariants.free_rank, sorted(powers)
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(gcms(max_rank=3), gcms(max_rank=3))
+def test_direct_sum_answers_are_products(m1, m2):
+    """Irreducibility is not a hypothesis: a direct sum of two gated GCMs
+    is answered as the product of its factors' answers.  The sum is gated
+    unless one factor is symmetrizable with a pair above 3 and the other
+    is not symmetrizable; only then does it need ``force``."""
+    hypothesis.assume(_gated(m1) and _gated(m2))
+    m = direct_sum(m1, m2)
+    force = not _gated(m)
+    if force:
+        with pytest.raises(HypothesisError):
+            pi1_group(m)
+    g1, g2 = pi1_group(m1), pi1_group(m2)
+    assert pi1_group(m, force=force) == Pi1Type(
+        g1.free_rank + g2.free_rank, g1.c2_count + g2.c2_count
+    )
+    # the components of the sum are the first factor's, then the second's
+    split = len(build_adm(m1).components)
+    colourings = enumerate_kappa(build_adm(m))
+    assert len(colourings) == len(enumerate_kappa(build_adm(m1))) * len(
+        enumerate_kappa(build_adm(m2))
+    )
+    for kappa in colourings:
+        s1 = pi1_spin(m1, KappaColouring(kappa.values[:split]))
+        s2 = pi1_spin(m2, KappaColouring(kappa.values[split:]))
+        assert pi1_spin(m, kappa, force=force) == Pi1Type(
+            s1.free_rank + s2.free_rank, s1.c2_count + s2.c2_count
+        )
+    # the flag groups' abelianizations, by Smith normal form, not by colours
+    for J in [()] + [(k,) for k in range(m.n)]:
+        J1 = tuple(k for k in J if k < m1.n)
+        J2 = tuple(k - m1.n for k in J if k >= m1.n)
+        a1 = abelianization(flag_presentation(m1, J1))
+        a2 = abelianization(flag_presentation(m2, J2))
+        free, powers = _elementary_divisors(abelianization(flag_presentation(m, J)))
+        assert free == a1.free_rank + a2.free_rank
+        assert powers == sorted(_elementary_divisors(a1)[1] + _elementary_divisors(a2)[1])

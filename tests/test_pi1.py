@@ -65,10 +65,11 @@ class TestPi1TypeRendering:
         assert str(Pi1Type(z, c2)) == text
 
     def test_json(self, tmp_path):
-        # A1 + A2 + A2 has pi1 = Z x C2^2; reducible, so only with --force
+        # A1 + A2 + A2 has pi1 = Z x C2^2, the product over its factors
         m = direct_sum(direct_sum(from_named("A1"), from_named("A2")), from_named("A2"))
         data = _cli_json(["pi1", "--force"], tmp_path, m)
         assert data["pi1_G"] == {"z": 1, "c2": 2}
+        assert data["reducible"] is True
 
 
 class TestPi1Group:
@@ -89,11 +90,10 @@ class TestPi1Group:
         assert pi1_group(NEITHER, force=True) == Pi1Type(1, 0)
 
     def test_gate_rejects_reducible(self):
+        # irreducibility is not a hypothesis: A1 + A1 passes the gate, and
+        # its pi1 is the product of its factors'
         m = direct_sum(from_named("A1"), from_named("A1"))
-        with pytest.raises(HypothesisError) as info:
-            pi1_group(m)
-        assert info.value.reason == "reducible"
-        assert pi1_group(m, force=True) == Pi1Type(2, 0)
+        assert pi1_group(m) == pi1_group(m, force=True) == Pi1Type(2, 0)
 
     def test_two_spherical_without_symmetrizable_passes_gate(self):
         pi1_group(TWO_SPHERICAL_NOT_SYMMETRIZABLE)
@@ -290,7 +290,7 @@ class TestFullReport:
     def test_reducible_reported_as_product(self):
         m = direct_sum(from_named("A1"), from_named("A2"))
         report = full_report(m)
-        assert report.reducible
+        assert not report.hypotheses.irreducible
         assert report.group == Pi1Type(1, 1)
 
     def test_json_schema(self):

@@ -88,8 +88,9 @@ def test_closure_cells_by_definition(case, letters):
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(gcms(), st.lists(st.integers(0, 5), max_size=8))
 def test_inverse_and_word_by_strip(m, letters):
-    """One strip gives w^{-1} and its lexicographically least word, two give
-    w's; indefinite matrices, with unbounded heights, included."""
+    """A strip and a step give w^{-1} and its lexicographically least word,
+    and one more strip gives w's; indefinite matrices, with unbounded
+    heights, included."""
     group, oracle = WeylGroup(m), MatrixWeylGroup(m)
     word = [i % m.n for i in letters]
     w, matrix = group.from_word(word), oracle.from_word(word)
