@@ -126,6 +126,10 @@ def _checked_kappa(value) -> int:
 def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
     if not isinstance(kappa, KappaColouring):
         raise InadmissibleKappaError(f"a colouring must be a KappaColouring, got {kappa!r}")
+    # the values are read more than once, so only a tuple is admitted: a
+    # one-shot iterator would read empty after its first pass
+    if not isinstance(kappa.values, tuple):
+        raise InadmissibleKappaError(f"kappa values must be a tuple, got {kappa.values!r}")
     if len(kappa.values) != len(graph.components):
         raise InadmissibleKappaError(
             f"expected {len(graph.components)} component values, "

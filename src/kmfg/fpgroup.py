@@ -26,22 +26,27 @@ words), is infinite or already above the cap.  Each relator is scanned
 once up to inversion (the enumerator drops repeats and inverses from its
 own working list; presentations keep them), and a relator is traced before
 it is scanned.  ``todd_coxeter`` compacts the table a strategy returns
-and certifies it once (``_closed``): the table gives each letter a
-permutation of the cosets, and every relator closes at every coset
-exactly when the composition of its letters' columns is the identity.
-The columns cost one integer per coset per letter while the check runs.
+(one renumbering maps each kept row) and certifies it once
+(``_closed``): every letter's column must be defined throughout, and
+each generator's inverse column must undo its column, so each letter
+acts as a permutation of the cosets.  A relator r = uv then closes at
+every coset exactly when u and v^-1 induce the same permutation, which
+composes about half as many columns as the whole of r.  The columns cost
+one list slot per coset per letter while the check runs.
 Both strategies close every relator at every coset by construction, so a
 table that fails the certificate is an InternalError, like a failed
 normality test, and never a retry.  The relator-scanning strategy scans
 every relator at each live coset in turn; its lookahead, when the table
 fills, is a deduction-only pass over every relator at every coset
 (``_scan_everywhere``) that frees the rows its coincidences kill.  The
-deduction-driven strategy handles a deduction alpha.x = beta by scanning
-the relator rotations that start with x at alpha.  Rotations of both r
-and r^-1 are listed, so these cross the edge in every relator cycle
-through it, each cycle once; the rotations that start with x^-1 at beta
-would walk the same cycles backwards and are not scanned.  It resumes its
-search for the next undefined entry at the last coset that had one.
+deduction-driven strategy handles a deduction alpha.x = beta by tracing
+the relator rotations that start with x at alpha, forward and then back,
+and scanning one only where its trace ends in a deduction or a
+coincidence.  Rotations of both r and r^-1 are listed, so these cross
+the edge in every relator cycle through it, each cycle once; the
+rotations that start with x^-1 at beta would walk the same cycles
+backwards and are not traced.  It resumes its search for the next
+undefined entry at the last coset that had one.
 
 The presentation builders turn a generalized Cartan matrix and a
 parabolic J into the flag presentation, the pair relators
@@ -143,6 +148,11 @@ class FpPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
+        names = _checked_tuple(self.generator_names, "generator names")
+        for name in names:
+            if name.__class__ is not str:
+                raise ValueError(f"generator name {name!r} is not a string")
+        object.__setattr__(self, "generator_names", names)
         words = _checked_tuple(self.relators, "relators")
         relators = tuple(_checked_word(word, self.generator_count) for word in words)
         for word in relators:
@@ -386,15 +396,21 @@ class _CosetTable:
         b = alpha
         j = len(word) - 1
         while True:
-            while i <= j and table[f][word[i]] is not None:
-                f = table[f][word[i]]
+            while i <= j:
+                g = table[f][word[i]]
+                if g is None:
+                    break
+                f = g
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][word[j] ^ 1] is not None:
-                b = table[b][word[j] ^ 1]
+            while j >= i:
+                g = table[b][word[j] ^ 1]
+                if g is None:
+                    break
+                b = g
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
@@ -411,18 +427,20 @@ class _CosetTable:
 
     def compact(self) -> int:
         """Renumber live cosets consecutively, dropping dead rows; returns
-        how many rows were dropped."""
+        how many rows were dropped.  One renumbering, which also keeps an
+        undefined entry undefined, maps each kept row in one C-level map."""
         live = [i for i, parent in enumerate(self.p) if parent == i]
         dropped = len(self.p) - len(live)
         if not dropped:
             return 0
-        number = dict(zip(live, range(len(live))))
         # the new number of every coset, dead ones through their representative
-        renumber = [number[self.rep(k)] for k in range(len(self.p))]
-        self.table = [
-            [None if entry is None else renumber[entry] for entry in self.table[i]]
-            for i in live
-        ]
+        renumber = dict(zip(live, range(len(live))))
+        for k, parent in enumerate(self.p):
+            if parent != k:
+                renumber[k] = renumber[self.rep(k)]
+        renumber[None] = None
+        table = self.table
+        self.table = [list(map(renumber.__getitem__, table[i])) for i in live]
         self.p = list(range(len(live)))
         return dropped
 
@@ -526,22 +544,37 @@ def _scan_everywhere(ct, relators):
 
 def _closed(table, relators) -> bool:
     """Whether a compacted table is complete and every relator closes at
-    every coset; the table is only read.  A complete table is one
-    permutation per letter, so each letter's column is built once and a
-    relator closes everywhere exactly when the composition of its letters'
-    columns is the identity; reading whole columns keeps the accesses
-    sequential."""
-    if any(None in row for row in table):
+    every coset; the table is only read.  Each letter's column is built
+    once, as a list (reading whole columns keeps the accesses sequential).
+    Every column must be defined throughout, and each generator's inverse
+    column must undo its column, which makes every column a permutation
+    with its inverse beside it.  A relator r = uv then closes at coset k
+    exactly when k.u = k.v^-1, so each relator is checked by composing its
+    two halves, a half's first letter read straight off its column."""
+    columns = list(map(list, zip(*table)))
+    if any(None in column for column in columns):
         return False
     identity = list(range(len(table)))
-    columns = [[row[x] for row in table] for x in range(len(table[0]))]
+    for x in range(0, len(columns), 2):
+        if list(map(columns[x + 1].__getitem__, columns[x])) != identity:
+            return False
     for rel in relators:
-        image = identity
-        for x in rel:
-            image = list(map(columns[x].__getitem__, image))
-        if image != identity:
+        half = len(rel) // 2
+        if _image(columns, identity, rel[:half]) != _image(
+            columns, identity, _letters_inverse(rel[half:])
+        ):
             return False
     return True
+
+
+def _image(columns, identity, letters) -> list:
+    """The coset each coset reaches along ``letters``, as a list."""
+    if not letters:
+        return identity
+    image = columns[letters[0]]
+    for x in letters[1:]:
+        image = list(map(columns[x].__getitem__, image))
+    return image
 
 
 def _hlt_table(ngens, relators, subgroup, max_cosets):
@@ -560,9 +593,8 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
             while alpha < len(table):
                 if p[alpha] == alpha:
                     for rel in relators:
-                        if p[alpha] != alpha:
-                            break
-                        # trace first; scan only where the trace does not close
+                        # trace first; scan only where the trace does not
+                        # close, and only a scan can kill alpha
                         f = alpha
                         for x in rel:
                             f = table[f][x]
@@ -570,6 +602,8 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
                                 break
                         if f != alpha:
                             ct.scan(alpha, rel, fill=True)
+                            if p[alpha] != alpha:
+                                break
                     if p[alpha] == alpha:
                         for x in range(ct.width):
                             if table[alpha][x] is None:
@@ -585,36 +619,69 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
             # rescan from the start (already-closed scans cost one trace)
 
 
-def _felsch_table(ngens, relators, subgroup, max_cosets):
-    """Felsch: the complete table, every relator closed at every live
-    coset, or None when the table fills.  Every entry it sets is a
-    deduction, and processing one scans every relator cycle through it."""
-    ct = _CosetTable(ngens, max_cosets, record_deductions=True)
+def _rotations_by_letter(ngens, relators) -> dict:
+    """The distinct nonempty rotations of every relator and of its inverse,
+    listed under their first letter."""
     by_letter = {x: [] for x in range(2 * ngens)}
-    seen_rotations = set()
+    seen = set()
     for rel in relators:
         for base in (rel, _letters_inverse(rel)):
             for k in range(len(base)):
                 rotation = base[k:] + base[:k]
-                if rotation and rotation not in seen_rotations:
-                    seen_rotations.add(rotation)
+                if rotation not in seen:
+                    seen.add(rotation)
                     by_letter[rotation[0]].append(rotation)
+    return by_letter
+
+
+def _felsch_table(ngens, relators, subgroup, max_cosets):
+    """Felsch: the complete table, every relator closed at every live
+    coset, or None when the table fills.  Every entry it sets is a
+    deduction, and processing one traces every relator cycle through it."""
+    ct = _CosetTable(ngens, max_cosets, record_deductions=True)
+    by_letter = _rotations_by_letter(ngens, relators)
+    table = ct.table
+    p = ct.p
 
     def process_deductions():
         # by_letter holds the rotations of r and of r^-1, so the words that
         # start with x at alpha cross the edge alpha.x = beta in every relator
         # cycle through it, in one direction or the other; the words that
-        # start with x^-1 at beta would walk the same cycles backwards
+        # start with x^-1 at beta would walk the same cycles backwards.  Each
+        # is traced forward, then back; it is scanned only where the trace
+        # closes on another coset (a coincidence) or leaves a gap of one
+        # letter (a deduction), the scans that change the table
         while ct.deductions:
             alpha, x = ct.deductions.pop()
             alpha = ct.rep(alpha)
             for word in by_letter[x]:
-                if ct.p[alpha] != alpha:
-                    break
+                f = alpha
+                i = 0
+                j = len(word) - 1
+                while i <= j:
+                    g = table[f][word[i]]
+                    if g is None:
+                        break
+                    f = g
+                    i += 1
+                if i > j:
+                    if f == alpha:
+                        continue
+                else:
+                    b = alpha
+                    while j > i:
+                        g = table[b][word[j] ^ 1]
+                        if g is None:
+                            break
+                        b = g
+                        j -= 1
+                    if j > i:
+                        continue
                 ct.scan(alpha, word, fill=False)
+                # only a scan can kill alpha
+                if p[alpha] != alpha:
+                    break
 
-    table = ct.table
-    p = ct.p
     try:
         for word in subgroup:
             ct.scan(0, word, fill=True)

@@ -253,6 +253,8 @@ NOT_ITERABLE = {
     "relators": (lambda: FpPresentation(("a",), 5), ValueError),
     "subgroup_words": (lambda: todd_coxeter(S3, subgroup_words=5), ValueError),
     "pi1_spin": (lambda: pi1_spin(from_named("A1"), (1,)), InadmissibleKappaError),
+    "generator_names": (lambda: FpPresentation(5, ()), ValueError),
+    "kappa_values": (lambda: pi1_spin(from_named("A1"), KappaColouring(5)), InadmissibleKappaError),
 }
 
 
@@ -261,3 +263,31 @@ def test_not_iterable_container_is_typed_error(name):
     call, error = NOT_ITERABLE[name]
     with pytest.raises(error):
         call()
+
+
+# a container argument that is iterable but not what the argument holds
+WRONG_CONTAINER = {
+    # a one-shot iterator would pass a tuple conversion once, then read empty
+    "kappa_values": (
+        lambda: pi1_spin(from_named("A1"), KappaColouring(iter((1,)))),
+        InadmissibleKappaError,
+    ),
+    "kappa_values_list": (
+        lambda: validate_kappa(GRAPH, KappaColouring([1])),
+        InadmissibleKappaError,
+    ),
+    "generator_names": (lambda: FpPresentation((0, 1), ()), ValueError),
+    "generator_name_none": (lambda: FpPresentation(("a", None), ()), ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_CONTAINER))
+def test_wrong_container_is_typed_error(name):
+    call, error = WRONG_CONTAINER[name]
+    with pytest.raises(error):
+        call()
+
+
+def test_generator_names_kept_as_a_tuple():
+    p = FpPresentation(["a", "b"], ())
+    assert p.generator_names == ("a", "b") and p.generator_count == 2

@@ -344,20 +344,38 @@ class TestToddCoxeter:
             assert todd_coxeter(p, strategy="hlt") == felsch
 
     def test_felsch_scans_each_cycle_once(self, monkeypatch):
-        # a work count, not a timing: each deduction scans the relator
-        # cycles through its edge once, from one end; scanning them again
-        # from the other end as well made 146,288 scans here
+        # a work count, not a timing: each deduction traces the relator
+        # cycles through its edge once, from one end, and scans only the
+        # traces that end in a deduction or a coincidence.  Counted here:
+        # every rotation traced plus every scan, 73,144 + 3,585 on A8;
+        # tracing or scanning the cycles again from the other end as well
+        # made 146,288 scans when each rotation was scanned
         scans = []
+        traced = []
 
         class Counting(kmfg.fpgroup._CosetTable):
             def scan(self, alpha, word, fill):
                 scans.append(None)
                 return super().scan(alpha, word, fill)
 
+        class Traced(list):
+            def __iter__(self):
+                for word in super().__iter__():
+                    traced.append(None)
+                    yield word
+
+        rotations = kmfg.fpgroup._rotations_by_letter
         monkeypatch.setattr(kmfg.fpgroup, "_CosetTable", Counting)
+        monkeypatch.setattr(
+            kmfg.fpgroup,
+            "_rotations_by_letter",
+            lambda ngens, relators: {
+                x: Traced(words) for x, words in rotations(ngens, relators).items()
+            },
+        )
         p = flag_presentation(from_named("A8"), ())
         assert todd_coxeter(p, strategy="felsch") == EnumerationResult.finite(512)
-        assert len(scans) <= 73_144
+        assert len(traced) + len(scans) <= 76_729
 
 
 def _hand_table(rows) -> _CosetTable:
@@ -369,10 +387,11 @@ def _hand_table(rows) -> _CosetTable:
 
 
 class TestClosureCertificate:
-    """``_closed`` certifies a complete compacted table by composing, per
-    relator, the permutations its letters induce on the cosets;
-    ``todd_coxeter`` runs it once per Finite result, and a table that fails
-    it is an InternalError."""
+    """``_closed`` certifies a complete compacted table by checking that
+    each inverse column undoes its column, then comparing, per relator, the
+    permutations its two halves induce on the cosets; ``todd_coxeter`` runs
+    it once per Finite result, and a table that fails it is an
+    InternalError."""
 
     A, B = (0, 1), (1, 1)
     S3 = FpPresentation(("a", "b"), ((A, A), (B, B), (A, B) * 3))
@@ -382,6 +401,42 @@ class TestClosureCertificate:
 
     def test_closed_permutation_table(self):
         assert _closed(self.S3_ON_THREE, self.S3_RELATORS)
+
+    # a = (0 1 2) and b the identity; columns a, a^-1, b, b^-1
+    CYCLE_AND_IDENTITY = [[1, 2, 0, 0], [2, 0, 1, 1], [0, 1, 2, 2]]
+    A_INV = (0, -1)
+
+    @pytest.mark.parametrize(
+        "word, closes",
+        [
+            ((B,), True),
+            ((A,), False),
+            ((A, A, A), True),
+            ((A_INV, B, A), True),
+            ((A, B, A), False),
+            ((A, A, B), False),
+            ((A, B, A, B, A), True),
+            ((A, A, A, B, B), True),
+            ((A, B, B, B, B), False),
+            ((A, A, B, A, A), False),
+        ],
+    )
+    def test_odd_length_relators(self, word, closes):
+        # the halves of an odd relator differ in length by one letter
+        rows = self.CYCLE_AND_IDENTITY
+        letters = _word_to_letters(word)
+        traced = all(_closes(rows, g, letters) for g in range(3))
+        assert _closed(rows, [letters]) == traced == closes
+
+    def test_inverse_column_must_undo_its_column(self):
+        # <a | a^3> on three cosets with a = (0 1 2), but the a^-1 column a
+        # copy of the a column: tracing a^3 closes at every coset and so does
+        # the composition of its letters, yet a^-1 a moves every coset
+        rows = [[1, 1], [2, 2], [0, 0]]
+        cube = _word_to_letters((self.A,) * 3)
+        assert all(_closes(rows, g, cube) for g in range(3))
+        assert not _closed(rows, [cube])
+        assert _closed([[1, 2], [2, 0], [0, 1]], [cube])
 
     def test_undefined_entry_at_a_live_coset(self):
         rows = [list(row) for row in self.S3_ON_THREE]
