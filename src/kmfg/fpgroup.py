@@ -148,6 +148,9 @@ class FpPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
+        # a string iterates as its characters, strings too, but is one name
+        if isinstance(self.generator_names, str):
+            raise ValueError(f"generator names {self.generator_names!r} is one string, not names")
         names = _checked_tuple(self.generator_names, "generator names")
         for name in names:
             if name.__class__ is not str:

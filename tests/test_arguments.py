@@ -277,6 +277,7 @@ WRONG_CONTAINER = {
         InadmissibleKappaError,
     ),
     "generator_names": (lambda: FpPresentation((0, 1), ()), ValueError),
+    "generator_names_string": (lambda: FpPresentation("ab", ()), ValueError),
     "generator_name_none": (lambda: FpPresentation(("a", None), ()), ValueError),
 }
 
