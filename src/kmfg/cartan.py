@@ -12,10 +12,12 @@ The plain format is read in one pass: each line is cut at ``#`` and split
 into words by ``str.split()``, and the words are converted by ``int``.  A
 word's line and 1-based column are found only for the word that an error
 names, by finding the words of its line in turn.
-Construction validates all n^2 entries of its input.  The analyses (the
-predicates here, the parity graph in ``adm``, the Weyl group in
-``coxeter``) read the diagram only through ``neighbours``, the nonzero
-off-diagonal entries of each row, so they cost time linear in its edges.
+Construction reads each row of its input once, building ``neighbours``,
+the nonzero off-diagonal entries of the row, and checks the diagonal, the
+sign and the zero-symmetry rules on those: a zero-symmetry violation is
+reported at its nonzero entry.  The analyses (the predicates here, the
+parity graph in ``adm``, the Weyl group in ``coxeter``) read the diagram
+only through ``neighbours``, so they cost time linear in its edges.
 
 Indices are 0-based throughout the Python API; the text formats, the CLI
 and all rendered reports use 1-based indices.
@@ -42,6 +44,7 @@ import operator
 import re
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import compress
 from math import gcd
 
 from .errors import InputError, InvariantViolationError, MatrixFormatError, UnknownNameError
@@ -63,7 +66,13 @@ __all__ = [
 @dataclass(frozen=True)
 class GeneralizedCartanMatrix:
     """Integer matrix with 2 on the diagonal, entries <= 0 off it, and a
-    symmetric zero pattern.  Immutable once constructed."""
+    symmetric zero pattern.  Immutable once constructed.
+
+    ``neighbours`` holds, per vertex i, the pairs (j, a[i][j]) with j != i
+    and a[i][j] != 0, by increasing j.  Construction builds it and checks
+    the three invariants on it, and every analysis reads the diagram
+    through it.  It is not a field: equality, hashing and repr read only
+    ``entries``."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -80,34 +89,36 @@ class GeneralizedCartanMatrix:
                 )
             # a row of exact ints passes as it is; any other is converted or
             # refused entry by entry
-            for v in row:
-                if v.__class__ is not int:
-                    rows[k] = tuple(map(_matrix_entry, row))
-                    break
-        object.__setattr__(self, "entries", tuple(rows))
-        a = self.entries
-        for i in range(n):
+            if {*map(type, row)} != {int}:
+                rows[k] = tuple(map(_matrix_entry, row))
+        a = tuple(rows)
+        object.__setattr__(self, "entries", a)
+        # the one read of each row: compress skips its zeros in C
+        columns = range(n)
+        neighbours = tuple(
+            tuple([(j, row[j]) for j in compress(columns, row) if j != i])
+            for i, row in enumerate(a)
+        )
+        object.__setattr__(self, "neighbours", neighbours)
+        for i, row in enumerate(neighbours):
             if a[i][i] != 2:
                 raise InvariantViolationError(
                     "diagonal",
                     (i + 1, i + 1),
                     f"a[{i + 1}][{i + 1}] must be 2, got {a[i][i]}",
                 )
-            for j in range(n):
-                if i == j:
-                    continue
-                if a[i][j] > 0:
+            for j, v in row:
+                if v > 0:
                     raise InvariantViolationError(
                         "sign",
                         (i + 1, j + 1),
-                        f"a[{i + 1}][{j + 1}] must be <= 0, got {a[i][j]}",
+                        f"a[{i + 1}][{j + 1}] must be <= 0, got {v}",
                     )
-                if (a[i][j] == 0) != (a[j][i] == 0):
+                if not a[j][i]:
                     raise InvariantViolationError(
                         "zero-symmetry",
                         (i + 1, j + 1),
-                        f"a[{i + 1}][{j + 1}] = {a[i][j]} but "
-                        f"a[{j + 1}][{i + 1}] = {a[j][i]}",
+                        f"a[{i + 1}][{j + 1}] = {v} but a[{j + 1}][{i + 1}] = 0",
                     )
 
     @property
@@ -135,15 +146,6 @@ class GeneralizedCartanMatrix:
     # The analysis, computed on first use and kept on the matrix object.
     # cached_property writes the instance __dict__, which a frozen dataclass
     # without slots leaves open; equality and hashing read only ``entries``.
-
-    @cached_property
-    def neighbours(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex i, the pairs (j, a[i][j]) with j != i and a[i][j] != 0,
-        by increasing j.  Every analysis reads the diagram through these."""
-        return tuple(
-            tuple((j, v) for j, v in enumerate(row) if v and j != i)
-            for i, row in enumerate(self.entries)
-        )
 
     @cached_property
     def _hypotheses(self) -> "HypothesisReport":
@@ -303,8 +305,6 @@ def _parse_json(text: str) -> GeneralizedCartanMatrix:
         raise MatrixFormatError(exc.msg, exc.lineno, exc.colno) from None
     except RecursionError:
         raise InputError("JSON input nested too deeply") from None
-    if not isinstance(data, dict):
-        raise MatrixFormatError("JSON input must be an object")
     for key in ("size", "entries"):
         if key not in data:
             raise MatrixFormatError(f"missing JSON field {key!r}")

@@ -20,7 +20,8 @@ class InvariantViolationError(KmfgError):
     """A square integer matrix that fails a generalized-Cartan-matrix invariant.
 
     ``invariant`` is one of ``"diagonal"``, ``"sign"``, ``"zero-symmetry"``;
-    ``entry`` is the offending (row, column) pair, 1-based for reporting.
+    ``entry`` is the offending (row, column) pair, 1-based for reporting;
+    for ``"zero-symmetry"`` it is the nonzero entry whose mirror is 0.
     """
 
     def __init__(self, invariant, entry, message):

@@ -5,9 +5,10 @@ the package under test: permutations in one-line notation for the type-A
 Coxeter checks, polynomial multiplication for Poincare series, exact
 rational elimination and determinant-divisor gcds for integer linear
 algebra, integer matrix products for the Weyl group, a regex tokenizer for
-the plain matrix format, rational ratios for the symmetrizer, the diagram
-predicates and the coloured parity graph read over all n^2 entries, and
-a direct brute-force reading of the admissible-colouring definition.
+the plain matrix format, the three matrix invariants, rational ratios for
+the symmetrizer, the diagram predicates and the coloured parity graph read
+over all n^2 entries, and a direct brute-force reading of the
+admissible-colouring definition.
 """
 
 from __future__ import annotations
@@ -412,6 +413,32 @@ def parse_plain_reference(text):
         word, line, col = tokens[1 + n * n]
         raise MatrixFormatError(f"trailing token {word!r}", line, col)
     return tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n))
+
+
+def gcm_first_violation(rows):
+    """The first invariant of a generalized Cartan matrix that the square
+    integer matrix ``rows`` breaks, as (invariant, 1-based entry, message),
+    or None.  The rows are read in order, each its diagonal first and then
+    every other entry by increasing column: an off-diagonal entry breaks the
+    sign rule when it is positive, and the zero-symmetry rule when exactly
+    one of it and its mirror is 0, which is reported at the nonzero one."""
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] != 2:
+            return "diagonal", (i + 1, i + 1), f"a[{i + 1}][{i + 1}] must be 2, got {rows[i][i]}"
+        for j in range(n):
+            if j == i:
+                continue
+            v, mirror = rows[i][j], rows[j][i]
+            if v > 0:
+                return "sign", (i + 1, j + 1), f"a[{i + 1}][{j + 1}] must be <= 0, got {v}"
+            if v != 0 and mirror == 0:
+                return (
+                    "zero-symmetry",
+                    (i + 1, j + 1),
+                    f"a[{i + 1}][{j + 1}] = {v} but a[{j + 1}][{i + 1}] = {mirror}",
+                )
+    return None
 
 
 def symmetrizer_rational(m):

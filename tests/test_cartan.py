@@ -48,6 +48,17 @@ class TestParsing:
         assert info.value.invariant == "zero-symmetry"
         assert info.value.entry == (1, 2)
 
+    def test_zero_symmetry_reported_at_the_nonzero_entry(self):
+        # the zero a[1][2] comes first in row-major order, but the rule is
+        # read off the nonzero entries, so the violation is a[2][1]
+        with pytest.raises(InvariantViolationError) as info:
+            parse_matrix("2\n2 0\n-1 2")
+        assert (info.value.invariant, info.value.entry, str(info.value)) == (
+            "zero-symmetry",
+            (2, 1),
+            "a[2][1] = -1 but a[1][2] = 0",
+        )
+
     def test_diagonal_violation(self):
         with pytest.raises(InvariantViolationError) as info:
             parse_matrix("2\n1 -1\n-1 2")
@@ -85,6 +96,12 @@ class TestParsing:
         with pytest.raises(MatrixFormatError):
             parse_matrix("{not json")
 
+    def test_only_an_object_is_read_as_json(self):
+        # a JSON array is not the JSON format: the plain parser reads it
+        with pytest.raises(MatrixFormatError) as info:
+            parse_matrix("[2]")
+        assert str(info.value) == "line 1, column 1: expected the rank, got '[2]'"
+
     @pytest.mark.parametrize("name", ALL_NAMED)
     def test_round_trip_plain(self, name):
         m = from_named(name)
@@ -96,6 +113,40 @@ class TestParsing:
 
         m = from_named(name)
         assert parse_matrix(json.dumps(m.to_json_dict())) == m
+
+
+class TestConstruction:
+    def test_empty_matrix(self):
+        with pytest.raises(MatrixFormatError, match="^matrix must have positive rank$"):
+            GeneralizedCartanMatrix(())
+
+    def test_not_square(self):
+        with pytest.raises(
+            MatrixFormatError, match="^matrix is not square: rank 2, row of length 1$"
+        ):
+            GeneralizedCartanMatrix(((2, -1), (2,)))
+
+    def test_index_entry_stored_as_int(self):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        m = GeneralizedCartanMatrix(((2, Index(-1)), (-1, 2)))
+        assert m.entries == ((2, -1), (-1, 2))
+        assert {type(v) for row in m.entries for v in row} == {int}
+        assert m.neighbours == (((1, -1),), ((0, -1),))
+        assert m == from_named("A2")
+
+    def test_neighbours_is_not_a_field(self):
+        m = from_named("A2")
+        assert repr(m) == "GeneralizedCartanMatrix(entries=((2, -1), (-1, 2)))"
+        assert hash(m) == hash(GeneralizedCartanMatrix(((2, -1), (-1, 2))))
+
+    def test_str_is_the_plain_format(self):
+        assert str(from_named("G2")) == "2\n2 -1\n-3 2"
 
 
 class TestNamed:

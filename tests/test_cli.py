@@ -285,6 +285,23 @@ class TestInputHandling:
         assert code == 2
         assert err.startswith("error[E201]:")
 
+    def test_zero_symmetry_at_the_nonzero_entry_exit_2(self, monkeypatch):
+        assert invoke(["info", "--matrix", "-"], stdin="2\n2 0\n-1 2\n",
+                      monkeypatch=monkeypatch) == (
+            2,
+            "",
+            "error[E201]: a[2][1] = -1 but a[1][2] = 0\n",
+        )
+
+    def test_json_row_not_a_list_exit_2(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"size": 2, "entries": [[2, -1], 5]}')
+        assert invoke(["info", "--matrix", str(path)]) == (
+            2,
+            "",
+            "error[E201]: each row must be a list of 2 integers\n",
+        )
+
     def test_missing_file_exit_2(self):
         code, _, err = invoke(["pi1", "--matrix", "/nonexistent/m.txt"])
         assert code == 2
@@ -435,6 +452,21 @@ class TestFlagCommand:
         assert code == 2
         assert err.startswith("error[E203]:")
 
+    def test_set_not_integers_exit_2(self):
+        assert invoke(["flag", "--type", "A3", "--set", "x"]) == (
+            2,
+            "",
+            "error[E203]: --set must be a comma list of integers, got 'x'\n",
+        )
+
+    def test_env_cap_below_1_exit_1(self, monkeypatch):
+        monkeypatch.setenv("KMFG_MAX_COSETS", "0")
+        assert invoke(["flag", "--type", "A3", "--set", "1"]) == (
+            1,
+            "",
+            "error[E101]: KMFG_MAX_COSETS must be >= 1, got 0\n",
+        )
+
     def test_cap_exhaustion_exit_4(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KMFG_MAX_COSETS", "4")
         code, out, err = invoke(["flag", "--type", "A2"])
@@ -489,6 +521,13 @@ class TestWeylCommand:
         code, out, _ = invoke(["weyl", "--type", "A2", "--max-length", "3"])
         assert code == 0
         assert out == "length 0: 1\nlength 1: 2\nlength 2: 2\nlength 3: 1\ntotal: 6\n"
+
+    def test_negative_max_length_exit_2(self):
+        assert invoke(["weyl", "--type", "A2", "--max-length", "-1"]) == (
+            2,
+            "",
+            "error[E203]: --max-length must be >= 0\n",
+        )
 
     def test_cells_json(self):
         code, out, _ = invoke(

@@ -55,6 +55,16 @@ class TestAction:
             assert (s * s).is_identity()
 
 
+class TestElementProtocol:
+    def test_not_equal_to_a_non_element(self, a2):
+        assert (a2.identity() == 5) is False
+        assert a2.generator(0) != 5
+
+    def test_repr_is_a_reduced_word(self, a2):
+        assert repr(a2.from_word((0, 1))) == "<WeylElement s1*s2>"
+        assert repr(a2.identity()) == "<WeylElement e>"
+
+
 class TestMultiply:
     def test_braid_relation(self, a2):
         s1, s2 = a2.generator(0), a2.generator(1)

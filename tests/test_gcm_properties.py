@@ -1,5 +1,6 @@
 """Property tests of the analysis over random generalized Cartan matrices:
-the plain-format parser against a regex tokenizer, invariance under
+the constructor against the invariants read entry by entry, the
+plain-format parser against a regex tokenizer, invariance under
 relabelling the vertices, the neighbour list, the predicates and the
 coloured parity graph at every parabolic J against their dense
 definitions, the least integer symmetrizer against rational ratios, each
@@ -40,6 +41,7 @@ from oracles import (
     connected_dense,
     direct_sum,
     exact_det,
+    gcm_first_violation,
     minors_gcd_invariant_factors,
     parity_edges_dense,
     parse_plain_reference,
@@ -145,6 +147,43 @@ def test_relabelling_invariance(pair):
     assert sorted(build_adm(m).colours) == sorted(build_adm(moved).colours)
     assert hypothesis_report(m) == hypothesis_report(moved)
     assert _pi1_or_refusal(m) == _pi1_or_refusal(moved)
+
+
+@st.composite
+def square_matrices(draw):
+    """Rank 1 to 6, entries in -3..3, a diagonal that is mostly 2; each
+    mirror pair of off-diagonal entries is both 0, both negative or drawn
+    freely, so valid and invalid matrices both come often."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    a = [[draw(st.sampled_from((2, 2, 2, 2, 2, 2, 2, 0, 1, 3, -1))) if i == j else 0
+          for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            kind = draw(st.sampled_from(("zero", "negative", "negative", "free")))
+            if kind == "negative":
+                a[i][j], a[j][i] = draw(st.integers(-3, -1)), draw(st.integers(-3, -1))
+            elif kind == "free":
+                a[i][j], a[j][i] = draw(entry), draw(entry)
+    return tuple(tuple(row) for row in a)
+
+
+@hypothesis.settings(max_examples=400, deadline=None)
+@hypothesis.given(square_matrices())
+def test_constructor_is_the_entrywise_rule(rows):
+    expected = gcm_first_violation(rows)
+    if expected is not None:
+        with pytest.raises(InvariantViolationError) as info:
+            GeneralizedCartanMatrix(rows)
+        assert (info.value.invariant, info.value.entry, str(info.value)) == expected
+        return
+    m = GeneralizedCartanMatrix(rows)
+    assert m.entries == rows
+    n = len(rows)
+    assert m.neighbours == tuple(
+        tuple((j, rows[i][j]) for j in range(n) if j != i and rows[i][j] != 0)
+        for i in range(n)
+    )
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
