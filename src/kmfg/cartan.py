@@ -443,7 +443,8 @@ def from_named(name: str) -> GeneralizedCartanMatrix:
     a = _base_matrix(family, n)
     if affine:
         a = _affinize(family, n, a)
-    return GeneralizedCartanMatrix(tuple(tuple(row) for row in a))
+    # the constructor reads each row once, into a tuple
+    return GeneralizedCartanMatrix(a)
 
 
 def is_irreducible(m: GeneralizedCartanMatrix) -> bool:

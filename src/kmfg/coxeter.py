@@ -19,9 +19,17 @@ A walk fires only coordinates > 0, one length layer at a time, and builds
 each position once.  A position one firing up has one least negative
 coordinate i, and firing i is its one parent; so firing i at c is kept
 only when no k < i is negative after it, which is read off c and row i
-of the matrix before anything is built.  A layer is then a plain list,
-and a histogram counts its last layer's kept firings without building
-them.
+of the matrix before anything is built.  A layer is then a plain list.
+
+A histogram of the cells of G/P_J is a product of small walks.  The
+minimal representatives factor along a chain of parabolics, W^J = W^K
+W_K^J for J in K with lengths adding (Bjorner & Brenti, Prop. 2.4.4), so
+dropping the vertices of S - J one at a time, highest first, makes the
+histogram the product of the series of the quotients W_K^{K - v}.  Each
+is one walk from 1 on v, firing only letters of K, that counts its last
+layer's kept firings without building them; the walks keep distinct
+elements of W^J, sharing only e, and the product is truncated at the
+length bound.
 
 A strip that ends at the identity, w * s_{i_1} * ... * s_{i_r} = e, also
 spells w^{-1} = s_{i_1} ... s_{i_r}.  So ``_strip`` fires each letter in
@@ -44,15 +52,18 @@ from .errors import InputError, ResourceLimitError
 
 __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_root_vector"]
 
-# Positions a walk visits, or elements of a closure's interval: each costs at
-# most about 300 bytes, so the cap bounds a run at about 300 MB of memory.
-# Measured with tracemalloc on CPython 3.11: 184 B per element at the peak
-# of elements_up_to (E8 to length 9); a histogram holds one built layer
-# while it builds the next and builds no last layer, 117 to 132 B per
-# position of its two widest built layers (E8 to 9, E10 to 12, A6~ to 14);
-# a closure's interval, which keeps heights and a length per point, 115 to
-# 205 B per point on E8 and E10, and 235 to 260 B with J = (), where every
-# point is also returned as a cell.
+# Positions a walk keeps, or elements of a closure's interval; a histogram
+# also counts, apart, the coefficient pairs each product of its factors'
+# series multiplies, no more than its cells, which it never builds.  A
+# position is a tuple of n heights, 56 + 8n bytes with its slot in a layer
+# (more for heights above 256), so at rank 10 the cap bounds a walk at about
+# 140 MB and at rank 1,000 only at about 8 GB.  Measured with tracemalloc
+# on CPython 3.11: 184 B per element at the peak of elements_up_to (E8 to
+# length 9); a histogram holds the two widest built layers of one factor,
+# 116 to 129 B per position of them (E8 to 120, E10 to 50, A6~ with J = {3}
+# to 60); a closure's interval, which keeps heights and a length per point,
+# 115 to 205 B per point on E8 and E10, and 235 to 260 B with J = (), where
+# every point is also returned as a cell.
 DEFAULT_ELEMENT_CAP = 1_000_000
 
 
@@ -62,6 +73,33 @@ def is_positive_root_vector(v) -> bool:
 
 def is_negative_root_vector(v) -> bool:
     return all(c <= 0 for c in v) and any(c < 0 for c in v)
+
+
+def _truncated_product(a, b, length: int, cap: int) -> list[int]:
+    """The product of two series with no zero coefficient up to their
+    degree, as a walk's layer sizes are, truncated at degree ``length``.
+    The pairs of coefficients of degree d are a[i] * b[d - i] over
+    max(0, d - q) <= i <= min(d, p), all nonzero, so the product has no
+    zero either; ResourceLimitError comes at the degree where the pairs
+    multiplied first exceed ``cap``."""
+    p, q = len(a) - 1, len(b) - 1
+    product = []
+    pairs = 0
+    for d in range(min(p + q, length) + 1):
+        low, high = max(0, d - q), min(d, p)
+        pairs += high - low + 1
+        if pairs > cap:
+            raise ResourceLimitError(f"element cap {cap} exceeded at length {d}", cap)
+        product.append(sum(a[i] * b[d - i] for i in range(low, high + 1)))
+    return product
+
+
+def _checked_bounds(length, cap) -> tuple[int, int]:
+    """The length bound and the element cap of a walk, checked before it."""
+    length, cap = _checked_int(length, "length bound"), _checked_cap(cap, "element cap")
+    if length < 0:
+        raise ValueError("length bound must be >= 0")
+    return length, cap
 
 
 def _no_descent_in(heights, J) -> bool:
@@ -153,27 +191,27 @@ class WeylGroup:
         word = self._letters(word)
         return self._step(self._one, word)[1] == len(word)
 
-    def _walk(self, start, length: int, cap: int, count_last: bool = False):
+    def _walk(self, start, letters, length: int, cap: int, visited: int = 1,
+              count_last: bool = False):
         """Yield ``(size, layer)`` for each layer of the numbers game from
-        ``start``, firing only coordinates > 0, up to ``length`` firings.
+        ``start``, firing only the coordinates > 0 among ``letters``, an
+        increasing list of vertices, up to ``length`` firings.
 
         Each position is reached once, so no layer is deduplicated.  A
         position y one firing up has a least negative coordinate i, and
         firing i again is y's one parent (Bjorner & Brenti, ch. 4): so
         firing i at c is kept only when every k < i with c[k] < 0 is lifted
         to c[k] - a[i][k] * c[i] >= 0, a test on c before anything is built
-        (reverse search; Avis & Fukuda, Discrete Appl. Math. 65, 1996).
+        (reverse search; Avis & Fukuda, Discrete Appl. Math. 65, 1996).  A
+        coordinate outside ``letters`` that starts >= 0 only grows, since
+        a[i][j] <= 0, so it is never a descent and is never read.
         With ``count_last`` the last layer's kept firings are counted and
-        not built, and its layer is None.  ``visited`` counts every kept
-        firing, so ResourceLimitError comes past ``cap`` positions at the
-        level where the total first exceeds it, built or counted.  The
-        bounds are checked here, for both callers, before the first layer."""
-        length, cap = _checked_int(length, "length bound"), _checked_cap(cap, "element cap")
-        if length < 0:
-            raise ValueError("length bound must be >= 0")
+        not built, and its layer is None.  ``visited`` counts the positions
+        already spent, the start included, and every kept firing adds one,
+        so ResourceLimitError comes past ``cap`` positions at the level
+        where the total first exceeds it, built or counted."""
         neighbours, rows = self.cartan.neighbours, self.cartan.entries
         layer = [start]
-        visited = 1
         yield 1, layer
         for level in range(1, length + 1):
             build = not (count_last and level == length)
@@ -181,7 +219,8 @@ class WeylGroup:
             before = visited
             for c in layer:
                 descents = []  # the k < i with c[k] < 0
-                for i, ci in enumerate(c):
+                for i in letters:
+                    ci = c[i]
                     if ci < 0:
                         descents.append(i)
                         continue
@@ -210,19 +249,45 @@ class WeylGroup:
 
     def elements_up_to(self, length: int, cap: int = DEFAULT_ELEMENT_CAP):
         """All elements of length <= ``length``, breadth-first by length."""
+        length, cap = _checked_bounds(length, cap)
+        walk = self._walk(self._one, range(self.n), length, cap)
         return [
             WeylElement(self, c, _length=level)
-            for level, (_, layer) in enumerate(self._walk(self._one, length, cap))
+            for level, (_, layer) in enumerate(walk)
             for c in layer
         ]
 
     def cell_counts(self, parabolic, length: int, cap: int = DEFAULT_ELEMENT_CAP):
         """Histogram length -> number of cells of that dimension in G/P_J, i.e.
-        of minimal representatives of W_J w (inverses of those of w W_J)."""
-        J = vertex_subset(parabolic, self.n)
-        start = tuple(0 if i in J else 1 for i in range(self.n))
-        walk = self._walk(start, length, cap, count_last=True)
-        return {level: size for level, (size, _) in enumerate(walk)}
+        of minimal representatives of W_J w (inverses of those of w W_J).
+
+        The minimal representatives factor along a chain S = K_0 > K_1 >
+        ... > K_m = J that drops one vertex v of S - J per step, highest
+        first: W^J = W^{K_1} W_{K_1}^J with lengths adding (Bjorner &
+        Brenti, Prop. 2.4.4), so the histogram is the product of the
+        factors' series W_{K}^{K - v}(t), truncated at ``length``.  A
+        factor is the walk from 1 on v and 0 elsewhere that fires only
+        letters of K.  Its elements other than e have v as their one
+        descent, so the factors share only e and together keep no more
+        positions than W^J has; ``cap`` bounds their total, e counted
+        once, and separately the pairs of coefficients each product
+        multiplies."""
+        J = set(vertex_subset(parabolic, self.n))
+        length, cap = _checked_bounds(length, cap)
+        n = self.n
+        letters = list(range(n))
+        series = [1]
+        visited = 1  # e, the start of every factor
+        for v in reversed(range(n)):
+            if v in J:
+                continue
+            start = (0,) * v + (1,) + (0,) * (n - 1 - v)
+            walk = self._walk(start, letters, length, cap, visited, count_last=True)
+            factor = [size for size, _ in walk]
+            visited += sum(factor) - 1
+            series = _truncated_product(series, factor, length, cap)
+            letters.remove(v)
+        return dict(enumerate(series))
 
     def closure_cells(self, w: "WeylElement", parabolic, cap: int = DEFAULT_ELEMENT_CAP):
         """The minimal representatives below ``w`` in the strong order, which

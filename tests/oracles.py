@@ -264,6 +264,21 @@ def degree_product_coeffs(degrees):
     return out
 
 
+def affine_coeffs(degrees, length, grassmannian=False):
+    """Coefficients up to q^length of Bott's series of an affine Weyl group
+    whose finite Weyl group has the given degrees: prod_d [d]_q / (1 -
+    q^(d-1)); with ``grassmannian`` only prod_d 1 / (1 - q^(d-1)), the
+    minimal representatives of the cosets of the finite Weyl group
+    (Bott, Bull. Soc. Math. France 84, 1956)."""
+    out = [1] + [0] * length
+    for d in degrees:
+        for k in range(d - 1, length + 1):
+            out[k] += out[k - (d - 1)]
+    if not grassmannian:
+        out = poly_mul(out, degree_product_coeffs(degrees))[: length + 1]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Exact integer / rational linear algebra
 

@@ -133,7 +133,8 @@ SLOTS = {
         lambda v: _capped(lambda: W.cell_counts((), 2, cap=v)),
         _cap,
         ValueError,
-        lambda v: {0: 1, 1: 3, 2: 5} if v >= 9 else "cap",
+        # the chain W(A3)^{A2} W(A2)^{A1} W(A1) keeps 6 positions to length 2
+        lambda v: {0: 1, 1: 3, 2: 5} if v >= 6 else "cap",
     ),
     "elements_up_to_cap": (
         lambda v: _capped(lambda: len(W.elements_up_to(2, cap=v))),

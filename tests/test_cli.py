@@ -11,6 +11,8 @@ import kmfg.cli
 import kmfg.fpgroup
 from kmfg.cli import build_parser, run
 
+from oracles import poly_mul
+
 
 def invoke(argv, stdin=None, monkeypatch=None):
     out = io.StringIO()
@@ -1058,6 +1060,33 @@ class TestEntryPoint:
             text=True,
             timeout=60,
         )
+
+    def test_rank_1000_histogram_in_bounded_memory(self):
+        # a rank-1000 position is a tuple of about 8 KB, so a walk through
+        # W^J itself, 1,418,257,381,238,698 cells to length 6, would exhaust
+        # 512 MB long before its cap; the chain's factors keep 5,986 positions
+        resource = pytest.importorskip("resource")
+        limit = 512 * 2**20
+
+        def bounded():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = os.path.dirname(os.path.dirname(kmfg.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "kmfg.cli", "weyl", "--type", "A1000", "--max-length", "6"],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=bounded,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        # W(A1000)(t) = prod_{k=1}^{1000} [k + 1]_t, truncated at t^6
+        series = [1]
+        for k in range(1, 1001):
+            series = poly_mul(series, [1] * (min(k, 6) + 1))[:7]
+        lines = [f"length {k}: {c}" for k, c in enumerate(series)]
+        assert done.stdout == "\n".join(lines + [f"total: {sum(series)}"]) + "\n"
 
     def test_pi1_e10_exit_0(self):
         done = self._run(["pi1", "--type", "E10"])

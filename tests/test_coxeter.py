@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from kmfg import WeylGroup, coxeter, from_named
+from kmfg import GeneralizedCartanMatrix, WeylGroup, coxeter, from_named
 from kmfg.coxeter import is_negative_root_vector, is_positive_root_vector
 from kmfg.errors import InputError, ResourceLimitError
 
 from oracles import (
     MatrixWeylGroup,
+    affine_coeffs,
     all_permutations,
     all_reduced_words,
     bruhat_oracle,
@@ -388,14 +389,16 @@ class TestEnumeration:
             affine.elements_up_to(100, cap=10)
 
     def test_cap_boundary(self):
-        # W(E8) has 2,508 elements of length <= 6; the cap counts all of them
+        # W(E8) has 2,508 elements of length <= 6, and elements_up_to's cap
+        # counts all of them; cell_counts keeps 45 positions over its chain
+        # of factors, e once, the last of them at length 1 in W(A1)
         group = WeylGroup(from_named("E8"))
         assert len(group.elements_up_to(6, cap=2508)) == 2508
-        assert sum(group.cell_counts((), 6, cap=2508).values()) == 2508
+        assert sum(group.cell_counts((), 6, cap=45).values()) == 2508
         with pytest.raises(ResourceLimitError, match=r"^element cap 2507 exceeded at length 6$"):
             group.elements_up_to(6, cap=2507)
-        with pytest.raises(ResourceLimitError, match=r"^element cap 2507 exceeded at length 6$"):
-            group.cell_counts((), 6, cap=2507)
+        with pytest.raises(ResourceLimitError, match=r"^element cap 44 exceeded at length 1$"):
+            group.cell_counts((), 6, cap=44)
 
     def test_each_position_built_once(self, monkeypatch):
         # the walk builds a position only for a firing it keeps, and
@@ -412,27 +415,41 @@ class TestEnumeration:
         monkeypatch.setattr(coxeter, "tuple", counting_tuple, raising=False)
         elements = group.elements_up_to(6)
         assert (len(elements), len(built)) == (2508, 2507)
+        # the chain drops 7, 6, ..., 0: first W(E8)^{A7}, then W(A_m)^{A_(m-1)}
+        # for m = 7, ..., 1, which has one element of each length 0 to m;
+        # each factor builds its positions of lengths 1 to 5, not its start
+        first = group.cell_counts(range(7), 6)
         built.clear()
-        histogram = group.cell_counts((), 6)
-        # the start and the positions of lengths 1 to 5
-        assert len(built) == sum(histogram[level] for level in range(6))
+        group.cell_counts((), 6)
+        assert len(built) == sum(first[level] for level in range(1, 6)) + sum(
+            min(m, 5) for m in range(1, 8)
+        )
 
 
 class TestCellCountCap:
-    """The cap counts every position, the counted last level's included, so
-    it raises at the level where the total first exceeds it.  A6~ with
-    J = {3} has 4,159 cells to length 8, 2,268 of them to length 7."""
+    """The cap counts every position the chain's walks keep, e once and each
+    counted last level included, so it raises at the length where the total
+    first exceeds it.  A6~ with J = {3} has 4,159 cells to length 8; the
+    chain drops 6, 5, 4, 2, 1 and 0 and keeps 87 positions, the last at
+    length 1 in W(A1).  The first factor, W(A6~)^{A6}, keeps 64 of them,
+    44 to length 7."""
 
     @pytest.fixture(scope="class")
     def a6_affine(self):
         return WeylGroup(from_named("A6~"))
 
     def test_cap_equal_to_the_total(self, a6_affine):
-        assert a6_affine.cell_counts((3,), 8, cap=4159) == {
+        assert a6_affine.cell_counts((3,), 8, cap=87) == {
             0: 1, 1: 6, 2: 22, 3: 62, 4: 148, 5: 314, 6: 610, 7: 1105, 8: 1891
         }
 
-    @pytest.mark.parametrize("cap,level", [(4158, 8), (2268, 8), (2267, 7), (1, 1), (0, 1)])
+    def test_first_factor(self, a6_affine):
+        # Bott: the affine Grassmannian of A6 has prod_{d=2}^{7} 1 / (1 - t^(d-1))
+        series = affine_coeffs(range(2, 8), 8, grassmannian=True)
+        assert (sum(series), sum(series[:8])) == (64, 44)
+        assert a6_affine.cell_counts(range(6), 8) == dict(enumerate(series))
+
+    @pytest.mark.parametrize("cap,level", [(86, 1), (44, 8), (43, 7), (1, 1), (0, 1)])
     def test_cap_exceeded(self, a6_affine, cap, level):
         if cap < 1:
             # refused as a bad argument before the walk, not at any level
@@ -442,7 +459,7 @@ class TestCellCountCap:
         with pytest.raises(error, match=message):
             a6_affine.cell_counts((3,), 8, cap=cap)
 
-    @pytest.mark.parametrize("cap", [0, 1, 4159])
+    @pytest.mark.parametrize("cap", [0, 1, 87])
     def test_length_zero(self, a6_affine, cap):
         if cap < 1:
             # not ignored at length 0: the cap is checked before the walk
@@ -464,6 +481,36 @@ class TestCellCountCap:
         ):
             with pytest.raises(ValueError, match=rf"^element cap must be >= 1, got {cap}$"):
                 call()
+
+
+class TestProductCap:
+    """Each product of two factors' series counts, apart from the positions,
+    its pairs of nonzero coefficients of total degree <= L against the
+    cap, so it raises at the degree where they first exceed it.  On
+    A1~ + A1~ (entries -2) the chain keeps 23 positions to length 10, and
+    the product of its two infinite factors multiplies 1 + 2 + ... + 11 =
+    66 pairs, 55 of them to degree 9."""
+
+    @pytest.fixture(scope="class")
+    def two_affine_lines(self):
+        rows = ((2, -2, 0, 0), (-2, 2, 0, 0), (0, 0, 2, -2), (0, 0, -2, 2))
+        return WeylGroup(GeneralizedCartanMatrix(rows))
+
+    def test_cap_equal_to_the_pairs(self, two_affine_lines):
+        # ((1 + t) / (1 - t))^2
+        expected = {0: 1, **{d: 4 * d for d in range(1, 11)}}
+        assert two_affine_lines.cell_counts((), 10, cap=66) == expected
+
+    @pytest.mark.parametrize("cap,level", [(65, 10), (55, 10), (54, 9), (23, 6)])
+    def test_cap_exceeded(self, two_affine_lines, cap, level):
+        with pytest.raises(ResourceLimitError, match=rf"^element cap {cap} exceeded at length {level}$"):
+            two_affine_lines.cell_counts((), 10, cap=cap)
+
+    def test_deep_product_stops_at_the_cap(self, two_affine_lines):
+        # the walks keep 200,003 positions, under the cap; the product
+        # would multiply about 5 * 10^9 pairs, and stops past 10^6 of them
+        with pytest.raises(ResourceLimitError, match=r"^element cap 1000000 exceeded at length 1413$"):
+            two_affine_lines.cell_counts((), 100_000)
 
 
 def minimal_reps(group, J, length):
@@ -529,6 +576,53 @@ class TestCellCounts:
         assert group.cell_counts((), longest) == {
             k: c for k, c in enumerate(coeffs)
         }
+
+
+# the degrees of the finite Weyl groups (Humphreys, *Reflection Groups and
+# Coxeter Groups*, 3.7): |W| is their product and the longest element has
+# length sum(d - 1)
+DEGREES = {
+    "A5": (2, 3, 4, 5, 6), "B4": (2, 4, 6, 8), "C5": (2, 4, 6, 8, 10),
+    "D5": (2, 4, 5, 6, 8), "E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6),
+}
+
+
+class TestChainAgainstIndependentCounts:
+    """The histogram, a product over the parabolic chain, against the
+    degrees of the finite types, Bott's series of the affine ones and the
+    growth series of E10."""
+
+    @pytest.mark.parametrize("name", sorted(DEGREES))
+    def test_finite_poincare_polynomial(self, name):
+        group, degrees = WeylGroup(from_named(name)), DEGREES[name]
+        longest = sum(d - 1 for d in degrees)
+        expected = dict(enumerate(degree_product_coeffs(degrees)))
+        assert group.cell_counts((), longest + 5) == expected
+
+    @pytest.mark.parametrize("name,order", [("E8", 696_729_600), ("F4", 1_152)])
+    def test_order(self, name, order):
+        assert sum(WeylGroup(from_named(name)).cell_counts((), 200).values()) == order
+
+    @pytest.mark.parametrize(
+        "name,degrees",
+        [("A1~", (2,)), ("A2~", (2, 3)), ("A4~", (2, 3, 4, 5)), ("B3~", (2, 4, 6)),
+         ("C2~", (2, 4)), ("C3~", (2, 4, 6)), ("D4~", (2, 4, 4, 6)), ("G2~", (2, 6)),
+         ("F4~", DEGREES["F4"]), ("E6~", DEGREES["E6"]), ("E8~", DEGREES["E8"])],
+    )
+    def test_affine_bott_series(self, name, degrees):
+        group, length = WeylGroup(from_named(name)), 12
+        # the affine node is the last vertex; the others span the finite type
+        finite = range(group.n - 1)
+        assert group.cell_counts((), length) == dict(enumerate(affine_coeffs(degrees, length)))
+        assert group.cell_counts(finite, length) == dict(
+            enumerate(affine_coeffs(degrees, length, grassmannian=True))
+        )
+
+    def test_e10_length_60(self):
+        # Steinberg's sum over the spherical subsets gives 44,511,166,062
+        histogram = WeylGroup(from_named("E10")).cell_counts((), 60, cap=10**7)
+        assert histogram[60] == 44_511_166_062
 
 
 class TestClosure:

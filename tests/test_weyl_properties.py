@@ -2,11 +2,14 @@
 Weyl engine and the integer-matrix oracle agree element by element, and
 on products and the action of fresh elements."""
 
+from collections import Counter
+
 import pytest
 
 from kmfg import GeneralizedCartanMatrix, WeylGroup
 
 from oracles import MatrixWeylGroup
+from test_coxeter import minimal_reps
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -66,6 +69,20 @@ def test_cell_counts_match_the_matrix_oracle(case, length):
     indefinite and non-symmetrizable matrices included."""
     m, J = case
     assert WeylGroup(m).cell_counts(J, length) == MatrixWeylGroup(m).cell_counts(J, length)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(gcms_with_parabolic(), st.integers(0, 5))
+def test_chain_counts_the_minimal_representatives(case, length):
+    """The product over the parabolic chain is the histogram of W^J read off
+    the full walk.  A cap of W^J's size answers: the chain's walks keep
+    distinct elements of W^J, e once, and each product multiplies one pair
+    of coefficients per element of some W^K, K containing J."""
+    m, J = case
+    group = WeylGroup(m)
+    expected = Counter(w.length for w in minimal_reps(group, J, length))
+    cells = sum(expected.values())
+    assert group.cell_counts(J, length, cap=cells) == dict(sorted(expected.items()))
 
 
 @hypothesis.settings(max_examples=40, deadline=None)
