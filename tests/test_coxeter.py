@@ -459,7 +459,7 @@ class TestCellCountCap:
         with pytest.raises(error, match=message):
             a6_affine.cell_counts((3,), 8, cap=cap)
 
-    @pytest.mark.parametrize("cap", [0, 1, 87])
+    @pytest.mark.parametrize("cap", [0, 1, 87, 4159])
     def test_length_zero(self, a6_affine, cap):
         if cap < 1:
             # not ignored at length 0: the cap is checked before the walk
