@@ -8,6 +8,14 @@ two-spherical is the one hypothesis that gates the fundamental-group
 formulas; irreducibility is only reported, since a reducible diagram's
 answers are the products of its factors'.
 
+A named diagram is its list of bonds (i, j, a[i][j], a[j][i]) (Kac,
+*Infinite-dimensional Lie algebras*, Tables Fin and Aff 1): each finite
+family is a path with one bond changed or moved (``_bonds``), and the
+affine node's bonds are stated apart (``_affine_bonds``).  ``from_named``
+writes them into rows of zeros with 2 on the diagonal.  A name is refused
+by the rank bound first, then its family's rank rule, then the affine
+rule.
+
 The plain format is read in one pass: each line is cut at ``#`` and split
 into words by ``str.split()``, and the words are converted by ``int``.  A
 word's line and 1-based column are found only for the word that an error
@@ -336,94 +344,53 @@ _NAME_RE = re.compile(r"([A-G])([0-9]+)(~?)\Z")
 # the largest rank of a named diagram, its affine node included, checked
 # before any matrix is built
 _MAX_NAMED_RANK = 1000
+# the least rank of each finite family; F and G have no other
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}
 
 
-def _empty(n):
-    return [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _join(a, i, j, weight_ij=-1, weight_ji=-1):
-    a[i][j] = weight_ij
-    a[j][i] = weight_ji
-
-
-def _base_matrix(family: str, n: int) -> list[list[int]]:
-    a = _empty(n)
-    if family == "A":
-        if n < 1:
-            raise UnknownNameError("A requires rank >= 1")
-        for i in range(n - 1):
-            _join(a, i, i + 1)
-    elif family in ("B", "C"):
-        if n < 2:
-            raise UnknownNameError(f"{family} requires rank >= 2")
-        for i in range(n - 1):
-            _join(a, i, i + 1)
-        if family == "B":
-            # short-root node n: a[n][n-1] = -2 (1-based)
-            a[n - 1][n - 2] = -2
-        else:
-            a[n - 2][n - 1] = -2
-    elif family == "D":
-        if n < 4:
-            raise UnknownNameError("D requires rank >= 4")
-        for i in range(n - 3):
-            _join(a, i, i + 1)
-        _join(a, n - 3, n - 2)
-        _join(a, n - 3, n - 1)
-    elif family == "E":
-        if n < 6:
-            raise UnknownNameError("E requires rank >= 6")
-        for i in range(n - 2):
-            _join(a, i, i + 1)
-        _join(a, n - 4, n - 1)
-    elif family == "F":
-        if n != 4:
-            raise UnknownNameError("F requires rank 4")
-        for i in range(3):
-            _join(a, i, i + 1)
-        # nodes 1, 2 short, 3, 4 long (1-based); the double bond points at node 2
-        a[1][2] = -2
-    elif family == "G":
-        if n != 2:
-            raise UnknownNameError("G requires rank 2")
-        a[0][1] = -1
-        a[1][0] = -3
-    return a
-
-
-def _affinize(family: str, n: int, a: list[list[int]]) -> list[list[int]]:
-    """Append the affine node (last index) of the untwisted extended diagram."""
-    aff = n
-    for row in a:
-        row.append(0)
-    a.append([2 if j == aff else 0 for j in range(n + 1)])
-    if family == "A":
-        if n == 1:
-            a[0][1] = a[1][0] = -2
-        else:
-            _join(a, aff, 0)
-            _join(a, aff, n - 1)
-    elif family == "B":
-        if n < 3:
-            raise UnknownNameError("affine B requires rank >= 3")
-        _join(a, aff, 1)
+def _bonds(family: str, n: int) -> list[tuple[int, int, int, int]]:
+    """The bonds (i, j, a[i][j], a[j][i]) of the rank-n diagram of a finite
+    family (Kac, Table Fin), after its rank rule: the path 0 - 1 - ... -
+    (n-1) with one bond changed.  B, C, F and G change its weights, and D
+    and E move the start of the last bond back by one and two."""
+    least = _LEAST_RANK[family]
+    if family in "FG" and n != least:
+        raise UnknownNameError(f"{family} requires rank {least}")
+    if n < least:
+        raise UnknownNameError(f"{family} requires rank >= {least}")
+    bonds = [(i, i + 1, -1, -1) for i in range(n - 1)]
+    if family == "B":
+        bonds[-1] = (n - 2, n - 1, -1, -2)  # short-root node n: a[n][n-1] = -2 (1-based)
     elif family == "C":
-        # affine node is long, attached to the short node 1 (1-based)
-        a[aff][0] = -1
-        a[0][aff] = -2
+        bonds[-1] = (n - 2, n - 1, -2, -1)
     elif family == "D":
-        _join(a, aff, 1)
+        bonds[-1] = (n - 3, n - 1, -1, -1)
     elif family == "E":
+        bonds[-1] = (n - 4, n - 1, -1, -1)
+    elif family == "F":
+        # nodes 1, 2 short, 3, 4 long (1-based); the double bond points at node 2
+        bonds[1] = (1, 2, -2, -1)
+    elif family == "G":
+        bonds[0] = (0, 1, -1, -3)
+    return bonds
+
+
+def _affine_bonds(family: str, n: int) -> list[tuple[int, int, int, int]]:
+    """The bonds of the affine node n (0-based, the last) of the untwisted
+    extension of a rank-n finite diagram (Kac, Table Aff 1), after its rank
+    rule."""
+    if family == "A":
+        return [(n, 0, -2, -2)] if n == 1 else [(n, 0, -1, -1), (n, n - 1, -1, -1)]
+    if family == "B" and n < 3:
+        raise UnknownNameError("affine B requires rank >= 3")
+    if family == "C":
+        # the affine node is long, attached to the short node 1 (1-based)
+        return [(n, 0, -1, -2)]
+    if family == "E":
         if n not in (6, 7, 8):
             raise UnknownNameError("affine E requires rank 6, 7 or 8")
-        attach = {6: 5, 7: 5, 8: 0}[n]
-        _join(a, aff, attach)
-    elif family == "F":
-        _join(a, aff, 3)
-    elif family == "G":
-        _join(a, aff, 0)
-    return a
+        return [(n, 0 if n == 8 else 5, -1, -1)]
+    return [(n, {"B": 1, "D": 1, "F": 3, "G": 0}[family], -1, -1)]
 
 
 def from_named(name: str) -> GeneralizedCartanMatrix:
@@ -440,9 +407,15 @@ def from_named(name: str) -> GeneralizedCartanMatrix:
     rank = n + len(affine)
     if rank > _MAX_NAMED_RANK:
         raise UnknownNameError(f"a named diagram has rank at most {_MAX_NAMED_RANK}, got {rank}")
-    a = _base_matrix(family, n)
+    bonds = _bonds(family, n)
     if affine:
-        a = _affinize(family, n, a)
+        bonds += _affine_bonds(family, n)
+    a = [[0] * rank for _ in range(rank)]
+    for i, row in enumerate(a):
+        row[i] = 2
+    for i, j, a_ij, a_ji in bonds:
+        a[i][j] = a_ij
+        a[j][i] = a_ji
     # the constructor reads each row once, into a tuple
     return GeneralizedCartanMatrix(a)
 

@@ -8,12 +8,13 @@ module renders: each subcommand turns the library's values into a JSON
 payload and text or DOT lines for ``_render``.  The parser is built once.
 
 Exit codes: 0 success, 1 usage error, 2 input/validation error,
-3 hypothesis gate refused, 4 resource cap exhausted, 5 internal error (two
-of kmfg's own computations disagree, a failed ``verify`` among them, or
-the library raised a ValueError).  Errors print one machine-greppable
-line ``error[ENNN]: ...`` on stderr.  ``weyl --closure`` needs a
-``--max-length`` at least the length of the closure element.  A matrix's
-analysis (hypotheses, parity graph) is computed once and kept on it.
+3 hypothesis gate refused, 4 resource cap or memory exhausted, 5 internal
+error (two of kmfg's own computations disagree, a failed ``verify`` among
+them, or the library raised a ValueError).  Errors print one
+machine-greppable line ``error[ENNN]: ...`` on stderr.  ``weyl --closure``
+needs a ``--max-length`` at least the length of the closure element.  A
+matrix's analysis (hypotheses, parity graph) is computed once and kept on
+it.
 """
 
 from __future__ import annotations
@@ -550,6 +551,10 @@ def run(argv, stdout=None, stderr=None) -> int:
         return EXIT_HYPOTHESIS
     except ResourceLimitError as exc:
         err.write(f"error[E401]: {exc}\n")
+        return EXIT_RESOURCE
+    # no cap was reached, but the run outgrew the memory it was given
+    except MemoryError:
+        err.write("error[E401]: out of memory\n")
         return EXIT_RESOURCE
     # any other ValueError comes from inside the library: a bug, not the input
     except (InternalError, ValueError) as exc:

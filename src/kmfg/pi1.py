@@ -125,19 +125,23 @@ def pi1_spin(
     """pi1 of the spin cover attached to an admissible colouring:
     Z^(green) x C2^(blue components with kappa = 1)."""
     check_hypotheses(m, force)
-    return spin_rows(adm.build_adm(m), [kappa])[0][1]
+    graph = adm.build_adm(m)
+    adm.validate_kappa(graph, kappa)
+    return _spin(graph, kappa)
+
+
+def _spin(graph: adm.AdmGraph, kappa: adm.KappaColouring) -> Pi1Type:
+    """A blue component with kappa = 2 loses its C2; the rest is ``_pi1``."""
+    return _pi1([c for c, v in zip(graph.colours, kappa.values) if c != "b" or v == 1])
 
 
 def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, Pi1Type]]:
-    """(kappa bits, pi1 of the spin cover) per colouring, without the gate:
-    the caller has passed ``check_hypotheses`` once for the whole list.
-    A blue component with kappa = 2 loses its C2; the rest is ``_pi1``."""
-    rows = []
-    for kappa in colourings:
-        adm.validate_kappa(graph, kappa)
-        kept = [c for c, v in zip(graph.colours, kappa.values) if c != "b" or v == 1]
-        rows.append((adm.kappa_bits(graph, kappa), _pi1(kept)))
-    return rows
+    """(kappa bits, pi1 of the spin cover) per colouring, without the gate
+    or a check of the colourings: the caller has passed ``check_hypotheses``
+    once for the whole list, and made each colouring by
+    ``adm.enumerate_kappa`` or ``adm.kappa_from_bits``, which make only
+    admissible ones."""
+    return [(adm.kappa_bits(graph, kappa), _spin(graph, kappa)) for kappa in colourings]
 
 
 def pi1_flag(

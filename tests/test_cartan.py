@@ -15,7 +15,7 @@ from kmfg import (
 from kmfg.cartan import symmetrizer
 from kmfg.errors import InvariantViolationError, MatrixFormatError, UnknownNameError
 
-from oracles import direct_sum, exact_det, gcm_from_edges
+from oracles import direct_sum, exact_det, gcm_from_edges, symmetrizer_rational
 
 NAMED_FINITE = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
@@ -177,12 +177,37 @@ class TestNamed:
     def test_named_are_valid(self, name):
         from_named(name)  # the constructor enforces all three invariants
 
-    @pytest.mark.parametrize(
-        "name", ["H3", "A0", "B1", "C1", "D3", "E5", "F5", "G3", "B2~", "E9~", "X4", "A", "3"]
+    CANNOT_PARSE = (
+        "cannot parse name {!r}; expected a letter A-G, a rank, and an optional trailing '~'"
     )
+    # the rank bound first, then the family's rank rule, then the affine rule
+    REJECTED = {
+        "H3": CANNOT_PARSE.format("H3"),
+        "A0": "A requires rank >= 1",
+        "B1": "B requires rank >= 2",
+        "C1": "C requires rank >= 2",
+        "D3": "D requires rank >= 4",
+        "E5": "E requires rank >= 6",
+        "F5": "F requires rank 4",
+        "G3": "G requires rank 2",
+        "B2~": "affine B requires rank >= 3",
+        "E9~": "affine E requires rank 6, 7 or 8",
+        "X4": CANNOT_PARSE.format("X4"),
+        "A": CANNOT_PARSE.format("A"),
+        "3": CANNOT_PARSE.format("3"),
+        "B1~": "B requires rank >= 2",
+        "F5~": "F requires rank 4",
+        "G0": "G requires rank 2",
+        "E999~": "affine E requires rank 6, 7 or 8",
+        "F1000~": "a named diagram has rank at most 1000, got 1001",
+        "A1001": "a named diagram has rank at most 1000, got 1001",
+    }
+
+    @pytest.mark.parametrize("name", list(REJECTED))
     def test_rejected_names(self, name):
-        with pytest.raises(UnknownNameError):
+        with pytest.raises(UnknownNameError) as caught:
             from_named(name)
+        assert str(caught.value) == self.REJECTED[name]
 
     def test_rank_bound_counts_the_affine_node(self):
         with pytest.raises(UnknownNameError, match="at most 1000, got 1001"):
@@ -201,6 +226,41 @@ class TestNamed:
         m = from_named(name)
         assert is_spherical(m)
         assert exact_det(m.entries) > 0
+
+    # Kac, Table Fin: the determinant of each finite family by rank
+    DETERMINANTS = {
+        **{f"A{n}": n + 1 for n in range(1, 31)},
+        **{f"{family}{n}": 2 for family in "BC" for n in range(2, 31)},
+        **{f"D{n}": 4 for n in range(4, 31)},
+        **{f"E{n}": 9 - n for n in range(6, 31)},
+        "F4": 1,
+        "G2": 1,
+    }
+
+    @pytest.mark.parametrize("name", list(DETERMINANTS))
+    def test_finite_determinant(self, name):
+        assert exact_det(from_named(name).entries) == self.DETERMINANTS[name]
+
+    AFFINE_UP_TO_RANK_10 = (
+        [f"A{n}~" for n in range(1, 10)]
+        + [f"B{n}~" for n in range(3, 10)]
+        + [f"C{n}~" for n in range(2, 10)]
+        + [f"D{n}~" for n in range(4, 10)]
+        + ["E6~", "E7~", "E8~", "F4~", "G2~"]
+    )
+
+    @pytest.mark.parametrize("name", AFFINE_UP_TO_RANK_10)
+    def test_affine_minus_a_vertex_is_spherical(self, name):
+        # every proper subdiagram of an affine diagram is of finite type
+        # (Kac, Lemma 4.5); a symmetrizable matrix is, exactly when its
+        # leading principal minors are positive (Sylvester on diag(d) A)
+        entries = from_named(name).entries
+        for v in range(len(entries)):
+            kept = [k for k in range(len(entries)) if k != v]
+            rows = [[entries[i][j] for j in kept] for i in kept]
+            assert symmetrizer_rational(GeneralizedCartanMatrix(rows)) is not None
+            for size in range(1, len(rows) + 1):
+                assert exact_det([row[:size] for row in rows[:size]]) > 0, (name, v + 1, size)
 
     def test_e10_not_spherical(self):
         assert not is_spherical(from_named("E10"))

@@ -8,6 +8,7 @@ import pytest
 
 import kmfg
 import kmfg.cli
+import kmfg.coxeter
 import kmfg.fpgroup
 from kmfg.cli import build_parser, run
 
@@ -639,6 +640,16 @@ class TestWeylCommand:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 2916
         assert invoke(argv) == (code, out, err)
+
+    def test_memory_error_exit_4(self, monkeypatch):
+        # a rank-1000 interval point is a tuple of 1,000 heights, so a
+        # closure far under the element cap can still exhaust memory
+        def exhausted(self, *args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(kmfg.coxeter.WeylGroup, "closure_cells", exhausted)
+        argv = ["weyl", "--type", "A2", "--max-length", "3", "--closure", "1,2"]
+        assert invoke(argv) == (4, "", "error[E401]: out of memory\n")
 
 
 class TestCapValidation:
