@@ -26,6 +26,7 @@ witness or a red vertex: the graph is read off the matrix's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .cartan import GeneralizedCartanMatrix, vertex_subset
 from .errors import InadmissibleKappaError
@@ -49,9 +50,14 @@ class AdmGraph:
     components: tuple[tuple[int, ...], ...]
     colours: tuple[str, ...]
 
+    def __post_init__(self):
+        # read once per colouring by kappa_bits, so found once per graph
+        free = tuple(i for i, c in enumerate(self.colours) if c != "r")
+        object.__setattr__(self, "_free", free)
+
     def free_components(self) -> tuple[int, ...]:
         """Indices of the components not forced to kappa = 1."""
-        return tuple(i for i, c in enumerate(self.colours) if c != "r")
+        return self._free
 
 
 @dataclass(frozen=True)
@@ -146,14 +152,9 @@ def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
 def enumerate_kappa(graph: AdmGraph) -> list[KappaColouring]:
     """All admissible colourings, ordered by reading the free components
     (by smallest vertex) as bits, least significant first; value 1 is bit 0."""
-    free = graph.free_components()
-    colourings = []
-    for code in range(2 ** len(free)):
-        values = [1] * len(graph.components)
-        for bit, comp_idx in enumerate(free):
-            values[comp_idx] = 2 if (code >> bit) & 1 else 1
-        colourings.append(KappaColouring(tuple(values)))
-    return colourings
+    # product varies its last factor fastest, so the components go in reverse
+    choices = [(1,) if colour == "r" else (1, 2) for colour in reversed(graph.colours)]
+    return [KappaColouring(values[::-1]) for values in product(*choices)]
 
 
 def kappa_from_bits(graph: AdmGraph, bits: str) -> KappaColouring:
@@ -183,4 +184,5 @@ def kappa_constant(graph: AdmGraph, value: int) -> KappaColouring:
 
 def kappa_bits(graph: AdmGraph, kappa: KappaColouring) -> str:
     """Inverse of kappa_from_bits."""
-    return "".join(str(kappa.values[idx]) for idx in graph.free_components())
+    values = kappa.values
+    return "".join([str(values[idx]) for idx in graph.free_components()])

@@ -437,7 +437,6 @@ def _cmd_weyl(args, out):
                 f"{element.length} of the --closure element"
             )
         cells = group.closure_cells(element, J, cap=args.cap)
-        cells.sort(key=lambda w: (w.length, w.reduced_word()))
         words = [[i + 1 for i in w.reduced_word()] for w in cells]
         payload = {"closure": words}
         lines = [

@@ -40,6 +40,14 @@ w^{-1}'s lexicographically least reduced word, and w's own is the strip of
 w^{-1}: a strip, a step and a strip.  A product w * x and the action of w
 need only some reduced word, and the letters of one strip, reversed, are
 one; the canonical word is read only when it is kept.
+
+A closure's interval [e, w] is read off one strip of w, and its cells get
+their canonical words in one pass over it by length, with no strip: every
+reduced word of u ends in a right descent t after a reduced word of
+u * s_t, which is in [e, w] one length lower, so u's least word is the
+least word(u * s_t) + (t,).  The layer below is kept in order of word,
+and a place in that order stands for a word while candidates are compared.
+
 All arithmetic is exact Python integers; coordinates grow without bound in
 indefinite type and must never wrap.
 """
@@ -61,9 +69,10 @@ __all__ = ["WeylGroup", "WeylElement", "is_positive_root_vector", "is_negative_r
 # on CPython 3.11: 184 B per element at the peak of elements_up_to (E8 to
 # length 9); a histogram holds the two widest built layers of one factor,
 # 116 to 129 B per position of them (E8 to 120, E10 to 50, A6~ with J = {3}
-# to 60); a closure's interval, which keeps heights and a length per point,
-# 115 to 205 B per point on E8 and E10, and 235 to 260 B with J = (), where
-# every point is also returned as a cell.
+# to 60); a closure, which keeps heights and a length per point and then
+# the words of two length layers, 187 to 205 B per point on E8 and E10
+# under the largest J that w allows, and 292 to 317 B with J = (), where
+# every point is also returned as a cell with its word.
 DEFAULT_ELEMENT_CAP = 1_000_000
 
 
@@ -291,9 +300,17 @@ class WeylGroup:
 
     def closure_cells(self, w: "WeylElement", parabolic, cap: int = DEFAULT_ELEMENT_CAP):
         """The minimal representatives below ``w`` in the strong order, which
-        index the cells in the closure of the cell of ``w``.  [e, w] is the
-        set of subword products of a reduced word of w (Bjorner & Brenti,
-        Thm 2.2.2), grown a letter at a time; ``cap`` bounds its size."""
+        index the cells in the closure of the cell of ``w``, ordered by
+        length and then by canonical word, which each cell carries.  [e, w]
+        is the set of subword products of any reduced word of w (Bjorner &
+        Brenti, Thm 2.2.2), grown a letter at a time; ``cap`` bounds its
+        size.
+
+        Every reduced word of u ends in a right descent t, and its prefix
+        is a reduced word of u * s_t, which lies in [e, w] one length
+        lower.  So, visiting the interval by length, the least word of u is
+        the least of word(u * s_t) + (t,), and only the layer below, apart
+        from the cells, keeps its words."""
         self.identity()._require_same_group(w)
         J = vertex_subset(parabolic, self.n)
         cap = _checked_cap(cap, "element cap")
@@ -302,8 +319,9 @@ class WeylGroup:
                 "element is not a minimal coset representative for the parabolic"
             )
         neighbours = self.cartan.neighbours
+        word = w._some_reduced_word()
         interval = {self._one: 0}  # heights -> length
-        for level, i in enumerate(w.reduced_word(), 1):
+        for level, i in enumerate(word, 1):
             for c in list(interval):
                 ci = c[i]
                 grown = list(c)
@@ -317,11 +335,42 @@ class WeylGroup:
                             f"element cap {cap} exceeded at length {level}", cap
                         )
                     interval[grown] = interval[c] + (1 if ci > 0 else -1)
-        return [
-            WeylElement(self, c, _length=length)
-            for c, length in interval.items()
-            if _no_descent_in(c, J)
-        ]
+        layers = [[] for _ in range(len(word) + 1)]
+        for c, length in interval.items():
+            layers[length].append(c)
+        del interval
+        n = self.n
+        cells = [self.identity()]
+        cells[0]._word = ()
+        # the layer below in order of word: its words, and each point's place
+        words, rank = [()], {self._one: 0}
+        for length in range(1, len(layers)):
+            below, words = words, []
+            # rank[u * s_t] * n + t orders the candidates word(u * s_t) + (t,)
+            keyed = []
+            for c in layers[length]:
+                least = None
+                for t, ct in enumerate(c):
+                    if ct < 0:
+                        lower = list(c)
+                        lower[t] = -ct
+                        for j, a in neighbours[t]:
+                            lower[j] -= a * ct
+                        key = rank[tuple(lower)] * n + t
+                        if least is None or key < least:
+                            least = key
+                keyed.append((least, c))
+            layers[length] = None  # past rank, only the cells keep its points
+            keyed.sort()
+            rank = {}
+            for key, c in keyed:
+                rank[c] = len(words)
+                words.append(below[key // n] + (key % n,))
+                if _no_descent_in(c, J):
+                    cell = WeylElement(self, c, _length=length)
+                    cell._word = words[-1]
+                    cells.append(cell)
+        return cells
 
 
 class WeylElement:

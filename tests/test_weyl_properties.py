@@ -1,12 +1,14 @@
 """Property test: on random generalized Cartan matrices the heights-vector
 Weyl engine and the integer-matrix oracle agree element by element, and
-on products and the action of fresh elements."""
+on products and the action of fresh elements; closure cells carry the
+canonical words that the strips and a brute-force search give."""
 
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from kmfg import GeneralizedCartanMatrix, WeylGroup
+from kmfg import GeneralizedCartanMatrix, WeylElement, WeylGroup
 
 from oracles import MatrixWeylGroup
 from test_coxeter import minimal_reps
@@ -18,10 +20,10 @@ LENGTH = 4
 
 
 @st.composite
-def gcms(draw):
-    """Rank 1-6, off-diagonal entries in {0, -1, -2, -3, -4}, symmetric
-    zero pattern."""
-    n = draw(st.integers(1, 6))
+def gcms(draw, max_rank=6):
+    """Rank 1 to ``max_rank``, off-diagonal entries in {0, -1, -2, -3, -4},
+    symmetric zero pattern."""
+    n = draw(st.integers(1, max_rank))
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -43,8 +45,8 @@ def test_engines_agree_on_random_gcms(m):
 
 
 @st.composite
-def gcms_with_parabolic(draw):
-    m = draw(gcms())
+def gcms_with_parabolic(draw, max_rank=6):
+    m = draw(gcms(max_rank))
     return m, tuple(j for j in range(m.n) if draw(st.booleans()))
 
 
@@ -85,21 +87,79 @@ def test_chain_counts_the_minimal_representatives(case, length):
     assert group.cell_counts(J, length, cap=cells) == dict(sorted(expected.items()))
 
 
+def _closure_case(case, letters):
+    """The group, w from ``letters`` and the part of J where w is minimal."""
+    m, J = case
+    group = WeylGroup(m)
+    w = group.from_word([i % m.n for i in letters])
+    return group, w, tuple(j for j in J if w.is_minimal_rep((j,)))
+
+
 @hypothesis.settings(max_examples=40, deadline=None)
 @hypothesis.given(gcms_with_parabolic(), st.lists(st.integers(0, 5), max_size=LENGTH))
 def test_closure_cells_by_definition(case, letters):
     """Subword products give the minimal representatives below w in the
     Bruhat order."""
-    m, J = case
-    group = WeylGroup(m)
-    w = group.from_word([i % m.n for i in letters])
-    J = tuple(j for j in J if w.is_minimal_rep((j,)))
+    group, w, J = _closure_case(case, letters)
     expected = [
         x for x in group.elements_up_to(w.length) if x.is_minimal_rep(J) and x.bruhat_leq(w)
     ]
     assert sorted(group.closure_cells(w, J), key=lambda x: x.heights) == sorted(
         expected, key=lambda x: x.heights
     )
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(gcms_with_parabolic(), st.lists(st.integers(0, 5), max_size=8))
+def test_closure_cells_carry_their_canonical_words(case, letters):
+    """Each cell carries the word that the strips give a fresh element with
+    its heights, the cells come in order of length and word, and a word
+    spells its cell at its length."""
+    group, w, J = _closure_case(case, letters)
+    cells = group.closure_cells(w, J)
+    keys = [(x.length, x.reduced_word()) for x in cells]
+    assert keys == sorted(keys)
+    for x in cells:
+        word = x.reduced_word()
+        assert word == WeylElement(group, x.heights).reduced_word()
+        assert group.from_word(word).heights == x.heights
+        assert len(word) == x.length
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(gcms_with_parabolic(), st.lists(st.integers(0, 5), max_size=8))
+def test_closure_cells_from_any_reduced_word(case, letters):
+    """[e, w] is the set of subword products of any reduced word of w: the
+    canonical word, the reversed strip and the drawn word, where it is
+    reduced, give the same cells."""
+    group, w, J = _closure_case(case, letters)
+    words = {w.reduced_word(), WeylElement(group, w.heights)._some_reduced_word()}
+    letters = tuple(i % group.n for i in letters)
+    if group.is_reduced(letters):
+        words.add(letters)
+    results = []
+    for word in words:
+        given = WeylElement(group, w.heights)
+        given._word = word
+        results.append([(x.heights, x.reduced_word()) for x in group.closure_cells(given, J)])
+    assert all(result == results[0] for result in results)
+
+
+@hypothesis.settings(max_examples=40, deadline=None)
+@hypothesis.given(gcms_with_parabolic(max_rank=4), st.lists(st.integers(0, 3), max_size=6))
+def test_closure_words_are_least_by_brute_force(case, letters):
+    """At rank <= 4 and length <= 6 every word up to w's length is spelled
+    in lexicographic order, so the first reduced word found for an
+    element is its least; each cell carries that one."""
+    group, w, J = _closure_case(case, letters)
+    least = {}
+    for length in range(w.length + 1):
+        for word in product(range(group.n), repeat=length):
+            x = group.from_word(word)
+            if x.length == length:
+                least.setdefault(x.heights, word)
+    for x in group.closure_cells(w, J):
+        assert x.reduced_word() == least[x.heights]
 
 
 @hypothesis.settings(max_examples=60, deadline=None)
