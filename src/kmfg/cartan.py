@@ -202,8 +202,8 @@ def _checked_int(value, what: str) -> int:
 
 def _checked_tuple(value, what: str, error=ValueError) -> tuple:
     """``value`` as a tuple, the one check of a container argument: a vertex
-    set, a word, a vector, the generator names, relators or subgroup words
-    of a presentation, or a matrix and its rows (with ``error``
+    set, a word, a vector, the generator names or relators of a
+    presentation, or a matrix and its rows (with ``error``
     MatrixFormatError).  An ``error``, by default a ValueError, names
     ``what`` when it is not iterable."""
     try:

@@ -1,28 +1,28 @@
 """Finitely presented groups: presentations, abelianization, coset enumeration.
 
 Words are tuples of (generator index, exponent) pairs with exponents +1 or
--1, freely reduced.  Relators and subgroup words pass one check
-(``_checked_word``): each entry must be an integer by the library's one
-rule, ``cartan._index``, so 1.5, "1" or True is a ValueError, never
-truncated or converted, and each generator in range by
-``cartan._checked_index``.
+-1, freely reduced.  Relators pass one check (``_checked_word``): each
+entry must be an integer by the library's one rule, ``cartan._index``, so
+1.5, "1" or True is a ValueError, never truncated or converted, and each
+generator in range by ``cartan._checked_index``.
 Abelianization goes through an exact integer Smith normal form:
 diagonalize, then normalize the diagonal with C_a x C_b =
 C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.  A
 presentation is abelianized once: it keeps its Smith normal form
 diagonal, which ``abelianization`` and the index bound of ``todd_coxeter``
 both read.
-Coset enumeration has one entry, ``todd_coxeter``, which checks the cap
-and the subgroup words, applies the index bound and picks one of two
-strategies: the relator-scanning strategy with lookahead (default) or a
-deduction-driven strategy as an independent alternate.  Each strategy
-only fills a table and returns it complete, or None, and ``todd_coxeter``
-alone makes the result: Finite(order) with that table attached, or an
-explicit Exhausted, never a silent truncation.  Exhausted(cap) means the
-cap prevents a conclusion: the table filled, or the order of G/HG', a
-lower bound on the index read off one Smith normal form before any table
-is built (the presentation's kept diagonal when there are no subgroup
-words), is infinite or already above the cap.  Each relator is scanned
+Coset enumeration has one entry, ``todd_coxeter``, which enumerates the
+elements of the presented group G, the cosets of its trivial subgroup, so
+a complete table is G's regular permutation representation.  It checks
+the cap, applies the index bound and picks one of two strategies: HLT
+with lookahead (default) or a deduction-driven strategy as an independent
+alternate.  Each strategy only fills a table and returns it complete, or
+None, and ``todd_coxeter`` alone makes the result: Finite(order) with that
+table attached, or an explicit Exhausted, never a silent truncation.
+Exhausted(cap) means the cap prevents a conclusion: the table filled, or
+the order of G's abelianization, a lower bound on |G| read off the
+presentation's kept Smith normal form diagonal before any table is built,
+is infinite or already above the cap.  Each relator is scanned
 once up to inversion (the enumerator drops repeats and inverses from its
 own working list; presentations keep them), and a relator is traced before
 it is scanned.  ``todd_coxeter`` compacts the table a strategy returns
@@ -35,10 +35,11 @@ composes about half as many columns as the whole of r.  The columns cost
 one list slot per coset per letter while the check runs.
 Both strategies close every relator at every coset by construction, so a
 table that fails the certificate is an InternalError, like a failed
-normality test, and never a retry.  The relator-scanning strategy scans
-every relator at each live coset in turn; its lookahead, when the table
-fills, is a deduction-only pass over every relator at every coset
-(``_scan_everywhere``) that frees the rows its coincidences kill.  The
+normality test, and never a retry.  HLT makes one pass over the live
+cosets (``_hlt_pass``), scanning every relator at each in turn and
+defining every entry still open there before the next; its lookahead,
+when the table fills, is the same pass with definitions switched off,
+after which the rows its coincidences killed are freed.  The
 deduction-driven strategy handles a deduction alpha.x = beta by tracing
 the relator rotations that start with x at alpha, forward and then back,
 and scanning one only where its trace ends in a deduction or a
@@ -122,7 +123,7 @@ def free_reduce(word) -> Word:
 
 def _checked_word(word, count) -> Word:
     """``word`` as a tuple of (generator, exponent) pairs of ints, the one
-    check of a relator or subgroup word.  An entry that is not an exact int
+    check of a relator.  An entry that is not an exact int
     goes through ``cartan._index``, so 1.5, "1" or True is refused rather
     than converted; a generator outside range(count), by
     ``cartan._checked_index``, or an exponent other than +1 or -1 is
@@ -203,7 +204,7 @@ class AbelianInvariants:
 class EnumerationResult:
     """What a coset enumeration found.  A Finite result of ``todd_coxeter``
     carries the closed table that certifies its order: row 0 is the
-    subgroup and entry [k][x] is coset k times letter x (letter 2*i is
+    identity and entry [k][x] is coset k times letter x (letter 2*i is
     generator i, 2*i+1 its inverse).  Exhausted results, and orders read
     off another group's table, carry None.  Equality, hashing and repr
     ignore the table."""
@@ -326,7 +327,7 @@ class _CosetTable:
     """Coset table over the alphabet of generators and inverses.
 
     Letter 2*i stands for generator i, letter 2*i+1 for its inverse.
-    Dead cosets are tracked by a union-find array; coset 0 (the subgroup)
+    Dead cosets are tracked by a union-find array; coset 0 (the identity)
     is always its own representative because merges keep the smaller index.
     """
 
@@ -458,27 +459,25 @@ def _letters_inverse(letters) -> tuple[int, ...]:
 
 def todd_coxeter(
     presentation: FpPresentation,
-    subgroup_words=(),
     max_cosets: int = DEFAULT_MAX_COSETS,
     strategy: str = "hlt",
 ) -> EnumerationResult:
-    """Enumerate the cosets of the subgroup generated by ``subgroup_words``,
-    the one entry to the coset enumerator.
+    """Enumerate the elements of the presented group G, the one entry to
+    the coset enumerator.
 
     Finite(k) is returned only once the table is complete and certified
     closed under every relator at every coset (``_closed``, run once on
-    the compacted table), in which case k is the exact index (the group
-    order for the trivial subgroup), and the result carries that table:
-    for the trivial subgroup, the regular permutation representation.  A
+    the compacted table), in which case k is the exact order of G, and the
+    result carries that table, G's regular permutation representation.  A
     complete table that fails the certificate raises InternalError naming
     the strategy: both close every relator by construction, so the failure
     is a bug, not a property of the presentation.
     Exhausted(max_cosets) means the cap prevents a conclusion: either the
-    table filled, or, before any table is built, the order of G/HG' (the
-    abelianization of the group with the subgroup words added as relators)
-    is infinite or above the cap.  That order bounds the index from below
-    and a Finite(k) needs k rows, so no table of max_cosets rows could
-    have closed.
+    table filled, or, before any table is built, the order of G's
+    abelianization, read off the presentation's kept Smith normal form
+    diagonal, is infinite or above the cap.  That order bounds |G| from
+    below and a Finite(k) needs k rows, so no table of max_cosets rows
+    could have closed.
 
     Each relator is scanned once up to inversion: one equal to an earlier
     relator or to the inverse of one is dropped from the working list,
@@ -487,18 +486,14 @@ def todd_coxeter(
     """
     max_cosets = _checked_cap(max_cosets, "coset cap")
     count = presentation.generator_count
-    words = _checked_tuple(subgroup_words, "subgroup words")
-    subgroup_words = [_checked_word(word, count) for word in words]
     if strategy == "hlt":
         enumerate_table = _hlt_table
     elif strategy == "felsch":
         enumerate_table = _felsch_table
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    # [G:H] >= |G/HG'|, the product of the diagonal (infinite when short)
+    # |G| >= |G^ab|, the product of the diagonal (infinite when short)
     diag = presentation.smith_diagonal
-    if subgroup_words:
-        diag = smith_normal_form(_exponent_rows(count, [*presentation.relators, *subgroup_words]))
     if len(diag) < count or math.prod(diag) > max_cosets:
         return EnumerationResult.exhausted(max_cosets)
     relators = []
@@ -509,40 +504,13 @@ def todd_coxeter(
             seen.add(letters)
             seen.add(_letters_inverse(letters))
             relators.append(letters)
-    subgroup = [_word_to_letters(free_reduce(w)) for w in subgroup_words]
-    ct = enumerate_table(count, relators, subgroup, max_cosets)
+    ct = enumerate_table(count, relators, max_cosets)
     if ct is None:
         return EnumerationResult.exhausted(max_cosets)
     ct.compact()
     if not _closed(ct.table, relators):
         raise InternalError(f"the {strategy} coset table does not close every relator at every coset")
     return EnumerationResult.finite(len(ct.table), ct.table)
-
-
-def _closes(table, alpha, rel) -> bool:
-    """Whether ``rel`` traced from ``alpha`` is defined throughout and
-    returns to ``alpha``, so that scanning it there would change nothing."""
-    f = alpha
-    for x in rel:
-        f = table[f][x]
-        if f is None:
-            return False
-    return f == alpha
-
-
-def _scan_everywhere(ct, relators):
-    """The lookahead's pass: deductions only, over every relator at every
-    live coset; coincidences may fire, definitions never happen."""
-    table = ct.table
-    p = ct.p
-    for alpha in range(len(table)):
-        if p[alpha] != alpha:
-            continue
-        for rel in relators:
-            if p[alpha] != alpha:
-                break
-            if not _closes(table, alpha, rel):
-                ct.scan(alpha, rel, fill=False)
 
 
 def _closed(table, relators) -> bool:
@@ -580,7 +548,37 @@ def _image(columns, identity, letters) -> list:
     return image
 
 
-def _hlt_table(ngens, relators, subgroup, max_cosets):
+def _hlt_pass(ct, relators, fill):
+    """One HLT pass over the live cosets in order: every relator is traced
+    at each and scanned where its trace does not close, and with ``fill``
+    the scans define cosets and every entry still open at a live coset is
+    defined before the next.  Without ``fill`` the pass is the lookahead:
+    only deductions and coincidences, so the table does not grow."""
+    table = ct.table
+    p = ct.p
+    alpha = 0
+    while alpha < len(table):
+        if p[alpha] == alpha:
+            for rel in relators:
+                # trace first; scan only where the trace does not close,
+                # and only a scan can kill alpha
+                f = alpha
+                for x in rel:
+                    f = table[f][x]
+                    if f is None:
+                        break
+                if f != alpha:
+                    ct.scan(alpha, rel, fill)
+                    if p[alpha] != alpha:
+                        break
+            if fill and p[alpha] == alpha:
+                for x in range(ct.width):
+                    if table[alpha][x] is None:
+                        ct.define(alpha, x)
+        alpha += 1
+
+
+def _hlt_table(ngens, relators, max_cosets):
     """HLT with lookahead: the complete table, every relator closed at
     every live coset, or None when the cap prevents one.  Each live coset
     has every relator scanned at it before the next, and coincidences map
@@ -588,35 +586,12 @@ def _hlt_table(ngens, relators, subgroup, max_cosets):
     ct = _CosetTable(ngens, max_cosets)
     while True:
         try:
-            for word in subgroup:
-                ct.scan(0, word, fill=True)
-            table = ct.table
-            p = ct.p
-            alpha = 0
-            while alpha < len(table):
-                if p[alpha] == alpha:
-                    for rel in relators:
-                        # trace first; scan only where the trace does not
-                        # close, and only a scan can kill alpha
-                        f = alpha
-                        for x in rel:
-                            f = table[f][x]
-                            if f is None:
-                                break
-                        if f != alpha:
-                            ct.scan(alpha, rel, fill=True)
-                            if p[alpha] != alpha:
-                                break
-                    if p[alpha] == alpha:
-                        for x in range(ct.width):
-                            if table[alpha][x] is None:
-                                ct.define(alpha, x)
-                alpha += 1
+            _hlt_pass(ct, relators, fill=True)
             return ct
         except _TableFull:
             # lookahead: collapse what can be collapsed, then reclaim the
             # dead rows; with none dead there is nothing to reclaim
-            _scan_everywhere(ct, relators)
+            _hlt_pass(ct, relators, fill=False)
             if not ct.compact():
                 return None
             # rescan from the start (already-closed scans cost one trace)
@@ -637,7 +612,7 @@ def _rotations_by_letter(ngens, relators) -> dict:
     return by_letter
 
 
-def _felsch_table(ngens, relators, subgroup, max_cosets):
+def _felsch_table(ngens, relators, max_cosets):
     """Felsch: the complete table, every relator closed at every live
     coset, or None when the table fills.  Every entry it sets is a
     deduction, and processing one traces every relator cycle through it."""
@@ -686,9 +661,6 @@ def _felsch_table(ngens, relators, subgroup, max_cosets):
                     break
 
     try:
-        for word in subgroup:
-            ct.scan(0, word, fill=True)
-            process_deductions()
         # next-definition pointer: the search for an undefined entry resumes
         # at the last coset that had one; when it finds none from there, one
         # sweep from coset 0 must confirm the table complete before it is

@@ -7,8 +7,9 @@ rational elimination and determinant-divisor gcds for integer linear
 algebra, integer matrix products for the Weyl group, a regex tokenizer for
 the plain matrix format, the three matrix invariants, rational ratios for
 the symmetrizer, the diagram predicates and the coloured parity graph read
-over all n^2 entries, and a direct brute-force reading of the
-admissible-colouring definition.
+over all n^2 entries, a direct brute-force reading of the
+admissible-colouring definition, and a relator traced through a coset
+table one letter at a time.
 """
 
 from __future__ import annotations
@@ -576,3 +577,19 @@ def kappa_brute_force(m):
             continue
         admissible.add(tuple(assignment[comp[0]] for comp in graph.components))
     return admissible
+
+
+# ---------------------------------------------------------------------------
+# A relator traced through a coset table, one letter at a time
+
+
+def relator_closes(table, alpha, rel) -> bool:
+    """Whether the letters ``rel`` traced from coset ``alpha`` are defined
+    throughout and return to ``alpha``, so that scanning ``rel`` there
+    would change nothing."""
+    f = alpha
+    for x in rel:
+        f = table[f][x]
+        if f is None:
+            return False
+    return f == alpha

@@ -1,10 +1,10 @@
 """Junk at every public integer-like argument: matrix entries, vertex sets,
 word letters, simple roots, length bounds, element and coset caps, relator
-and subgroup-word entries, kappa values and the entries of a vector under
-the action.  An exact int that the argument admits gives its result; every
-other value (a float, a bool, a string, None, or an int out of range) is
-refused with the argument's typed error, never answered.  So is a
-container argument that is not iterable."""
+entries, kappa values and the entries of a vector under the action.  An
+exact int that the argument admits gives its result; every other value (a
+float, a bool, a string, None, or an int out of range) is refused with the
+argument's typed error, never answered.  So is a container argument that
+is not iterable."""
 
 import pytest
 
@@ -169,12 +169,6 @@ SLOTS = {
         ValueError,
         lambda v: (((0, v),),),
     ),
-    "subgroup_word": (
-        lambda v: todd_coxeter(S3, subgroup_words=(((v, 1),),)).order,
-        lambda v: 0 <= v < 2,
-        ValueError,
-        lambda v: 3,
-    ),
     "kappa_constant": (
         lambda v: kappa_constant(GRAPH, v).values,
         _kappa,
@@ -252,7 +246,6 @@ NOT_ITERABLE = {
     "root_sequence": (lambda: W.root_sequence(5), ValueError),
     "act": (lambda: ELEMENT.act(5), ValueError),
     "relators": (lambda: FpPresentation(("a",), 5), ValueError),
-    "subgroup_words": (lambda: todd_coxeter(S3, subgroup_words=5), ValueError),
     "pi1_spin": (lambda: pi1_spin(from_named("A1"), (1,)), InadmissibleKappaError),
     "generator_names": (lambda: FpPresentation(5, ()), ValueError),
     "kappa_values": (lambda: pi1_spin(from_named("A1"), KappaColouring(5)), InadmissibleKappaError),
@@ -264,6 +257,14 @@ def test_not_iterable_container_is_typed_error(name):
     call, error = NOT_ITERABLE[name]
     with pytest.raises(error):
         call()
+
+
+def test_subgroup_words_refused_by_the_cap_rule():
+    # todd_coxeter enumerates the whole group and takes no subgroup words:
+    # a tuple of words passed second is the cap, refused by the cap rule,
+    # so such a call fails loudly instead of answering
+    with pytest.raises(ValueError, match=r"^coset cap .* is not an integer$"):
+        todd_coxeter(S3, (((0, 1),),))
 
 
 # a container argument that is iterable but not what the argument holds

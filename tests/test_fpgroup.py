@@ -28,18 +28,15 @@ from kmfg.errors import InternalError
 from kmfg.fpgroup import (
     FlagGroups,
     _closed,
-    _closes,
     _CosetTable,
-    _felsch_table,
-    _hlt_table,
+    _hlt_pass,
     _quotient_order,
-    _scan_everywhere,
     _subgroup_orbit,
     _word_to_letters,
     free_reduce,
 )
 
-from oracles import minors_gcd_invariant_factors
+from oracles import minors_gcd_invariant_factors, relator_closes
 
 
 CORPUS_RANK_LE_5 = [
@@ -164,21 +161,6 @@ class TestToddCoxeter:
         result = todd_coxeter(p, max_cosets=1000)
         assert result == EnumerationResult.exhausted(1000)
 
-    def test_subgroup_index(self):
-        # S3 as a Coxeter group; the parabolic <a> has index 3
-        a, b = (0, 1), (1, 1)
-        rels = (
-            (a, a),
-            (b, b),
-            (a, b, a, b, a, b),
-        )
-        p = FpPresentation(("a", "b"), rels)
-        assert todd_coxeter(p, subgroup_words=((a,),)) == EnumerationResult.finite(3)
-        assert todd_coxeter(p) == EnumerationResult.finite(6)
-        assert todd_coxeter(
-            p, subgroup_words=((a,),), strategy="felsch"
-        ) == EnumerationResult.finite(3)
-
     @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
     def test_finite_result_carries_its_table(self, strategy):
         # S3 = <a, b | a^2, b^2, (ab)^3>; equality, hashing and repr read
@@ -191,7 +173,7 @@ class TestToddCoxeter:
         assert repr(result) == "EnumerationResult(status='finite', order=6, limit=None)"
         assert len(result.table) == 6
         assert all(
-            _closes(result.table, alpha, _word_to_letters(w))
+            relator_closes(result.table, alpha, _word_to_letters(w))
             for alpha in range(6)
             for w in s3.relators
         )
@@ -200,22 +182,6 @@ class TestToddCoxeter:
         assert filled == EnumerationResult.exhausted(5)
         assert filled.table is None
         assert todd_coxeter(FpPresentation(("x",), ()), strategy=strategy).table is None
-
-    def test_bad_subgroup_word(self):
-        p = FpPresentation(("x",), ())
-        with pytest.raises(ValueError):
-            todd_coxeter(p, subgroup_words=(((3, 1),),))
-
-    @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
-    @pytest.mark.parametrize("pair", [(0.0, 1), (0, 1.0), (0, 1.5), ("0", 1), (0, True)])
-    def test_subgroup_word_entries_checked_like_relators(self, strategy, pair):
-        # subgroup words go through the relators' check: a float index is
-        # a ValueError, not a TypeError from the table lookup, and True is
-        # not taken for the exponent 1
-        a, b = (0, 1), (1, 1)
-        s3 = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
-        with pytest.raises(ValueError, match="not a sequence of integer pairs"):
-            todd_coxeter(s3, subgroup_words=((pair,),), strategy=strategy)
 
     def test_strategies_agree(self):
         # the group of each parity component, every vertex outside it killed
@@ -246,15 +212,11 @@ class TestToddCoxeter:
             assert todd_coxeter(p, strategy=strategy).order == 2 * n
 
     def test_icosahedral_group(self):
-        # <a, b | a^2, b^3, (ab)^5> has order 60; the cyclic <ab> has index 12
+        # <a, b | a^2, b^3, (ab)^5> has order 60
         a, b = (0, 1), (1, 1)
         p = FpPresentation(("a", "b"), ((a, a), (b, b, b), (a, b) * 5))
         for strategy in ("hlt", "felsch"):
             assert todd_coxeter(p, strategy=strategy).order == 60
-            assert (
-                todd_coxeter(p, subgroup_words=((a, b),), strategy=strategy).order
-                == 12
-            )
 
     def test_quaternion_like_collapse(self):
         # <a, b | abab^-1, a^2 b^-2> is order 8 (quaternion); both of its
@@ -270,22 +232,28 @@ class TestToddCoxeter:
         p = FpPresentation(("x",), (((0, 1), (0, 1), (0, 1)), ((0, 1), (0, 1))))
         assert todd_coxeter(p, max_cosets=4) == EnumerationResult.finite(1)
 
-    def test_subgroup_word_exponent_checked(self):
-        # an exponent other than +1 or -1 is an error, not an inverse: with
-        # (a^0) read as a^-1 the trivial subgroup of S3 got index 3
-        a, b = (0, 1), (1, 1)
-        p = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
-        for exp in (0, 2, -2):
-            for strategy in ("hlt", "felsch"):
-                with pytest.raises(ValueError):
-                    todd_coxeter(p, subgroup_words=(((0, exp),),), strategy=strategy)
-
-    def test_lookahead_reclaims_dead_cosets(self):
+    def test_lookahead_reclaims_dead_cosets(self, monkeypatch):
         # S3 needs 7 rows before its coincidences; at cap 7 it finishes
         # only because the lookahead reclaims the dead rows
         a, b = (0, 1), (1, 1)
         p = FpPresentation(("a", "b"), ((a, a), (b, b), (a, b) * 3))
         assert todd_coxeter(p, max_cosets=7) == EnumerationResult.finite(6)
+        # the full flag groups of A3, A5 and A8, of order 2^(n+1), one row
+        # above their order: each fills its table and finishes only after
+        # 2, 3 and 7 lookahead passes, the HLT passes made without fill
+        lookaheads = []
+
+        def counting(ct, relators, fill):
+            lookaheads.append(fill)
+            _hlt_pass(ct, relators, fill)
+
+        monkeypatch.setattr(kmfg.fpgroup, "_hlt_pass", counting)
+        for n, passes in ((3, 2), (5, 3), (8, 7)):
+            lookaheads.clear()
+            p = flag_presentation(from_named(f"A{n}"), ())
+            order = 2 ** (n + 1)
+            assert todd_coxeter(p, max_cosets=order + 1) == EnumerationResult.finite(order)
+            assert lookaheads.count(False) == passes
 
     def test_lookahead_exhausts_without_dead_cosets(self):
         # the infinite dihedral group abelianizes to C2 x C2, so the table
@@ -302,24 +270,6 @@ class TestToddCoxeter:
                 p, max_cosets=50_000, strategy=strategy
             ) == EnumerationResult.exhausted(50_000)
         assert coset_tables == []
-
-    def test_abelian_bound_with_subgroup_words(self):
-        # [Z : <a^3>] = |Z / <3>| = 3 and [Z^2 : <a>] is infinite; where the
-        # guard stops a run, both strategies run raw return no table either
-        a, b = (0, 1), (1, 1)
-        z = FpPresentation(("a",), ())
-        z2 = FpPresentation(("a", "b"), ((a, b, (0, -1), (1, -1)),))
-        stopped = [(z, (a, a, a), 2)] + [(z2, (a,), cap) for cap in (1, 10, 1000)]
-        for p, word, cap in stopped:
-            exhausted = EnumerationResult.exhausted(cap)
-            for strategy in ("hlt", "felsch"):
-                assert todd_coxeter(p, (word,), cap, strategy) == exhausted
-            relators = [_word_to_letters(w) for w in p.relators]
-            for run in (_hlt_table, _felsch_table):
-                subgroup = [_word_to_letters(word)]
-                assert run(p.generator_count, relators, subgroup, cap) is None
-        for strategy in ("hlt", "felsch"):
-            assert todd_coxeter(z, ((a, a, a),), 3, strategy) == EnumerationResult.finite(3)
 
     def test_infinite_full_flag_stops_at_once(self):
         # C4~ has a green vertex, so its full flag group abelianizes with a
@@ -425,7 +375,7 @@ class TestClosureCertificate:
         # the halves of an odd relator differ in length by one letter
         rows = self.CYCLE_AND_IDENTITY
         letters = _word_to_letters(word)
-        traced = all(_closes(rows, g, letters) for g in range(3))
+        traced = all(relator_closes(rows, g, letters) for g in range(3))
         assert _closed(rows, [letters]) == traced == closes
 
     def test_inverse_column_must_undo_its_column(self):
@@ -434,7 +384,7 @@ class TestClosureCertificate:
         # the composition of its letters, yet a^-1 a moves every coset
         rows = [[1, 1], [2, 2], [0, 0]]
         cube = _word_to_letters((self.A,) * 3)
-        assert all(_closes(rows, g, cube) for g in range(3))
+        assert all(relator_closes(rows, g, cube) for g in range(3))
         assert not _closed(rows, [cube])
         assert _closed([[1, 2], [2, 0], [0, 1]], [cube])
 
@@ -449,7 +399,7 @@ class TestClosureCertificate:
         # cosets 1 and 2 while every relator of S3 closes everywhere
         rows = self.S3_ON_THREE
         killer = _word_to_letters((self.A,))
-        assert [_closes(rows, g, killer) for g in range(3)] == [True, False, False]
+        assert [relator_closes(rows, g, killer) for g in range(3)] == [True, False, False]
         assert not _closed(rows, self.S3_RELATORS + [killer])
 
     def test_certifies_a_table_with_dead_rows(self, monkeypatch):
@@ -477,29 +427,30 @@ class TestClosureCertificate:
     def test_failed_certificate_is_an_internal_error(self, monkeypatch, strategy):
         # both strategies close every relator by construction, so a table
         # that fails the certificate is a bug: no retry, no lookahead pass
-        calls = []
+        lookaheads = []
 
-        def scan_everywhere(ct, relators):
-            calls.append("scan")
-            _scan_everywhere(ct, relators)
+        def counting(ct, relators, fill):
+            if not fill:
+                lookaheads.append(None)
+            _hlt_pass(ct, relators, fill)
 
         monkeypatch.setattr(kmfg.fpgroup, "_closed", lambda table, relators: False)
-        monkeypatch.setattr(kmfg.fpgroup, "_scan_everywhere", scan_everywhere)
+        monkeypatch.setattr(kmfg.fpgroup, "_hlt_pass", counting)
         icosahedral = FpPresentation(
             ("a", "b"), ((self.A, self.A), (self.B, self.B, self.B), (self.A, self.B) * 5)
         )
         with pytest.raises(InternalError, match=f"the {strategy} coset table"):
             todd_coxeter(icosahedral, strategy=strategy)
-        assert calls == []
+        assert lookaheads == []
 
     def test_lookahead_pass_fires_the_coincidences(self):
         # a complete two-coset table with a = (0 1) and b the identity:
-        # a^2 and b^2 close, (ab)^3 = a^3 does not, and the deduction-only
-        # pass merges the two cosets into a table that closes
+        # a^2 and b^2 close, (ab)^3 = a^3 does not, and the HLT pass
+        # without fill merges the two cosets into a table that closes
         rows = [[1, 1, 0, 0], [0, 0, 1, 1]]
         ct = _hand_table(rows)
         assert not _closed(ct.table, self.S3_RELATORS)
-        _scan_everywhere(ct, self.S3_RELATORS)
+        _hlt_pass(ct, self.S3_RELATORS, fill=False)
         assert ct.compact() == 1
         assert _closed(ct.table, self.S3_RELATORS)
 

@@ -1,6 +1,7 @@
 """Property tests of the coset enumerator and the Smith normal form: the
 two enumeration strategies agree on flag-variety groups of random
-generalized Cartan matrices and on random short presentations, the
+generalized Cartan matrices and on random short presentations, where both
+finish as the same regular representation up to relabelling, the
 closure certificate agrees with tracing every relator at every coset,
 each strategy's table, compacted, closes every relator at every coset,
 repeated and inverted relators change no enumeration at any cap and,
@@ -30,7 +31,6 @@ from kmfg import (
 from kmfg.fpgroup import (
     FlagGroups,
     _closed,
-    _closes,
     _CosetTable,
     _felsch_table,
     _hlt_table,
@@ -38,7 +38,7 @@ from kmfg.fpgroup import (
     free_reduce,
 )
 
-from oracles import minors_gcd_invariant_factors
+from oracles import minors_gcd_invariant_factors, relator_closes
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -124,6 +124,37 @@ def test_strategies_agree_on_short_presentations(p):
         assert hlt.order == felsch.order
 
 
+def _relabelling(source, target) -> dict:
+    """Row g of the table ``source`` to a row of ``target``: row 0 to row
+    0, and then row g.x to the row that ``target`` reaches from the image
+    of g along the same letter x, over the rows reached from row 0."""
+    image = {0: 0}
+    stack = [0]
+    while stack:
+        g = stack.pop()
+        for x, h in enumerate(source[g]):
+            if h not in image:
+                image[h] = target[image[g]][x]
+                stack.append(h)
+    return image
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.one_of(short_presentations(), flag_presentations()))
+def test_strategies_give_one_regular_representation(p):
+    # todd_coxeter enumerates the cosets of the trivial subgroup, so a
+    # Finite table is the group's regular representation: the two
+    # strategies may number its rows differently, but nothing else
+    hlt = todd_coxeter(p, max_cosets=500, strategy="hlt")
+    felsch = todd_coxeter(p, max_cosets=500, strategy="felsch")
+    if hlt.is_finite and felsch.is_finite:
+        image = _relabelling(hlt.table, felsch.table)
+        assert sorted(image) == list(range(len(hlt.table)))
+        assert sorted(image.values()) == list(range(len(felsch.table)))
+        for g, row in enumerate(hlt.table):
+            assert [image[h] for h in row] == felsch.table[image[g]]
+
+
 @pytest.mark.parametrize("strategy", [_hlt_table, _felsch_table], ids=["hlt", "felsch"])
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(st.one_of(short_presentations(), flag_presentations()))
@@ -133,11 +164,11 @@ def test_strategies_return_closed_tables(strategy, p):
     # cycle through each deduction (a cycle that crosses the deduced edge
     # twice included), and coincidences keep closed cycles closed
     relators = [_word_to_letters(w) for w in p.relators]
-    ct = strategy(p.generator_count, relators, [], 500)
+    ct = strategy(p.generator_count, relators, 500)
     if ct is not None:
         ct.compact()
         assert all(None not in row for row in ct.table)
-        assert all(_closes(ct.table, g, rel) for g in range(len(ct.table)) for rel in relators)
+        assert all(relator_closes(ct.table, g, rel) for g in range(len(ct.table)) for rel in relators)
 
 
 @st.composite
@@ -166,7 +197,7 @@ def permutation_tables(draw):
 @hypothesis.given(permutation_tables())
 def test_certificate_is_closure_at_every_coset(table_and_relators):
     ct, relators = table_and_relators
-    traced = all(_closes(ct.table, g, rel) for g in range(len(ct.table)) for rel in relators)
+    traced = all(relator_closes(ct.table, g, rel) for g in range(len(ct.table)) for rel in relators)
     assert _closed(ct.table, relators) == traced
 
 
@@ -214,7 +245,7 @@ def test_abelian_guard_is_what_the_table_reaches(presentations):
         for cap in (c for c in CAPS[:-1] if c < order):
             assert todd_coxeter(p, max_cosets=cap) == EnumerationResult.exhausted(cap)
             for run in (_hlt_table, _felsch_table):
-                assert run(p.generator_count, relators, [], cap) is None
+                assert run(p.generator_count, relators, cap) is None
 
 
 @st.composite

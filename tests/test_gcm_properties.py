@@ -338,8 +338,11 @@ def test_flag_colouring_rule(case):
     )
     if not green:
         assert info.order == EnumerationResult.finite(index)
-    subgroup = [((g, 1),) for g in green]
-    assert todd_coxeter(presentation, subgroup_words=subgroup) == EnumerationResult.finite(index)
+    # a green g has eps(j, g) = +1 for every j != g, so each relator of the
+    # pair (j, g) is a commutator and <x_g> is central: the index of
+    # <x_g : g green> is the order of the flag group with the greens killed
+    killed = flag_presentation(m, set(J).union(green))
+    assert todd_coxeter(killed) == EnumerationResult.finite(index)
 
 
 def _gated(m):
