@@ -479,21 +479,14 @@ def _cmd_verify(args, out):
     report = fpgroup.verify(m, max_cosets)
     result = report.result
     lines = []
-    components = []
     graph = report.graph
     for comp, colour, v in zip(graph.components, graph.colours, report.components):
         summary = "; ".join(f"{name} {status} ({detail})" for name, status, detail in v.checks)
         lines.append(f"component {_fmt_set(comp)} colour {colour}: {summary}")
-        components.append(
-            {
-                "vertices": [i + 1 for i in comp],
-                "colour": colour,
-                "checks": [
-                    {"name": name, "status": status, "detail": detail}
-                    for name, status, detail in v.checks
-                ],
-            }
-        )
+    components = [
+        {**entry, "checks": [{"name": n, "status": s, "detail": d} for n, s, d in v.checks]}
+        for entry, v in zip(_graph_json(graph)["components"], report.components)
+    ]
     for name, status, detail in report.checks:
         lines.append(f"{_CHECK_LABELS[name]}: {status}" + (f" ({detail})" if detail else ""))
     lines.append(f"result: {result}")

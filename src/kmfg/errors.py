@@ -42,9 +42,7 @@ class HypothesisError(KmfgError):
     ``reason`` is ``"hypotheses"``, its only value.
     """
 
-    def __init__(self, message, reason):
-        super().__init__(message)
-        self.reason = reason
+    reason = "hypotheses"
 
 
 class ResourceLimitError(KmfgError):

@@ -62,18 +62,18 @@ reads the order at every other J off the table of G's Finite result, as
 the index of <x_J>; a normality test that fails there is an
 InternalError.  Before G is asked for, or where G is not Finite under the
 cap, each J is enumerated directly.
-``_colour_group`` states what group each colour of parity-graph
-component predicts, and ``check_flag`` compares a flag group of a
-``FlagGroups`` with the product of its components' predictions, the one
-check of that kind, and returns the one record of a checked flag group, a
+``check_flag`` compares a flag group of a ``FlagGroups`` with what the
+colours of the parity components outside its parabolic predict, which
+depends only on how many components have each colour, the one check of
+that kind, and returns the one record of a checked flag group, a
 ``FlagCheck``: parabolic, invariants, order, checks and the closed form,
 the predicted abelianization.  ``verify`` makes it for every component C
-of ``build_adm(m)`` on the flag group with every vertex outside C killed,
-the one kind of group it enumerates, and keeps the graph beside the
-records; ``pi1.pi1_flag`` makes it for the components outside its
-parabolic and returns the record.  ``verify`` and ``pi1.full_report`` ask
-for G first, so each makes one enumeration per diagram;
-``pi1.pi1_flag`` asks for its own J only.
+of ``build_adm(m)``, with C's colour there, on the flag group with every
+vertex outside C killed, the one kind of group it enumerates, and keeps
+the graph beside the records; ``pi1.pi1_flag`` makes it with the colours
+of ``build_adm(m, J)`` and returns the record.  ``verify`` and
+``pi1.full_report`` ask for G first, so each makes one enumeration per
+diagram; ``pi1.pi1_flag`` asks for its own J only.
 """
 
 from __future__ import annotations
@@ -853,50 +853,39 @@ class FlagCheck:
         return any(status == "inconclusive" for _, status, _ in self.checks)
 
 
-def _colour_group(colour: str, size: int):
-    """(order, abelianization) that a parity component of this colour and
-    size predicts: C2^size for r; Z for g (a single vertex), order None;
-    for b a 2-group of order 2^(size+1), abelianization None (not
-    predicted)."""
-    if colour == "r":
-        return 2**size, AbelianInvariants(0, (2,) * size)
-    if colour == "g":
-        if size != 1:
-            raise ValueError("a g-coloured component must be a single vertex")
-        return None, AbelianInvariants(1, ())
-    if colour == "b":
-        return 2 ** (size + 1), None
-    raise ValueError(f"unknown colour {colour!r}")
-
-
-def check_flag(groups: FlagGroups, J, components) -> FlagCheck:
+def check_flag(groups: FlagGroups, J, colours) -> FlagCheck:
     """Abelianize and enumerate the flag group at J of ``groups`` and
-    compare both against the product of what its parity components
-    predict, given as (colour, size) pairs (``_colour_group``): a green one
-    predicts an infinite group, a blue one no abelianization.  The closed
-    form is the predicted abelianization, the direct sum of the
-    components'; with a blue component there is none, and no
-    abelianization check is made.  An exhausted enumeration yields an
-    inconclusive order check, not a failure."""
-    predictions = [_colour_group(colour, size) for colour, size in components]
-    orders = [o for o, _ in predictions]
-    predicted = [inv for _, inv in predictions]
+    compare both against what the colours of the parity components on the
+    vertices outside J predict.  A red component predicts C2 per vertex, a
+    blue one a 2-group of order 2^(size+1) and no abelianization, a green
+    one (a single vertex) Z, so only the number of each colour counts: with
+    no green component the order is 2^(n - |J| + #blue), and with no blue
+    one the abelianization, the closed form, is Z^#green x C2^(n - |J| -
+    #green).  With a green component the group is infinite, and with a blue
+    one there is no closed form and no abelianization check.  An exhausted
+    enumeration yields an inconclusive order check, not a failure."""
+    colours = _checked_tuple(colours, "colours")
+    for colour in colours:
+        if colour not in ("r", "g", "b"):
+            raise ValueError(f"unknown colour {colour!r}")
     J = vertex_subset(J, groups.m.n)
     order = groups.order(J)
     invariants = abelianization(groups.presentation(J))
-    if None in orders:
+    outside, green, blue = groups.m.n - len(J), colours.count("g"), colours.count("b")
+    if green:
         status = "inconclusive" if not order.is_finite else "fail"
         detail = f"infinite group predicted; enumeration gave {order}"
-    elif order.is_finite:
-        expected_order = math.prod(orders)
-        status = "pass" if order.order == expected_order else "fail"
-        detail = f"expected {expected_order}, got {order.order}"
     else:
-        status, detail = "inconclusive", f"expected {math.prod(orders)}, got {order}"
+        expected_order = 2 ** (outside + blue)
+        if order.is_finite:
+            status = "pass" if order.order == expected_order else "fail"
+            detail = f"expected {expected_order}, got {order.order}"
+        else:
+            status, detail = "inconclusive", f"expected {expected_order}, got {order}"
     checks = [("order", status, detail)]
     expected = None
-    if None not in predicted:
-        expected = _direct_sum(predicted)
+    if not blue:
+        expected = AbelianInvariants(green, (2,) * (outside - green))
         status = "pass" if invariants == expected else "fail"
         checks.append(("abelianization", status, f"expected {expected}, got {invariants}"))
     return FlagCheck(J, invariants, order, checks, expected)
@@ -932,14 +921,15 @@ class Verification:
 def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> Verification:
     """The enumeration-side counterpart of ``pi1.full_report``:
     ``check_flag`` on the group of every parity component C of
-    ``build_adm(m)``, the flag group at S - C, every vertex outside C
-    killed, so the relators are the pair relators and killers alone; then
-    the whole-diagram checks ``product_law_abelian`` (the full flag group
-    abelianizes to the direct sum of the components'),
-    ``presentation_routes`` (the all-pairs and two-skeleton presentations
-    abelianize alike for the empty and every singleton parabolic) and,
-    with no green component, ``product_law_order`` (the full flag group's
-    order is the product of the components').
+    ``build_adm(m)``, with C's colour there, the flag group at S - C,
+    every vertex outside C killed, so the relators are the pair relators
+    and killers alone; then the whole-diagram checks
+    ``product_law_abelian`` (the full flag group abelianizes to the direct
+    sum of the components'), ``presentation_routes`` (the all-pairs and
+    two-skeleton presentations abelianize alike for the empty and every
+    singleton parabolic) and, with no green component,
+    ``product_law_order`` (the full flag group's order is the product of
+    the components').
 
     Every flag group comes from one ``FlagGroups``, and the full flag
     group is asked for first: it is enumerated once, and each component's
@@ -949,7 +939,7 @@ def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     graph = build_adm(m)
     vertices = set(range(m.n))
     components = [
-        check_flag(groups, vertices.difference(comp), [(colour, len(comp))])
+        check_flag(groups, vertices.difference(comp), (colour,))
         for comp, colour in zip(graph.components, graph.colours)
     ]
     observed = abelianization(groups.presentation(()))

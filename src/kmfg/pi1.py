@@ -8,10 +8,11 @@ reads the graph on the vertices outside J the same way: with no blue
 component it is Z per green component times C2 per vertex of a red one.
 The finitely-presented-group engine is wired in as a cross-check, never
 as the source of the closed-form answers: ``pi1_flag`` checks each flag
-group with ``fpgroup.check_flag``, the check ``verify`` makes per
-component, and returns its ``fpgroup.FlagCheck``, the record ``verify``
-keeps per component; its closed form is the abelianization the colours
-predict, and a failed check is an InternalError that names J 1-based.
+group against the colours of ``adm.build_adm(m, J)`` with
+``fpgroup.check_flag``, the check ``verify`` makes per component, and
+returns its ``fpgroup.FlagCheck``, the record ``verify`` keeps per
+component; its closed form is the abelianization the colours predict,
+and a failed check is an InternalError that names J 1-based.
 Both read their flag groups from an ``fpgroup.FlagGroups``.
 ``full_report`` asks it for the full flag group first, so that group is
 enumerated once and each singleton's order is read off its table as the
@@ -89,8 +90,7 @@ def check_hypotheses(
     if not (force or report.symmetrizable or report.two_spherical):
         raise HypothesisError(
             "the matrix is neither symmetrizable nor two-spherical, so the "
-            "cell-decomposition hypothesis is not established",
-            reason="hypotheses",
+            "cell-decomposition hypothesis is not established"
         )
     return report
 
@@ -154,12 +154,12 @@ def pi1_flag(
     ``fpgroup.FlagCheck`` of its flag group: abelian invariants, order and
     closed form.
 
-    The flag group is checked against the colours of the components of
-    ``adm.build_adm(m, J)`` by ``fpgroup.check_flag``, the check
-    ``verify`` makes, and a failed check is an InternalError.  The closed
-    form is the abelianization that check predicts, Z per green component
-    times C2 per vertex of a red one; with a blue component it predicts
-    none, and there is no closed form.  The order comes from coset
+    The flag group is checked against the colours of
+    ``adm.build_adm(m, J)``, passed as they are to ``fpgroup.check_flag``,
+    the check ``verify`` makes, and a failed check is an InternalError.
+    The closed form is the abelianization that check predicts, Z per green
+    component times C2 per vertex of a red one; with a blue component it
+    predicts none, and there is no closed form.  The order comes from coset
     enumeration under the cap; a positive free rank makes it
     Exhausted(max_cosets) before any table is built.
     """
@@ -168,9 +168,7 @@ def pi1_flag(
 
 
 def _flag(groups: fpgroup.FlagGroups, J) -> fpgroup.FlagCheck:
-    graph = adm.build_adm(groups.m, J)
-    components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
-    check = fpgroup.check_flag(groups, J, components)
+    check = fpgroup.check_flag(groups, J, adm.build_adm(groups.m, J).colours)
     if not check.passed:
         vertices = ",".join(str(v + 1) for v in check.parabolic)
         failed = [f"{name} {detail}" for name, status, detail in check.checks if status == "fail"]

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 import kmfg
+import kmfg.adm
 import kmfg.cli
 import kmfg.coxeter
 import kmfg.fpgroup
@@ -961,15 +963,17 @@ class TestInternalError:
         assert len(err.splitlines()) == 1
 
     def test_failed_flag_check_names_j_1_based(self, monkeypatch):
-        # with red predicting 2^(size+1), A3's flag group at J = {1}, of
-        # order 4, contradicts its one red component {2,3}
-        colour_group = kmfg.fpgroup._colour_group
+        # with its red component {2,3} recoloured blue, which predicts
+        # order 2^(size+1), A3's flag group at J = {1}, of order 4,
+        # contradicts its colours
+        build_adm = kmfg.adm.build_adm
 
-        def doubled_red(colour, size):
-            order, invariants = colour_group(colour, size)
-            return (2 * order if colour == "r" else order), invariants
+        def red_as_blue(m, J=()):
+            graph = build_adm(m, J)
+            colours = tuple("b" if c == "r" else c for c in graph.colours)
+            return dataclasses.replace(graph, colours=colours)
 
-        monkeypatch.setattr(kmfg.fpgroup, "_colour_group", doubled_red)
+        monkeypatch.setattr(kmfg.adm, "build_adm", red_as_blue)
         assert invoke(["flag", "--type", "A3", "--set", "1"]) == (
             5,
             "",

@@ -63,6 +63,10 @@ class TestPresentation:
     def test_rejects_unreduced_relator(self):
         with pytest.raises(ValueError):
             FpPresentation(("x",), (((0, 1), (0, -1)),))
+        # a cancellation past the first letter is found too
+        message = r"^relator \(\(0, 1\), \(1, 1\), \(1, -1\)\) is not freely reduced$"
+        with pytest.raises(ValueError, match=message):
+            FpPresentation(("a", "b"), (((0, 1), (1, 1), (1, -1)),))
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
@@ -642,7 +646,7 @@ def _component_check(groups, comp, colour):
     """``check_flag`` on the group of the parity component ``comp``, the
     flag group with every vertex outside it killed, as ``verify`` makes it."""
     outside = set(range(groups.m.n)).difference(comp)
-    return check_flag(groups, outside, [(colour, len(comp))])
+    return check_flag(groups, outside, (colour,))
 
 
 def _corpus_components(colour):
@@ -716,6 +720,13 @@ class TestVerifyComponent:
             ("abelianization", "pass", "expected C2 x C2 x C2, got C2 x C2 x C2"),
         ]
 
+    def test_c4_red_capped_order_inconclusive(self):
+        # |G^ab| = 8 is above the cap, so the order is left open, not failed
+        v = _component_check(FlagGroups(from_named("C4"), 4), (0, 1, 2), "r")
+        assert v.passed
+        assert v.inconclusive
+        assert v.checks[0] == ("order", "inconclusive", "expected 8, got Exhausted(4)")
+
     def test_a1_green_inconclusive_order(self):
         v = _component_check(FlagGroups(from_named("A1"), 500), (0,), "g")
         assert v.passed
@@ -727,13 +738,23 @@ class TestVerifyComponent:
             ("abelianization", "pass", "expected Z, got Z"),
         ]
 
-    def test_green_must_be_singleton(self):
-        with pytest.raises(ValueError, match="single vertex"):
-            _component_check(FlagGroups(from_named("A2")), (0, 1), "g")
+    def test_green_on_two_vertices_fails(self):
+        # a green component is a single vertex, so one green colour on A2's
+        # two vertices predicts Z x C2 and an infinite group, and both fail
+        v = check_flag(FlagGroups(from_named("A2")), (), ("g",))
+        assert not v.passed
+        assert v.checks == [
+            ("order", "fail", "infinite group predicted; enumeration gave Finite(8)"),
+            ("abelianization", "fail", "expected Z x C2, got C2 x C2"),
+        ]
 
     def test_unknown_colour(self):
-        with pytest.raises(ValueError, match="unknown colour 'x'"):
-            _component_check(FlagGroups(from_named("A2")), (0, 1), "x")
+        groups = FlagGroups(from_named("A2"))
+        with pytest.raises(ValueError, match="^unknown colour 'x'$"):
+            check_flag(groups, (), ("x",))
+        # a (colour, size) pair is not a colour
+        with pytest.raises(ValueError, match=r"^unknown colour \('r', 2\)$"):
+            check_flag(groups, (0,), [("r", 2)])
 
     @pytest.mark.parametrize("name", CORPUS_RANK_LE_5 + ["E10", "A1~"])
     def test_whole_corpus_verifies(self, name):
@@ -934,7 +955,7 @@ class TestVertexSubset:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda m: check_flag(FlagGroups(m), (5,), [("r", 1)]),
+            lambda m: check_flag(FlagGroups(m), (5,), ("r",)),
             lambda m: flag_presentation(m, (5,)),
             lambda m: cw_presentation(m, (5,)),
             lambda m: WeylGroup(m).cell_counts((5,), 2),

@@ -238,14 +238,13 @@ class TestPi1Flag:
     @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4", "A2~", "C2~"])
     def test_closed_form_is_the_predicted_abelianization(self, name):
         # the closed form is Z per green component times C2 per red vertex,
-        # read off the direct sum check_flag predicts; a blue component
-        # leaves both the abelianization check and the closed form out
+        # the abelianization check_flag predicts from the colours; a blue
+        # component leaves both the abelianization check and the closed form out
         m = from_named(name)
         groups = kmfg.fpgroup.FlagGroups(m)
         for J in [()] + [(k,) for k in range(m.n)]:
             graph = build_adm(m, J)
-            components = [(c, len(comp)) for comp, c in zip(graph.components, graph.colours)]
-            check = kmfg.fpgroup.check_flag(groups, J, components)
+            check = kmfg.fpgroup.check_flag(groups, J, graph.colours)
             expected = check.closed_form
             blue = "b" in graph.colours
             names = [name for name, _, _ in check.checks]
@@ -255,7 +254,11 @@ class TestPi1Flag:
                 assert closed_form is None
             else:
                 assert expected == check.invariants
-                red = sum(size for colour, size in components if colour == "r")
+                red = sum(
+                    len(comp)
+                    for comp, colour in zip(graph.components, graph.colours)
+                    if colour == "r"
+                )
                 assert closed_form == AbelianInvariants(graph.colours.count("g"), (2,) * red)
 
     def test_gate(self):
