@@ -25,14 +25,17 @@ presentation's kept Smith normal form diagonal before any table is built,
 is infinite or already above the cap.  Each relator is scanned
 once up to inversion (the enumerator drops repeats and inverses from its
 own working list; presentations keep them), and a relator is traced before
-it is scanned.  ``todd_coxeter`` compacts the table a strategy returns
-(one renumbering maps each kept row) and certifies it once
-(``_closed``): every letter's column must be defined throughout, and
-each generator's inverse column must undo its column, so each letter
-acts as a permutation of the cosets.  A relator r = uv then closes at
-every coset exactly when u and v^-1 induce the same permutation, which
-composes about half as many columns as the whole of r.  The columns cost
-one list slot per coset per letter while the check runs.
+it is scanned.  A trace from alpha stops one letter short, at f, and
+closes on alpha's own row: a defined entry has its inverse beside it, so
+f.last = alpha exactly when alpha.last^-1 = f.  ``todd_coxeter`` compacts
+the table a strategy returns (one renumbering maps each kept row) and
+certifies it once (``_closed``): every letter's column must be defined
+throughout, and each generator's inverse column must undo its column, so
+each letter acts as a permutation of the cosets.  A relator r = uv then
+closes at every coset exactly when u and v^-1 induce the same
+permutation, which composes about half as many columns as the whole of
+r, each composition one ``operator.itemgetter`` call.  The columns cost
+one tuple slot per coset per letter while the check runs.
 Both strategies close every relator at every coset by construction, so a
 table that fails the certificate is an InternalError, like a failed
 normality test, and never a retry.  HLT makes one pass over the live
@@ -41,13 +44,13 @@ defining every entry still open there before the next; its lookahead,
 when the table fills, is the same pass with definitions switched off,
 after which the rows its coincidences killed are freed.  The
 deduction-driven strategy handles a deduction alpha.x = beta by tracing
-the relator rotations that start with x at alpha, forward and then back,
-and scanning one only where its trace ends in a deduction or a
-coincidence.  Rotations of both r and r^-1 are listed, so these cross
-the edge in every relator cycle through it, each cycle once; the
-rotations that start with x^-1 at beta would walk the same cycles
-backwards and are not traced.  It resumes its search for the next
-undefined entry at the last coset that had one.
+the relator rotations that start with x at alpha, forward from beta and
+closing on alpha's row, then back from alpha, and scanning one only where
+its trace ends in a deduction or a coincidence.  Rotations of both r and
+r^-1 are listed, so these cross the edge in every relator cycle through
+it, each cycle once; the rotations that start with x^-1 at beta would
+walk the same cycles backwards and are not traced.  It resumes its search
+for the next undefined entry at the last coset that had one.
 
 The presentation builders turn a generalized Cartan matrix and a
 parabolic J into the flag presentation, the pair relators
@@ -61,7 +64,9 @@ group's presentation and order.  It enumerates G at most once, through
 reads the order at every other J off the table of G's Finite result, as
 the index of <x_J>; a normality test that fails there is an
 InternalError.  Before G is asked for, or where G is not Finite under the
-cap, each J is enumerated directly.
+cap, each J is enumerated directly.  Where G's presentation is built and
+J's is not, J is abelianized from G's distinct exponent rows plus the
+unit rows of J, so J's relators are built only when J is enumerated.
 ``check_flag`` compares a flag group of a ``FlagGroups`` with what the
 colours of the parity components outside its parabolic predict, which
 depends only on how many components have each colour, the one check of
@@ -82,6 +87,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .adm import AdmGraph, build_adm
 from .cartan import GeneralizedCartanMatrix, _checked_cap, _checked_index, _checked_tuple, _index
@@ -177,7 +183,20 @@ class FpPresentation:
         included, computed on first use.  Zero and repeated rows leave its
         row lattice, so the invariant factors, unchanged; only the distinct
         nonzero rows reach the Smith normal form."""
-        return tuple(smith_normal_form(_exponent_rows(self.generator_count, self.relators)))
+        return tuple(smith_normal_form(self._exponent_rows))
+
+    @cached_property
+    def _exponent_rows(self) -> dict:
+        """The distinct nonzero exponent-sum rows of the relators, in
+        first-seen order (a dict's keys)."""
+        rows = {}
+        for word in self.relators:
+            row = [0] * self.generator_count
+            for gen, exp in word:
+                row[gen] += exp
+            if any(row):
+                rows[tuple(row)] = None
+        return rows
 
 
 @dataclass(frozen=True)
@@ -282,28 +301,14 @@ def _invariant_factors(diagonal) -> list[int]:
     return d
 
 
-def _exponent_rows(count, words) -> dict:
-    """The distinct nonzero exponent-sum rows of ``words``, in first-seen
-    order (a dict's keys)."""
-    rows = {}
-    for word in words:
-        row = [0] * count
-        for gen, exp in word:
-            row[gen] += exp
-        if any(row):
-            rows[tuple(row)] = None
-    return rows
-
-
 def abelianization(presentation: FpPresentation) -> AbelianInvariants:
     """The abelian invariants read off the presentation's Smith normal
     form diagonal."""
-    count = presentation.generator_count
-    diag = presentation.smith_diagonal
-    return AbelianInvariants(
-        free_rank=count - len(diag),
-        torsion=tuple(d for d in diag if d > 1),
-    )
+    return _invariants(presentation.generator_count, presentation.smith_diagonal)
+
+
+def _invariants(count, diag) -> AbelianInvariants:
+    return AbelianInvariants(free_rank=count - len(diag), torsion=tuple(d for d in diag if d > 1))
 
 
 def _direct_sum(invariant_list) -> AbelianInvariants:
@@ -500,7 +505,7 @@ def todd_coxeter(
     seen = set()
     for word in presentation.relators:
         letters = _word_to_letters(word)
-        if letters not in seen:
+        if letters and letters not in seen:
             seen.add(letters)
             seen.add(_letters_inverse(letters))
             relators.append(letters)
@@ -516,18 +521,23 @@ def todd_coxeter(
 def _closed(table, relators) -> bool:
     """Whether a compacted table is complete and every relator closes at
     every coset; the table is only read.  Each letter's column is built
-    once, as a list (reading whole columns keeps the accesses sequential).
+    once, as a tuple (reading whole columns keeps the accesses sequential).
     Every column must be defined throughout, and each generator's inverse
     column must undo its column, which makes every column a permutation
     with its inverse beside it.  A relator r = uv then closes at coset k
     exactly when k.u = k.v^-1, so each relator is checked by composing its
-    two halves, a half's first letter read straight off its column."""
-    columns = list(map(list, zip(*table)))
+    two halves, a half's first letter read straight off its column.
+    Columns compose by ``operator.itemgetter``, which returns a bare item,
+    not a tuple, for one index, so a one-row table is checked apart: every
+    letter must fix its one coset, and then every relator closes."""
+    if len(table) == 1:
+        return all(entry == 0 for entry in table[0])
+    columns = list(zip(*table))
     if any(None in column for column in columns):
         return False
-    identity = list(range(len(table)))
+    identity = tuple(range(len(table)))
     for x in range(0, len(columns), 2):
-        if list(map(columns[x + 1].__getitem__, columns[x])) != identity:
+        if itemgetter(*columns[x])(columns[x + 1]) != identity:
             return False
     for rel in relators:
         half = len(rel) // 2
@@ -538,13 +548,13 @@ def _closed(table, relators) -> bool:
     return True
 
 
-def _image(columns, identity, letters) -> list:
-    """The coset each coset reaches along ``letters``, as a list."""
+def _image(columns, identity, letters) -> tuple:
+    """The coset each coset reaches along ``letters``, as a tuple."""
     if not letters:
         return identity
     image = columns[letters[0]]
     for x in letters[1:]:
-        image = list(map(columns[x].__getitem__, image))
+        image = itemgetter(*image)(columns[x])
     return image
 
 
@@ -553,27 +563,32 @@ def _hlt_pass(ct, relators, fill):
     at each and scanned where its trace does not close, and with ``fill``
     the scans define cosets and every entry still open at a live coset is
     defined before the next.  Without ``fill`` the pass is the lookahead:
-    only deductions and coincidences, so the table does not grow."""
+    only deductions and coincidences, so the table does not grow.  A trace
+    stops one letter short, at f, and closes on alpha's row, read once."""
     table = ct.table
     p = ct.p
+    traces = [(rel, rel[:-1], rel[-1] ^ 1) for rel in relators]
     alpha = 0
     while alpha < len(table):
         if p[alpha] == alpha:
-            for rel in relators:
+            row = table[alpha]
+            for rel, body, back in traces:
                 # trace first; scan only where the trace does not close,
                 # and only a scan can kill alpha
                 f = alpha
-                for x in rel:
+                for x in body:
                     f = table[f][x]
                     if f is None:
                         break
-                if f != alpha:
-                    ct.scan(alpha, rel, fill)
-                    if p[alpha] != alpha:
-                        break
+                else:
+                    if f == row[back]:
+                        continue
+                ct.scan(alpha, rel, fill)
+                if p[alpha] != alpha:
+                    break
             if fill and p[alpha] == alpha:
                 for x in range(ct.width):
-                    if table[alpha][x] is None:
+                    if row[x] is None:
                         ct.define(alpha, x)
         alpha += 1
 
@@ -632,18 +647,21 @@ def _felsch_table(ngens, relators, max_cosets):
         while ct.deductions:
             alpha, x = ct.deductions.pop()
             alpha = ct.rep(alpha)
+            row = table[alpha]
             for word in by_letter[x]:
-                f = alpha
-                i = 0
+                # every word starts with x, so its trace starts at beta =
+                # alpha.x; a killer closes exactly when beta is alpha
+                f = row[x]
+                i = 1
                 j = len(word) - 1
-                while i <= j:
+                while i < j:
                     g = table[f][word[i]]
                     if g is None:
                         break
                     f = g
                     i += 1
-                if i > j:
-                    if f == alpha:
+                if i >= j:
+                    if f == (row[word[j] ^ 1] if j else alpha):
                         continue
                 else:
                     b = alpha
@@ -790,9 +808,10 @@ def _two_skeleton_pairs(m: GeneralizedCartanMatrix) -> tuple:
 
 class FlagGroups:
     """The flag groups ``flag_presentation(m, J)`` of one diagram under one
-    coset cap, the one way to a flag group's presentation and order: each
-    presentation is built once, and the full flag group G (J empty) is
-    enumerated at most once, by ``todd_coxeter``, its result kept.
+    coset cap, the one way to a flag group's presentation, order and
+    abelianization: each presentation is built once, and the full flag
+    group G (J empty) is enumerated at most once, by ``todd_coxeter``, its
+    result kept.
 
     G is enumerated lazily, on the first ``order(())``, so a caller that
     needs many J asks for G first, and a caller that needs one nonempty J
@@ -807,6 +826,7 @@ class FlagGroups:
         self.m = m
         self.max_cosets = _checked_cap(max_cosets, "coset cap")
         self._presentations = {}
+        self._abelianizations = {}
         self._full = None  # G's result, set by the first order(())
 
     def presentation(self, J) -> FpPresentation:
@@ -824,6 +844,22 @@ class FlagGroups:
         if self._full is not None and self._full.is_finite:
             return EnumerationResult.finite(_quotient_order(self._full.table, J))
         return todd_coxeter(self.presentation(J), max_cosets=self.max_cosets)
+
+    def abelianization(self, J) -> AbelianInvariants:
+        """The abelian invariants at J, kept per J.  Where G's presentation
+        is built and J's is not, J's exponent rows are G's distinct rows
+        plus the unit rows e_k for k in J, so J's relators are neither built
+        nor checked; otherwise J's presentation reads its own kept diagonal."""
+        J = vertex_subset(J, self.m.n)
+        if J not in self._abelianizations:
+            n = self.m.n
+            if () in self._presentations and J not in self._presentations:
+                rows = dict(self._presentations[()]._exponent_rows)
+                rows.update((tuple(int(v == k) for v in range(n)), None) for k in J)
+                self._abelianizations[J] = _invariants(n, smith_normal_form(rows))
+            else:
+                self._abelianizations[J] = abelianization(self.presentation(J))
+        return self._abelianizations[J]
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +906,7 @@ def check_flag(groups: FlagGroups, J, colours) -> FlagCheck:
             raise ValueError(f"unknown colour {colour!r}")
     J = vertex_subset(J, groups.m.n)
     order = groups.order(J)
-    invariants = abelianization(groups.presentation(J))
+    invariants = groups.abelianization(J)
     outside, green, blue = groups.m.n - len(J), colours.count("g"), colours.count("b")
     if green:
         status = "inconclusive" if not order.is_finite else "fail"
@@ -942,13 +978,12 @@ def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> 
         check_flag(groups, vertices.difference(comp), (colour,))
         for comp, colour in zip(graph.components, graph.colours)
     ]
-    observed = abelianization(groups.presentation(()))
+    observed = groups.abelianization(())
     combined = _direct_sum(v.invariants for v in components)
     status = "pass" if observed == combined else "fail"
     checks = [("product_law_abelian", status, f"{observed} vs {combined}")]
     routes_agree = observed == abelianization(cw_presentation(m, ())) and all(
-        abelianization(groups.presentation((k,)))
-        == abelianization(cw_presentation(m, (k,)))
+        groups.abelianization((k,)) == abelianization(cw_presentation(m, (k,)))
         for k in range(m.n)
     )
     checks.append(("presentation_routes", "pass" if routes_agree else "fail", ""))

@@ -80,8 +80,11 @@ def test_force_is_not_remembered():
 
 
 def test_contradiction_is_an_internal_error(monkeypatch):
+    # both routes to a flag group's invariants, its own presentation's
+    # diagonal and G's exponent rows, end in _invariants; full_report reads
+    # A3's singletons off G's rows
     wrong = kmfg.fpgroup.AbelianInvariants(1, ())
-    monkeypatch.setattr(kmfg.fpgroup, "abelianization", lambda presentation: wrong)
+    monkeypatch.setattr(kmfg.fpgroup, "_invariants", lambda count, diagonal: wrong)
     with pytest.raises(InternalError):
         pi1_flag(from_named("A3"), (0,))
     with pytest.raises(InternalError):

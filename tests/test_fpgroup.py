@@ -406,6 +406,43 @@ class TestClosureCertificate:
         assert [relator_closes(rows, g, killer) for g in range(3)] == [True, False, False]
         assert not _closed(rows, self.S3_RELATORS + [killer])
 
+    @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+    @pytest.mark.parametrize(
+        "names, relators", [(("a",), ((A,),)), (("a", "b"), ((A,), (B,)))], ids=["a|a", "ab|a,b"]
+    )
+    def test_trivial_group_certifies_its_one_row(self, strategy, names, relators):
+        # itemgetter of one index returns a bare item, not a tuple, so the
+        # certificate checks a one-row table apart
+        result = todd_coxeter(FpPresentation(names, relators), strategy=strategy)
+        assert result == EnumerationResult.finite(1)
+        assert result.table == [[0] * (2 * len(names))]
+
+    @pytest.mark.parametrize(
+        "rows", [[[0, 0, None, None]], [[0, 0, 0, None]], [[1, 1, 0, 0]]], ids=repr
+    )
+    def test_one_row_table_that_does_not_close(self, rows):
+        # b undefined, b^-1 undefined, or a leading out of the one coset
+        relators = [_word_to_letters((self.A,)), _word_to_letters((self.B,))]
+        assert not _closed(rows, relators)
+        assert _closed([[0, 0, 0, 0]], relators)
+
+    @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+    def test_no_generators(self, strategy):
+        result = todd_coxeter(FpPresentation((), ()), strategy=strategy)
+        assert result == EnumerationResult.finite(1)
+        assert result.table == [[]]
+
+    @pytest.mark.parametrize("strategy", ["hlt", "felsch"])
+    def test_empty_relator_closes_everywhere(self, strategy):
+        # the empty relator has no last letter to close on; it closes at
+        # every coset and is left out of the working list
+        square = FpPresentation(("a",), ((self.A, self.A),))
+        padded = FpPresentation(("a",), ((), (self.A, self.A), ()))
+        expected = todd_coxeter(square, strategy=strategy)
+        result = todd_coxeter(padded, strategy=strategy)
+        assert result == expected == EnumerationResult.finite(2)
+        assert result.table == expected.table
+
     def test_certifies_a_table_with_dead_rows(self, monkeypatch):
         # at the default cap HLT completes S3 in 8 rows, 2 of them dead;
         # todd_coxeter compacts them away, then certifies the 6 left
@@ -942,6 +979,54 @@ class TestFlagGroups:
         assert len(result.table) == 2048
         for x in range(2 * m.n):
             assert sorted(row[x] for row in result.table) == list(range(2048))
+
+    @pytest.mark.parametrize("run", [verify, full_report])
+    def test_e10_builds_one_presentation(self, monkeypatch, run):
+        # every other flag group's order is read off G's table and its
+        # abelianization off G's exponent rows, so only G's relators are built
+        built = []
+        build = kmfg.fpgroup.flag_presentation
+
+        def counting(m, J):
+            built.append(J)
+            return build(m, J)
+
+        monkeypatch.setattr(kmfg.fpgroup, "flag_presentation", counting)
+        run(from_named("E10"))
+        assert built == [()]
+
+    def test_single_parabolic_analysed_alone(self, monkeypatch):
+        # pi1_flag at one J builds J's presentation and abelianizes it once,
+        # for the index bound and the check alike, and never builds G's
+        built, diagonals = [], []
+        build, smith = kmfg.fpgroup.flag_presentation, kmfg.fpgroup.smith_normal_form
+
+        def building(m, J):
+            built.append(J)
+            return build(m, J)
+
+        def diagonalizing(rows):
+            diagonals.append(rows)
+            return smith(rows)
+
+        monkeypatch.setattr(kmfg.fpgroup, "flag_presentation", building)
+        monkeypatch.setattr(kmfg.fpgroup, "smith_normal_form", diagonalizing)
+        check = pi1_flag(from_named("C20"), (0,))
+        assert check.invariants == AbelianInvariants(1, (2,) * 18)
+        assert built == [(0,)]
+        assert len(diagonals) == 1
+
+    @pytest.mark.parametrize("name", ["E8", "C4~", "B5"])
+    @pytest.mark.parametrize("cap", [100_000, 8])
+    def test_abelianization_from_full_rows(self, name, cap):
+        # J's invariants from G's rows plus the unit rows of J are those of
+        # J's own presentation
+        m = from_named(name)
+        groups = FlagGroups(m, cap)
+        groups.order(())
+        for J in [()] + [(k,) for k in range(m.n)] + [tuple(range(0, m.n, 2))]:
+            assert groups.abelianization(J) == abelianization(flag_presentation(m, J))
+            assert groups.abelianization(J) is groups.abelianization(J)
 
     def test_presentations_built_once(self):
         groups = FlagGroups(from_named("B3"))
