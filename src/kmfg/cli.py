@@ -5,7 +5,10 @@ Subcommands: info, pi1, spin, flag, weyl, adm, verify.  The input diagram
 comes from ``--type NAME`` or ``--matrix PATH`` (``-`` reads stdin).  All
 indices on the command line and in rendered output are 1-based.  Only this
 module renders: each subcommand turns the library's values into a JSON
-payload and text or DOT lines for ``_render``.  The parser is built once.
+payload and text or DOT lines for ``_render``.  Groups are
+``fpgroup.AbelianInvariants``: pi1 values and closed forms print by ``str``,
+equal factors gathered (Z x C2^198), and abelianizations by ``flat``, each
+factor written out.  The parser is built once.
 
 Exit codes: 0 success, 1 usage error, 2 input/validation error,
 3 hypothesis gate refused, 4 resource cap or memory exhausted, 5 internal
@@ -221,8 +224,9 @@ def _render(out, fmt, payload, lines):
     out.write(text + "\n")
 
 
-def _type_json(value: pi1.Pi1Type) -> dict:
-    return {"z": value.free_rank, "c2": value.c2_count}
+def _type_json(value: fpgroup.AbelianInvariants) -> dict:
+    """A group the colours predict, built by ``fpgroup._z_c2`` as Z^z x C2^c2."""
+    return {"z": value.free_rank, "c2": len(value.torsion)}
 
 
 def _spin_json(rows) -> list[dict]:
@@ -256,16 +260,8 @@ def _order_status(info: fpgroup.FlagCheck) -> str:
     return "infinite" if info.invariants.free_rank else info.order.status
 
 
-def _closed_form(info: fpgroup.FlagCheck) -> pi1.Pi1Type | None:
-    """The closed form of a flag's group in exponent form: each factor of
-    the predicted abelianization is Z or C2."""
-    form = info.closed_form
-    return None if form is None else pi1.Pi1Type(form.free_rank, len(form.torsion))
-
-
 def _flag_json(info: fpgroup.FlagCheck) -> dict:
     status = _order_status(info)
-    closed_form = _closed_form(info)
     order = {"status": status}
     if status == "finite":
         order["order"] = info.order.order
@@ -274,7 +270,7 @@ def _flag_json(info: fpgroup.FlagCheck) -> dict:
     return {
         "abelian": {"z": info.invariants.free_rank, "torsion": list(info.invariants.torsion)},
         "order": order,
-        "closed_form": None if closed_form is None else _type_json(closed_form),
+        "closed_form": None if info.closed_form is None else _type_json(info.closed_form),
     }
 
 
@@ -328,7 +324,7 @@ def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
     for J, info in sorted(report.flags.items()):
         order = "infinite" if _order_status(info) == "infinite" else str(info.order)
         lines.append(
-            f"flag J={_fmt_set(J)}: abelianization {info.invariants}, order {order}"
+            f"flag J={_fmt_set(J)}: abelianization {info.invariants.flat()}, order {order}"
         )
     return lines
 
@@ -402,11 +398,10 @@ def _cmd_flag(args, out):
     max_cosets = args.max_cosets or _default_max_cosets()
     info = pi1.pi1_flag(m, J, max_cosets=max_cosets, force=args.force)
     lines = []
-    closed_form = _closed_form(info)
-    if closed_form is not None:
-        lines.append(f"pi1(G/P_J) = {closed_form}")
+    if info.closed_form is not None:
+        lines.append(f"pi1(G/P_J) = {info.closed_form}")
     lines.append(f"J = {_fmt_set(info.parabolic)}")
-    lines.append(f"abelianization: {info.invariants}")
+    lines.append(f"abelianization: {info.invariants.flat()}")
     status = _order_status(info)
     if status == "infinite":
         lines.append("order: infinite (positive free rank)")

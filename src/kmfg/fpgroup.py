@@ -7,10 +7,15 @@ entry must be an integer by the library's one rule, ``cartan._index``, so
 generator in range by ``cartan._checked_index``.
 Abelianization goes through an exact integer Smith normal form:
 diagonalize, then normalize the diagonal with C_a x C_b =
-C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.  A
-presentation is abelianized once: it keeps its Smith normal form
-diagonal, which ``abelianization`` and the index bound of ``todd_coxeter``
-both read.
+C_gcd(a,b) x C_lcm(a,b), the one rule ``verify``'s direct sums share.
+Every abelian group kmfg answers with, pi1's closed forms included, is an
+``AbelianInvariants``: ``str`` gathers equal factors (Z^2 x C2^3), and
+``flat`` writes each torsion factor out, the text of the check details
+here and of the CLI's abelianization lines.  The groups the colours
+predict, Z^a x C2^b, have one constructor, ``_z_c2``, which builds each
+distinct value once.  A presentation is abelianized once: it keeps its
+Smith normal form diagonal, which ``abelianization`` and the index bound
+of ``todd_coxeter`` both read.
 Coset enumeration has one entry, ``todd_coxeter``, which enumerates the
 elements of the presented group G, the cosets of its trivial subgroup, so
 a complete table is G's regular permutation representation.  It checks
@@ -86,12 +91,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 
 from .adm import AdmGraph, build_adm
-from .cartan import GeneralizedCartanMatrix, _checked_cap, _checked_index, _checked_tuple, _index
-from .cartan import vertex_subset
+from .cartan import GeneralizedCartanMatrix, _checked_cap, _checked_index, _checked_int
+from .cartan import _checked_tuple, _index, vertex_subset
 from .coxeter import WeylGroup
 from .errors import InternalError
 
@@ -201,22 +206,52 @@ class FpPresentation:
 
 @dataclass(frozen=True)
 class AbelianInvariants:
-    """Free rank plus torsion in divisibility order d1 | d2 | ..."""
+    """The finitely generated abelian group Z^free_rank x C_d1 x C_d2 x ...:
+    a free rank, an int >= 0, plus torsion, a tuple of ints >= 2 in
+    divisibility order d1 | d2 | ..., each by ``cartan._index``.  ``str``
+    gathers equal factors (Z^2 x C2^3 x C4); ``flat`` writes each torsion
+    factor out."""
 
     free_rank: int
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        if _checked_int(self.free_rank, "free rank") < 0:
+            raise ValueError(f"free rank must be >= 0, got {self.free_rank}")
+        if self.torsion.__class__ is not tuple:
+            raise ValueError(f"torsion {self.torsion!r} is not a tuple")
+        for d in self.torsion:
+            if _checked_int(d, "torsion entry") < 2:
+                raise ValueError(f"torsion entry must be >= 2, got {d}")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError(f"torsion {self.torsion} not in divisibility order")
 
     def __str__(self):
-        parts = []
-        if self.free_rank:
-            parts.append("Z" if self.free_rank == 1 else f"Z^{self.free_rank}")
-        parts.extend(f"C{d}" for d in self.torsion)
-        return " x ".join(parts) if parts else "1"
+        t = self.torsion
+        parts = self._free_part()
+        for d in dict.fromkeys(t):
+            k = t.count(d)
+            parts.append(f"C{d}^{k}" if k > 1 else f"C{d}")
+        return " x ".join(parts) or "1"
+
+    def flat(self) -> str:
+        """The group with each torsion factor written out: Z^2 x C2 x C2 x C4."""
+        return " x ".join(self._free_part() + [f"C{d}" for d in self.torsion]) or "1"
+
+    def _free_part(self) -> list[str]:
+        free = self.free_rank
+        return ["Z" if free == 1 else f"Z^{free}"] if free else []
+
+
+@lru_cache(maxsize=1024)
+def _z_c2(free_rank: int, c2_count: int) -> AbelianInvariants:
+    """Z^free_rank x C2^c2_count, the one constructor of the groups the
+    colours predict: pi1(G), the spin covers and each flag group's closed
+    form.  A spin listing makes one per colouring, so each distinct value is
+    built once, and the cache is bounded for a process that meets many
+    ranks."""
+    return AbelianInvariants(free_rank, (2,) * c2_count)
 
 
 @dataclass(frozen=True)
@@ -921,9 +956,10 @@ def check_flag(groups: FlagGroups, J, colours) -> FlagCheck:
     checks = [("order", status, detail)]
     expected = None
     if not blue:
-        expected = AbelianInvariants(green, (2,) * (outside - green))
+        expected = _z_c2(green, outside - green)
         status = "pass" if invariants == expected else "fail"
-        checks.append(("abelianization", status, f"expected {expected}, got {invariants}"))
+        detail = f"expected {expected.flat()}, got {invariants.flat()}"
+        checks.append(("abelianization", status, detail))
     return FlagCheck(J, invariants, order, checks, expected)
 
 
@@ -981,7 +1017,7 @@ def verify(m: GeneralizedCartanMatrix, max_cosets: int = DEFAULT_MAX_COSETS) -> 
     observed = groups.abelianization(())
     combined = _direct_sum(v.invariants for v in components)
     status = "pass" if observed == combined else "fail"
-    checks = [("product_law_abelian", status, f"{observed} vs {combined}")]
+    checks = [("product_law_abelian", status, f"{observed.flat()} vs {combined.flat()}")]
     routes_agree = observed == abelianization(cw_presentation(m, ())) and all(
         groups.abelianization((k,)) == abelianization(cw_presentation(m, (k,)))
         for k in range(m.n)

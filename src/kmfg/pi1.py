@@ -27,7 +27,9 @@ its factors' groups, no parity edge or witness crosses two factors, and
 every answer is the product of the factors' answers.  The identification
 of pi1(G) with pi1(K) carries a caveat flag outside the symmetrizable
 case.  Each public function passes the gate once; the report and the
-parity graph are computed once per matrix.  Results are plain values; the
+parity graph are computed once per matrix.  Results are plain values,
+each group an ``fpgroup.AbelianInvariants`` built as Z^a x C2^b by
+``fpgroup._z_c2``, the constructor ``check_flag``'s closed forms share; the
 CLI renders them as text or JSON, and marks a reducible diagram's answers
 as products.
 """
@@ -39,9 +41,9 @@ from typing import NamedTuple
 
 from . import adm, cartan, fpgroup
 from .errors import HypothesisError, InternalError
+from .fpgroup import AbelianInvariants
 
 __all__ = [
-    "Pi1Type",
     "KPi1Result",
     "Pi1Report",
     "pi1_group",
@@ -51,33 +53,18 @@ __all__ = [
     "full_report",
 ]
 
-@dataclass(frozen=True)
-class Pi1Type:
-    """The isomorphism type Z^free_rank x C2^c2_count."""
-
-    free_rank: int
-    c2_count: int
-
-    def __str__(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        if self.c2_count == 1:
-            parts.append("C2")
-        elif self.c2_count > 1:
-            parts.append(f"C2^{self.c2_count}")
-        return " x ".join(parts) if parts else "1"
+# perfbench/test_perfbench.py patches Pi1Type.__str__; ROADMAP item 5
+# moves that test to AbelianInvariants and deletes this alias
+Pi1Type = AbelianInvariants
 
 
-def _pi1(colours) -> Pi1Type:
+def _pi1(colours) -> AbelianInvariants:
     """The product of what components of these colours contribute."""
-    return Pi1Type(colours.count("g"), colours.count("b"))
+    return fpgroup._z_c2(colours.count("g"), colours.count("b"))
 
 
 class KPi1Result(NamedTuple):
-    value: Pi1Type
+    value: AbelianInvariants
     k_only: bool  # True when the K = G identification is not established
 
 
@@ -95,7 +82,7 @@ def check_hypotheses(
     return report
 
 
-def pi1_group(m: cartan.GeneralizedCartanMatrix, force: bool = False) -> Pi1Type:
+def pi1_group(m: cartan.GeneralizedCartanMatrix, force: bool = False) -> AbelianInvariants:
     """pi1 of the split real Kac-Moody group."""
     check_hypotheses(m, force)
     return _pi1(adm.build_adm(m).colours)
@@ -121,7 +108,7 @@ def pi1_spin(
     m: cartan.GeneralizedCartanMatrix,
     kappa: adm.KappaColouring,
     force: bool = False,
-) -> Pi1Type:
+) -> AbelianInvariants:
     """pi1 of the spin cover attached to an admissible colouring:
     Z^(green) x C2^(blue components with kappa = 1)."""
     check_hypotheses(m, force)
@@ -130,12 +117,12 @@ def pi1_spin(
     return _spin(graph, kappa)
 
 
-def _spin(graph: adm.AdmGraph, kappa: adm.KappaColouring) -> Pi1Type:
+def _spin(graph: adm.AdmGraph, kappa: adm.KappaColouring) -> AbelianInvariants:
     """A blue component with kappa = 2 loses its C2; the rest is ``_pi1``."""
     return _pi1([c for c, v in zip(graph.colours, kappa.values) if c != "b" or v == 1])
 
 
-def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, Pi1Type]]:
+def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, AbelianInvariants]]:
     """(kappa bits, pi1 of the spin cover) per colouring, without the gate
     or a check of the colourings: the caller has passed ``check_hypotheses``
     once for the whole list, and made each colouring by
@@ -184,7 +171,7 @@ class Pi1Report:
 
     hypotheses: cartan.HypothesisReport
     graph: adm.AdmGraph
-    spin: list[tuple[str, Pi1Type]]  # (kappa bits, type)
+    spin: list[tuple[str, AbelianInvariants]]  # (kappa bits, group)
     flags: dict[tuple[int, ...], fpgroup.FlagCheck]
 
     @property
@@ -193,7 +180,7 @@ class Pi1Report:
         return tuple(str(_pi1((colour,))) for colour in self.graph.colours)
 
     @property
-    def group(self) -> Pi1Type:
+    def group(self) -> AbelianInvariants:
         return _pi1(self.graph.colours)
 
     @property

@@ -11,7 +11,6 @@ from contextlib import contextmanager
 from kmfg import (
     AbelianInvariants,
     GeneralizedCartanMatrix,
-    Pi1Type,
     WeylGroup,
     abelianization,
     build_adm,
@@ -54,20 +53,20 @@ def criterion(number, description):
 
 def test_criterion_1_spherical_table():
     with criterion(1, "spherical pi1 table"):
-        table = [("A1", Pi1Type(1, 0)), ("B2", Pi1Type(1, 0)),
-                 ("F4", Pi1Type(0, 1)), ("G2", Pi1Type(0, 1))]
-        table += [(f"A{n}", Pi1Type(0, 1)) for n in range(2, 9)]
-        table += [(f"B{n}", Pi1Type(0, 1)) for n in range(3, 9)]
-        table += [(f"C{n}", Pi1Type(1, 0)) for n in range(2, 9)]
-        table += [(f"D{n}", Pi1Type(0, 1)) for n in range(4, 9)]
+        table = [("A1", AbelianInvariants(1, ())), ("B2", AbelianInvariants(1, ())),
+                 ("F4", AbelianInvariants(0, (2,))), ("G2", AbelianInvariants(0, (2,)))]
+        table += [(f"A{n}", AbelianInvariants(0, (2,))) for n in range(2, 9)]
+        table += [(f"B{n}", AbelianInvariants(0, (2,))) for n in range(3, 9)]
+        table += [(f"C{n}", AbelianInvariants(1, ())) for n in range(2, 9)]
+        table += [(f"D{n}", AbelianInvariants(0, (2,))) for n in range(4, 9)]
         for name, expected in table:
             assert pi1_group(from_named(name)) == expected, name
 
 
 def test_criterion_2_indefinite_examples():
     with criterion(2, "indefinite examples E10 and the rank-16 diagram"):
-        assert pi1_group(from_named("E10")) == Pi1Type(0, 1)
-        assert pi1_group(diagram_x()) == Pi1Type(2, 2)
+        assert pi1_group(from_named("E10")) == AbelianInvariants(0, (2,))
+        assert pi1_group(diagram_x()) == AbelianInvariants(2, (2, 2))
 
 
 def test_criterion_3_spin_covers():
@@ -76,8 +75,8 @@ def test_criterion_3_spin_covers():
             m = from_named(name)
             graph = build_adm(m)
             assert len(enumerate_kappa(graph)) == 2, name
-            assert pi1_spin(m, kappa_constant(graph, 2)) == Pi1Type(0, 0), name
-            assert pi1_spin(m, kappa_constant(graph, 1)) == Pi1Type(0, 1), name
+            assert pi1_spin(m, kappa_constant(graph, 2)) == AbelianInvariants(0, ()), name
+            assert pi1_spin(m, kappa_constant(graph, 1)) == AbelianInvariants(0, (2,)), name
 
 
 def test_criterion_4_component_group_orders():
@@ -232,7 +231,7 @@ def test_criterion_10_hypothesis_gate():
         affine = GeneralizedCartanMatrix(((2, -2), (-2, 2)))
         assert not is_two_spherical(affine)
         assert is_symmetrizable(affine)
-        assert pi1_group(affine) == Pi1Type(2, 0)  # proceeds, no force needed
+        assert pi1_group(affine) == AbelianInvariants(2, ())  # proceeds, no force needed
 
         rows = "3\n2 -2 -2\n-2 2 -1\n-1 -2 2\n"
         refused = GeneralizedCartanMatrix(((2, -2, -2), (-2, 2, -1), (-1, -2, 2)))

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from kmfg import (
+    AbelianInvariants,
     GeneralizedCartanMatrix,
-    Pi1Type,
     build_adm,
     enumerate_kappa,
     from_named,
@@ -209,7 +209,7 @@ class TestCounts:
         kappa = kappa_constant(g, 2)
         assert kappa.values.count(2) == 1
         # no blue component keeps kappa = 1, so the spin cover is simply connected
-        assert spin_rows(g, [kappa]) == [("2", Pi1Type(0, 0))]
+        assert spin_rows(g, [kappa]) == [("2", AbelianInvariants(0, ()))]
 
     def test_total(self):
         for name in CORPUS:

@@ -150,6 +150,30 @@ class TestAbelianization:
         with pytest.raises(ValueError):
             AbelianInvariants(0, (4, 2))
 
+    @pytest.mark.parametrize(
+        "free_rank, torsion",
+        [(0, (1,)), (-1, ()), (1.5, ()), (True, ()), (0, (2, -2)), (0, [2]), (0, (2.0,))],
+    )
+    def test_rejects_values_that_are_not_invariants(self, free_rank, torsion):
+        # C1 would print "C1" and differ from the trivial group; Z^-1, Z^1.5
+        # and C-2 name no group, and True is not taken for 1
+        with pytest.raises(ValueError):
+            AbelianInvariants(free_rank, torsion)
+
+    @pytest.mark.parametrize(
+        "free_rank, torsion, gathered, flat",
+        [
+            (2, (2, 2, 4, 12), "Z^2 x C2^2 x C4 x C12", "Z^2 x C2 x C2 x C4 x C12"),
+            (1, (2,) * 3, "Z x C2^3", "Z x C2 x C2 x C2"),
+            (0, (3,), "C3", "C3"),
+            (0, (), "1", "1"),
+        ],
+    )
+    def test_text_forms(self, free_rank, torsion, gathered, flat):
+        value = AbelianInvariants(free_rank, torsion)
+        assert str(value) == gathered
+        assert value.flat() == flat
+
 
 class TestToddCoxeter:
     def test_cyclic_two(self):
@@ -709,7 +733,7 @@ class TestClassify:
             c2s = AbelianInvariants(0, (2,) * size)
             assert v.checks == [
                 ("order", "pass", f"expected {2**size}, got {2**size}"),
-                ("abelianization", "pass", f"expected {c2s}, got {c2s}"),
+                ("abelianization", "pass", f"expected {c2s.flat()}, got {c2s.flat()}"),
             ]
         assert sizes == {1, 2, 3, 4}
 

@@ -20,7 +20,6 @@ from kmfg import (
     AbelianInvariants,
     EnumerationResult,
     GeneralizedCartanMatrix,
-    Pi1Type,
     abelianization,
     build_adm,
     enumerate_kappa,
@@ -381,8 +380,8 @@ def test_direct_sum_answers_are_products(m1, m2):
         with pytest.raises(HypothesisError):
             pi1_group(m)
     g1, g2 = pi1_group(m1), pi1_group(m2)
-    assert pi1_group(m, force=force) == Pi1Type(
-        g1.free_rank + g2.free_rank, g1.c2_count + g2.c2_count
+    assert pi1_group(m, force=force) == AbelianInvariants(
+        g1.free_rank + g2.free_rank, g1.torsion + g2.torsion
     )
     # the components of the sum are the first factor's, then the second's
     split = len(build_adm(m1).components)
@@ -393,8 +392,8 @@ def test_direct_sum_answers_are_products(m1, m2):
     for kappa in colourings:
         s1 = pi1_spin(m1, KappaColouring(kappa.values[:split]))
         s2 = pi1_spin(m2, KappaColouring(kappa.values[split:]))
-        assert pi1_spin(m, kappa, force=force) == Pi1Type(
-            s1.free_rank + s2.free_rank, s1.c2_count + s2.c2_count
+        assert pi1_spin(m, kappa, force=force) == AbelianInvariants(
+            s1.free_rank + s2.free_rank, s1.torsion + s2.torsion
         )
     # the flag groups' abelianizations, by Smith normal form, not by colours
     for J in [()] + [(k,) for k in range(m.n)]:
