@@ -21,6 +21,12 @@ the order in which the CLI prints components as text, JSON or DOT.
 Parity -1 needs an odd entry, so a zero entry never makes an edge, a
 witness or a red vertex: the graph is read off the matrix's
 ``neighbours`` at a cost linear in the diagram's edges.
+
+Per colouring, nothing of the graph is found again: ``build_adm(m)`` returns
+the graph kept on the matrix, which keeps its free and blue component
+indices and its green count.  ``validate_kappa`` tests a colouring of exact
+1s and 2s in C, with no call per value; ``kappa_bits`` reads one value per
+free component.
 """
 
 from __future__ import annotations
@@ -51,9 +57,12 @@ class AdmGraph:
     colours: tuple[str, ...]
 
     def __post_init__(self):
-        # read once per colouring by kappa_bits, so found once per graph
-        free = tuple(i for i, c in enumerate(self.colours) if c != "r")
-        object.__setattr__(self, "_free", free)
+        # read once per colouring by kappa_bits and pi1's spin covers, so
+        # found once per graph; not fields, so equality and repr ignore them
+        colours = self.colours
+        object.__setattr__(self, "_free", tuple(i for i, c in enumerate(colours) if c != "r"))
+        object.__setattr__(self, "_blue", tuple(i for i, c in enumerate(colours) if c == "b"))
+        object.__setattr__(self, "_green", colours.count("g"))
 
     def free_components(self) -> tuple[int, ...]:
         """Indices of the components not forced to kappa = 1."""
@@ -77,6 +86,8 @@ def has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
 def build_adm(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
     """The coloured parity graph on the vertices outside J.  For J = () it
     is the matrix's own, computed once and kept on it."""
+    if J.__class__ is tuple and not J:
+        return m._parity_graph
     J = vertex_subset(J, m.n)
     return _build_graph(m, J) if J else m._parity_graph
 
@@ -120,6 +131,12 @@ def _build_graph(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
     return AdmGraph(m.n, edges, tuple(components), tuple(colours))
 
 
+# a colouring of exact 1s and 2s has the types in the first set and the
+# values in the second
+_INT = frozenset({int})
+_ONE_TWO = frozenset({1, 2})
+
+
 def _checked_kappa(value) -> int:
     """A kappa value, the one check of one: the exact int 1 or 2, so 1.0 or
     True is refused.  A colouring keeps its values as given, so nothing
@@ -141,7 +158,19 @@ def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
             f"expected {len(graph.components)} component values, "
             f"got {len(kappa.values)}"
         )
-    for idx, value in enumerate(kappa.values):
+    values = kappa.values
+    # the common case, tested in C with no call per value: exact 1s and 2s
+    # (the types first, so that 1.0, True or an unhashable value fails),
+    # and no red component, or none given 2
+    if (
+        {*map(type, values)} <= _INT
+        and {*values} <= _ONE_TWO
+        and (len(graph._free) == len(values) or (2, "r") not in zip(values, graph.colours))
+    ):
+        return
+    # anything else is refused: read value by value, the first fault in
+    # component order is named
+    for idx, value in enumerate(values):
         if _checked_kappa(value) == 2 and graph.colours[idx] == "r":
             vertices = ", ".join(str(v + 1) for v in graph.components[idx])
             raise InadmissibleKappaError(
@@ -185,4 +214,4 @@ def kappa_constant(graph: AdmGraph, value: int) -> KappaColouring:
 def kappa_bits(graph: AdmGraph, kappa: KappaColouring) -> str:
     """Inverse of kappa_from_bits."""
     values = kappa.values
-    return "".join([str(values[idx]) for idx in graph.free_components()])
+    return "".join([str(values[idx]) for idx in graph._free])

@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from math import gcd
@@ -256,7 +256,12 @@ class HypothesisReport:
     spherical: bool
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "irreducible": self.irreducible,
+            "symmetrizable": self.symmetrizable,
+            "two_spherical": self.two_spherical,
+            "spherical": self.spherical,
+        }
 
 
 def _parse_plain(text: str) -> GeneralizedCartanMatrix:

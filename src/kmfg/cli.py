@@ -4,8 +4,8 @@ answers; checks such as ``verify`` (``fpgroup.verify``) live in the library.
 Subcommands: info, pi1, spin, flag, weyl, adm, verify.  The input diagram
 comes from ``--type NAME`` or ``--matrix PATH`` (``-`` reads stdin).  All
 indices on the command line and in rendered output are 1-based.  Only this
-module renders: each subcommand turns the library's values into a JSON
-payload and text or DOT lines for ``_render``.  Groups are
+module renders: each subcommand builds only the form it prints, a JSON
+payload or text or DOT lines, and hands that one to ``_render``.  Groups are
 ``fpgroup.AbelianInvariants``: pi1 values and closed forms print by ``str``,
 equal factors gathered (Z x C2^198), and abelianizations by ``flat``, each
 factor written out.  The parser is built once.
@@ -217,16 +217,21 @@ def _component_lines(graph) -> list[str]:
     ]
 
 
-def _render(out, fmt, payload, lines):
-    """The output path of every subcommand: ``payload`` as indented JSON,
-    or ``lines`` as text or DOT."""
-    text = json.dumps(payload, indent=2) if fmt == "json" else "\n".join(lines)
+def _render(out, output):
+    """The output path of every subcommand: a JSON payload (a dict) as
+    indented JSON, or text or DOT lines (a list)."""
+    text = json.dumps(output, indent=2) if output.__class__ is dict else "\n".join(output)
     out.write(text + "\n")
 
 
 def _type_json(value: fpgroup.AbelianInvariants) -> dict:
-    """A group the colours predict, built by ``fpgroup._z_c2`` as Z^z x C2^c2."""
-    return {"z": value.free_rank, "c2": len(value.torsion)}
+    """A group the colours predict, built by ``fpgroup._z_c2`` as Z^z x C2^c2.
+    Any other torsion has no form here, so it is an InternalError rather
+    than a mislabelled C2 count."""
+    torsion = value.torsion
+    if torsion.count(2) != len(torsion):
+        raise InternalError(f"{value} is not of the form Z^z x C2^c2")
+    return {"z": value.free_rank, "c2": len(torsion)}
 
 
 def _spin_json(rows) -> list[dict]:
@@ -274,13 +279,15 @@ def _flag_json(info: fpgroup.FlagCheck) -> dict:
     }
 
 
-def _note_reducible(m, payload, lines, at=None):
+def _note_reducible(m, output, at=None):
     """Mark the answers for a reducible diagram as the products over its
-    irreducible factors: the JSON payload ends with ``"reducible": true``,
-    and the text gets the note, as its last line unless ``at`` is given."""
+    irreducible factors: a JSON payload ends with ``"reducible": true``,
+    and text lines get the note, as their last line unless ``at`` is given."""
     if not cartan.hypothesis_report(m).irreducible:
-        payload["reducible"] = True
-        lines.insert(len(lines) if at is None else at, _REDUCIBLE)
+        if output.__class__ is dict:
+            output["reducible"] = True
+        else:
+            output.insert(len(output) if at is None else at, _REDUCIBLE)
 
 
 def _check_orders(flags):
@@ -297,11 +304,13 @@ def _cmd_info(args, out):
     m = _load_matrix(args)
     hypotheses = cartan.hypothesis_report(m).to_json_dict()
     graph = adm.build_adm(m)
-    lines = [f"rank: {m.n}"]
-    lines += [f"{k.replace('_', '-')}: {'yes' if v else 'no'}" for k, v in hypotheses.items()]
-    lines += _component_lines(graph)
-    payload = {"rank": m.n, "hypotheses": hypotheses, "adm": _graph_json(graph)}
-    _render(out, args.format, payload, lines)
+    if args.format == "json":
+        output = {"rank": m.n, "hypotheses": hypotheses, "adm": _graph_json(graph)}
+    else:
+        output = [f"rank: {m.n}"]
+        output += [f"{k.replace('_', '-')}: {'yes' if v else 'no'}" for k, v in hypotheses.items()]
+        output += _component_lines(graph)
+    _render(out, output)
 
 
 def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
@@ -353,24 +362,29 @@ def _cmd_pi1(args, out):
     if args.full:
         max_cosets = args.max_cosets or _default_max_cosets()
         report = pi1.full_report(m, max_cosets=max_cosets, force=args.force)
-        payload, lines = _full_report_json(report), _full_report_lines(report)
+        if args.format == "json":
+            output = _full_report_json(report)
+        else:
+            output = _full_report_lines(report)
         # the note follows the hypotheses line
-        _note_reducible(m, payload, lines, at=1)
-        _render(out, args.format, payload, lines)
+        _note_reducible(m, output, at=1)
+        _render(out, output)
         _check_orders(report.flags.values())
         return
     # pi1(G) and pi1(K) have the same value; k_only marks the caveat
     compact = pi1.pi1_maximal_compact(m, force=args.force)
-    payload = {
-        "pi1_G": _type_json(compact.value),
-        "pi1_K": _type_json(compact.value),
-        "pi1_K_caveat": compact.k_only,
-    }
-    lines = [f"pi1(G) = {compact.value}", f"pi1(K) = {compact.value}"]
-    if compact.k_only:
-        lines.append(_NOT_SYMMETRIZABLE)
-    _note_reducible(m, payload, lines)
-    _render(out, args.format, payload, lines)
+    if args.format == "json":
+        output = {
+            "pi1_G": _type_json(compact.value),
+            "pi1_K": _type_json(compact.value),
+            "pi1_K_caveat": compact.k_only,
+        }
+    else:
+        output = [f"pi1(G) = {compact.value}", f"pi1(K) = {compact.value}"]
+        if compact.k_only:
+            output.append(_NOT_SYMMETRIZABLE)
+    _note_reducible(m, output)
+    _render(out, output)
 
 
 def _cmd_spin(args, out):
@@ -384,12 +398,14 @@ def _cmd_spin(args, out):
         colourings = adm.enumerate_kappa(graph)
     pi1.check_hypotheses(m, force=args.force)
     rows = pi1.spin_rows(graph, colourings)
-    payload = {"spin": _spin_json(rows)}
-    # one admissible colouring per choice of 1 or 2 on each free component
-    lines = [f"admissible colourings: {2 ** len(graph.free_components())}"]
-    lines += [f"kappa {bits or '-'}: pi1(Spin) = {value}" for bits, value in rows]
-    _note_reducible(m, payload, lines)
-    _render(out, args.format, payload, lines)
+    if args.format == "json":
+        output = {"spin": _spin_json(rows)}
+    else:
+        # one admissible colouring per choice of 1 or 2 on each free component
+        output = [f"admissible colourings: {2 ** len(graph.free_components())}"]
+        output += [f"kappa {bits or '-'}: pi1(Spin) = {value}" for bits, value in rows]
+    _note_reducible(m, output)
+    _render(out, output)
 
 
 def _cmd_flag(args, out):
@@ -397,21 +413,23 @@ def _cmd_flag(args, out):
     J = _parse_index_list(args.set, m.n, "--set")
     max_cosets = args.max_cosets or _default_max_cosets()
     info = pi1.pi1_flag(m, J, max_cosets=max_cosets, force=args.force)
-    lines = []
-    if info.closed_form is not None:
-        lines.append(f"pi1(G/P_J) = {info.closed_form}")
-    lines.append(f"J = {_fmt_set(info.parabolic)}")
-    lines.append(f"abelianization: {info.invariants.flat()}")
-    status = _order_status(info)
-    if status == "infinite":
-        lines.append("order: infinite (positive free rank)")
-    elif status == "finite":
-        lines.append(f"order: {info.order.order}")
+    if args.format == "json":
+        output = {"J": [v + 1 for v in info.parabolic], **_flag_json(info)}
     else:
-        lines.append(f"order: undecided, coset table capped at {info.order.limit}")
-    payload = {"J": [v + 1 for v in info.parabolic], **_flag_json(info)}
-    _note_reducible(m, payload, lines)
-    _render(out, args.format, payload, lines)
+        output = []
+        if info.closed_form is not None:
+            output.append(f"pi1(G/P_J) = {info.closed_form}")
+        output.append(f"J = {_fmt_set(info.parabolic)}")
+        output.append(f"abelianization: {info.invariants.flat()}")
+        status = _order_status(info)
+        if status == "infinite":
+            output.append("order: infinite (positive free rank)")
+        elif status == "finite":
+            output.append(f"order: {info.order.order}")
+        else:
+            output.append(f"order: undecided, coset table capped at {info.order.limit}")
+    _note_reducible(m, output)
+    _render(out, output)
     _check_orders([info])
 
 
@@ -432,18 +450,21 @@ def _cmd_weyl(args, out):
                 f"{element.length} of the --closure element"
             )
         cells = group.closure_cells(element, J, cap=args.cap)
-        words = [[i + 1 for i in w.reduced_word()] for w in cells]
-        payload = {"closure": words}
-        lines = [
-            f"length {w.length}: {','.join(map(str, word)) or 'e'}"
-            for w, word in zip(cells, words)
-        ]
+        if args.format == "json":
+            output = {"closure": [[i + 1 for i in w.reduced_word()] for w in cells]}
+        else:
+            output = [
+                f"length {w.length}: {','.join([str(i + 1) for i in w.reduced_word()]) or 'e'}"
+                for w in cells
+            ]
     else:
         histogram = group.cell_counts(J, args.max_length, cap=args.cap)
-        payload = {str(k): v for k, v in histogram.items()}
-        lines = [f"length {k}: {v}" for k, v in histogram.items()]
-        lines.append(f"total: {sum(histogram.values())}")
-    _render(out, args.format, payload, lines)
+        if args.format == "json":
+            output = {str(k): v for k, v in histogram.items()}
+        else:
+            output = [f"length {k}: {v}" for k, v in histogram.items()]
+            output.append(f"total: {sum(histogram.values())}")
+    _render(out, output)
 
 
 def _cmd_adm(args, out):
@@ -452,12 +473,14 @@ def _cmd_adm(args, out):
     m = _load_matrix(args)
     graph = adm.build_adm(m)
     fmt = "dot" if args.dot else args.format or "text"
-    if fmt == "dot":
-        lines = _dot_lines(graph)
+    if fmt == "json":
+        output = _graph_json(graph)
+    elif fmt == "dot":
+        output = _dot_lines(graph)
     else:
         edges = ", ".join(f"{i + 1}-{j + 1}" for i, j in sorted(graph.edges)) or "none"
-        lines = _component_lines(graph) + [f"edges: {edges}"]
-    _render(out, fmt, _graph_json(graph), lines)
+        output = _component_lines(graph) + [f"edges: {edges}"]
+    _render(out, output)
 
 
 # text labels of the whole-diagram checks of ``fpgroup.verify``
@@ -473,24 +496,26 @@ def _cmd_verify(args, out):
     max_cosets = args.max_cosets or _default_max_cosets()
     report = fpgroup.verify(m, max_cosets)
     result = report.result
-    lines = []
     graph = report.graph
-    for comp, colour, v in zip(graph.components, graph.colours, report.components):
-        summary = "; ".join(f"{name} {status} ({detail})" for name, status, detail in v.checks)
-        lines.append(f"component {_fmt_set(comp)} colour {colour}: {summary}")
-    components = [
-        {**entry, "checks": [{"name": n, "status": s, "detail": d} for n, s, d in v.checks]}
-        for entry, v in zip(_graph_json(graph)["components"], report.components)
-    ]
-    for name, status, detail in report.checks:
-        lines.append(f"{_CHECK_LABELS[name]}: {status}" + (f" ({detail})" if detail else ""))
-    lines.append(f"result: {result}")
-    payload = {
-        "components": components,
-        "checks": [{"name": name, "status": status} for name, status, _ in report.checks],
-        "result": result,
-    }
-    _render(out, args.format, payload, lines)
+    if args.format == "json":
+        components = [
+            {**entry, "checks": [{"name": n, "status": s, "detail": d} for n, s, d in v.checks]}
+            for entry, v in zip(_graph_json(graph)["components"], report.components)
+        ]
+        output = {
+            "components": components,
+            "checks": [{"name": name, "status": status} for name, status, _ in report.checks],
+            "result": result,
+        }
+    else:
+        output = []
+        for comp, colour, v in zip(graph.components, graph.colours, report.components):
+            summary = "; ".join(f"{name} {status} ({detail})" for name, status, detail in v.checks)
+            output.append(f"component {_fmt_set(comp)} colour {colour}: {summary}")
+        for name, status, detail in report.checks:
+            output.append(f"{_CHECK_LABELS[name]}: {status}" + (f" ({detail})" if detail else ""))
+        output.append(f"result: {result}")
+    _render(out, output)
     if result == "FAIL":
         raise InternalError("verification failed: two of kmfg's own computations disagree")
     if result == "INCONCLUSIVE":

@@ -228,6 +228,12 @@ class AbelianInvariants:
                 raise ValueError(f"torsion {self.torsion} not in divisibility order")
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """``str``'s text, built on first use and kept on the instance; not a
+        field, so equality, hashing and repr ignore it."""
         t = self.torsion
         parts = self._free_part()
         for d in dict.fromkeys(t):

@@ -27,11 +27,15 @@ its factors' groups, no parity edge or witness crosses two factors, and
 every answer is the product of the factors' answers.  The identification
 of pi1(G) with pi1(K) carries a caveat flag outside the symmetrizable
 case.  Each public function passes the gate once; the report and the
-parity graph are computed once per matrix.  Results are plain values,
-each group an ``fpgroup.AbelianInvariants`` built as Z^a x C2^b by
-``fpgroup._z_c2``, the constructor ``check_flag``'s closed forms share; the
-CLI renders them as text or JSON, and marks a reducible diagram's answers
-as products.
+parity graph are computed once per matrix.  A spin cover then reads only
+the colouring's blue values: it is Z^(green count) x C2^(blue components
+with kappa = 1), from the green count and blue indices kept on the graph,
+so a colouring costs O(1) beyond one read per blue component.  Results
+are plain values, each group an ``fpgroup.AbelianInvariants`` built as
+Z^a x C2^b by ``fpgroup._z_c2``, the constructor ``check_flag``'s closed
+forms share, so each distinct group and its text are built once; the CLI
+renders them as text or JSON, and marks a reducible diagram's answers as
+products.
 """
 
 from __future__ import annotations
@@ -118,8 +122,11 @@ def pi1_spin(
 
 
 def _spin(graph: adm.AdmGraph, kappa: adm.KappaColouring) -> AbelianInvariants:
-    """A blue component with kappa = 2 loses its C2; the rest is ``_pi1``."""
-    return _pi1([c for c, v in zip(graph.colours, kappa.values) if c != "b" or v == 1])
+    """A blue component with kappa = 2 loses its C2; the rest is ``_pi1``.
+    The graph keeps its green count and blue indices, so only the blue
+    components' values are read."""
+    values = kappa.values
+    return fpgroup._z_c2(graph._green, sum(values[i] == 1 for i in graph._blue))
 
 
 def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, AbelianInvariants]]:

@@ -8,8 +8,8 @@ algebra, integer matrix products for the Weyl group, a regex tokenizer for
 the plain matrix format, the three matrix invariants, rational ratios for
 the symmetrizer, the diagram predicates and the coloured parity graph read
 over all n^2 entries, a direct brute-force reading of the
-admissible-colouring definition, and a relator traced through a coset
-table one letter at a time.
+admissible-colouring definition, the spin covers' colour rule on the dense
+colours, and a relator traced through a coset table one letter at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from kmfg import GeneralizedCartanMatrix, build_adm
+from kmfg import AbelianInvariants, GeneralizedCartanMatrix, build_adm
 from kmfg.errors import MatrixFormatError
 
 
@@ -577,6 +577,22 @@ def kappa_brute_force(m):
             continue
         admissible.add(tuple(assignment[comp[0]] for comp in graph.components))
     return admissible
+
+
+def spin_covers_dense(m):
+    """pi1 of every spin cover, read off the dense colours: for each
+    admissible tuple of per-component kappa values (1 on every r component,
+    1 or 2 elsewhere), Z per g component times C2 per b component with
+    kappa = 1."""
+    _, colours = coloured_components_dense(m)
+    choices = [(1,) if colour == "r" else (1, 2) for colour in colours]
+    return {
+        values: AbelianInvariants(
+            colours.count("g"),
+            (2,) * sum(c == "b" and v == 1 for c, v in zip(colours, values)),
+        )
+        for values in itertools.product(*choices)
+    }
 
 
 # ---------------------------------------------------------------------------

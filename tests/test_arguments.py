@@ -294,3 +294,50 @@ def test_wrong_container_is_typed_error(name):
 def test_generator_names_kept_as_a_tuple():
     p = FpPresentation(["a", "b"], ())
     assert p.generator_names == ("a", "b") and p.generator_count == 2
+
+
+# validate_kappa tests a colouring of exact 1s and 2s in one pass over its
+# values; any other colouring is read value by value, and the refusal names
+# the first fault in component order: a value that is not the exact int 1
+# or 2, or a 2 on a red component
+TWO_GREEN = build_adm(GeneralizedCartanMatrix(((2, 0), (0, 2))))
+C3_GRAPH = build_adm(from_named("C3"))  # components {1, 2} (r) and {3} (g)
+_NOT_ONE_OR_TWO = "kappa value must be 1 or 2, got {!r}"
+_RED = "kappa must equal 1 on the r-coloured component {1, 2}"
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1", 0, 3], ids=repr)
+@pytest.mark.parametrize("at", ["first", "after_a_valid_one"])
+def test_validate_kappa_refuses_a_value_that_is_not_one_or_two(value, at):
+    for valid in (1, 2):
+        values = (value, valid) if at == "first" else (valid, value)
+        with pytest.raises(InadmissibleKappaError) as refusal:
+            validate_kappa(TWO_GREEN, KappaColouring(values))
+        assert str(refusal.value) == _NOT_ONE_OR_TWO.format(value)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((2, 1), _RED),
+        ((2, 2), _RED),
+        # the red component comes first, so its 2 is the fault named
+        ((2, 3), _RED),
+        ((2, 1.0), _RED),
+        ((3, 2), _NOT_ONE_OR_TWO.format(3)),
+        ((1.0, 2), _NOT_ONE_OR_TWO.format(1.0)),
+        ((True, 1), _NOT_ONE_OR_TWO.format(True)),
+    ],
+    ids=repr,
+)
+def test_validate_kappa_names_the_first_fault(values, message):
+    with pytest.raises(InadmissibleKappaError) as refusal:
+        validate_kappa(C3_GRAPH, KappaColouring(values))
+    assert str(refusal.value) == message
+
+
+def test_validate_kappa_admits_exact_ones_and_twos():
+    for values in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        assert validate_kappa(TWO_GREEN, KappaColouring(values)) is None
+    for values in ((1, 1), (1, 2)):
+        assert validate_kappa(C3_GRAPH, KappaColouring(values)) is None

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from kmfg import (
 from kmfg.cartan import symmetrizer
 from kmfg.errors import InvariantViolationError, MatrixFormatError, UnknownNameError
 
-from oracles import direct_sum, exact_det, gcm_from_edges, symmetrizer_rational
+from oracles import diagram_x, direct_sum, exact_det, gcm_from_edges, symmetrizer_rational
 
 NAMED_FINITE = [
     "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
@@ -390,3 +391,17 @@ def test_hypothesis_report_is_reproducible():
         True,
         True,
     )
+
+
+@pytest.mark.parametrize("name", ["B3", "A1~", "X", "A1+A2"])
+def test_hypothesis_report_json_is_every_field_in_order(name):
+    # the JSON dict is written out field by field; info and pi1 --full print
+    # its keys in this order
+    if name == "X":
+        m = diagram_x()
+    elif name == "A1+A2":
+        m = direct_sum(from_named("A1"), from_named("A2"))
+    else:
+        m = from_named(name)
+    report = hypothesis_report(m)
+    assert list(report.to_json_dict().items()) == list(dataclasses.asdict(report).items())

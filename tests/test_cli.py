@@ -950,6 +950,25 @@ class TestInternalError:
         assert err.startswith("error[E501]:")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "free_rank, torsion", [(0, (4,)), (1, (2, 6))], ids=["C4", "Z x C2 x C6"]
+    )
+    def test_type_json_refuses_torsion_other_than_2(self, free_rank, torsion):
+        # JSON counts a predicted group's C2 factors, so a C4 or C6 would
+        # be mislabelled as a C2
+        value = kmfg.fpgroup.AbelianInvariants(free_rank, torsion)
+        with pytest.raises(kmfg.errors.InternalError, match=r"is not of the form Z\^z x C2\^c2$"):
+            kmfg.cli._type_json(value)
+
+    def test_spin_json_row_with_torsion_other_than_2_exit_5(self, monkeypatch):
+        c4 = kmfg.fpgroup.AbelianInvariants(0, (4,))
+        monkeypatch.setattr(kmfg.pi1, "spin_rows", lambda graph, colourings: [("1", c4)])
+        assert invoke(["spin", "--type", "A1", "--format", "json"]) == (
+            5,
+            "",
+            "error[E501]: C4 is not of the form Z^z x C2^c2\n",
+        )
+
     def test_order_contradiction_exit_5(self, monkeypatch):
         # a one-row table makes B3's full flag group trivial, not of order 16
         def trivial(presentation, **kwargs):

@@ -174,6 +174,23 @@ class TestAbelianization:
         assert str(value) == gathered
         assert value.flat() == flat
 
+    @pytest.mark.parametrize("free_rank", range(4))
+    @pytest.mark.parametrize("c2_count", [0, 1, 2, 5])
+    def test_kept_text_is_the_fresh_text(self, free_rank, c2_count):
+        # _z_c2's shared value keeps its str text once built; a fresh value
+        # has none until asked, and equality, hashing and repr read only
+        # the fields
+        shared = kmfg.fpgroup._z_c2(free_rank, c2_count)
+        text = str(shared)
+        fresh = AbelianInvariants(free_rank, (2,) * c2_count)
+        assert "_text" in vars(shared) and "_text" not in vars(fresh)
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert repr(shared) == repr(fresh) == (
+            f"AbelianInvariants(free_rank={free_rank}, torsion={(2,) * c2_count!r})"
+        )
+        assert text == str(fresh) and shared.flat() == fresh.flat()
+        assert str(shared) is text
+
 
 class TestToddCoxeter:
     def test_cyclic_two(self):

@@ -7,8 +7,8 @@ definitions, the least integer symmetrizer against rational ratios, each
 parity component alone in its colour at its complement, the spherical
 predicate against Sylvester's criterion, the colouring rule for
 pi1(G/P_J) at every parabolic J, its closed form on connected
-simply-laced diagrams, and the answers for a direct sum as the products
-of its factors' answers."""
+simply-laced diagrams, the spin covers against the dense colour rule, and
+the answers for a direct sum as the products of its factors' answers."""
 
 import itertools
 import math
@@ -32,6 +32,7 @@ from kmfg import (
     todd_coxeter,
 )
 from kmfg.adm import KappaColouring
+from kmfg.pi1 import spin_rows
 from kmfg.cartan import symmetrizer
 from kmfg.errors import HypothesisError, InvariantViolationError, MatrixFormatError
 
@@ -44,6 +45,7 @@ from oracles import (
     minors_gcd_invariant_factors,
     parity_edges_dense,
     parse_plain_reference,
+    spin_covers_dense,
     symmetrizer_rational,
     two_spherical_dense,
 )
@@ -404,3 +406,30 @@ def test_direct_sum_answers_are_products(m1, m2):
         free, powers = _elementary_divisors(abelianization(flag_presentation(m, J)))
         assert free == a1.free_rank + a2.free_rank
         assert powers == sorted(_elementary_divisors(a1)[1] + _elementary_divisors(a2)[1])
+
+
+@hypothesis.settings(max_examples=80, deadline=None)
+@hypothesis.given(gcms(max_rank=10))
+def test_spin_covers_are_the_dense_colour_rule(m):
+    """Every row of ``spin_rows`` over ``enumerate_kappa``, and ``pi1_spin``
+    at each colouring (forced where the gate refuses), is Z^#g x C2^#(b with
+    kappa = 1) read off the dense colours, and each row's bits are the
+    values of the components that are not r."""
+    expected = spin_covers_dense(m)
+    _, colours = coloured_components_dense(m)
+    graph = build_adm(m)
+    colourings = enumerate_kappa(graph)
+    assert sorted(kappa.values for kappa in colourings) == sorted(expected)
+    assert spin_rows(graph, colourings) == [
+        (
+            "".join(str(v) for v, c in zip(kappa.values, colours) if c != "r"),
+            expected[kappa.values],
+        )
+        for kappa in colourings
+    ]
+    force = not _gated(m)
+    if force:
+        with pytest.raises(HypothesisError):
+            pi1_spin(m, colourings[0])
+    for kappa in colourings:
+        assert pi1_spin(m, kappa, force=force) == expected[kappa.values]
