@@ -8,7 +8,9 @@ module renders: each subcommand builds only the form it prints, a JSON
 payload or text or DOT lines, and hands that one to ``_render``.  Groups are
 ``fpgroup.AbelianInvariants``: pi1 values and closed forms print by ``str``,
 equal factors gathered (Z x C2^198), and abelianizations by ``flat``, each
-factor written out.  The parser is built once.
+factor written out.  A flag group's order is rendered as its
+``fpgroup.FlagCheck.order_status`` says: infinite, finite, or exhausted,
+which exits 4 once the output is written.  The parser is built once.
 
 Exit codes: 0 success, 1 usage error, 2 input/validation error,
 3 hypothesis gate refused, 4 resource cap or memory exhausted, 5 internal
@@ -259,14 +261,8 @@ def _dot_lines(graph) -> list[str]:
     return ["graph adm {", "  node [style=filled];", *vertices, *edges, "}"]
 
 
-def _order_status(info: fpgroup.FlagCheck) -> str:
-    """What is known of the order of a flag's group: "infinite" with a
-    positive free rank, else the enumeration's "finite" or "exhausted"."""
-    return "infinite" if info.invariants.free_rank else info.order.status
-
-
 def _flag_json(info: fpgroup.FlagCheck) -> dict:
-    status = _order_status(info)
+    status = info.order_status
     order = {"status": status}
     if status == "finite":
         order["order"] = info.order.order
@@ -294,7 +290,7 @@ def _check_orders(flags):
     """After the output is written: exit 4 if a coset cap left the order of
     a flag's group open."""
     for info in flags:
-        if _order_status(info) == "exhausted":
+        if info.order_status == "exhausted":
             raise ResourceLimitError(
                 f"coset enumeration exhausted the cap {info.order.limit}", info.order.limit
             )
@@ -331,7 +327,7 @@ def _full_report_lines(report: pi1.Pi1Report) -> list[str]:
     for bits, value in report.spin:
         lines.append(f"spin kappa={bits or '-'}: pi1 = {value}")
     for J, info in sorted(report.flags.items()):
-        order = "infinite" if _order_status(info) == "infinite" else str(info.order)
+        order = "infinite" if info.order_status == "infinite" else str(info.order)
         lines.append(
             f"flag J={_fmt_set(J)}: abelianization {info.invariants.flat()}, order {order}"
         )
@@ -421,7 +417,7 @@ def _cmd_flag(args, out):
             output.append(f"pi1(G/P_J) = {info.closed_form}")
         output.append(f"J = {_fmt_set(info.parabolic)}")
         output.append(f"abelianization: {info.invariants.flat()}")
-        status = _order_status(info)
+        status = info.order_status
         if status == "infinite":
             output.append("order: infinite (positive free rank)")
         elif status == "finite":

@@ -389,6 +389,8 @@ class WeylElement:
         return self.group is other.group or self.group.cartan == other.group.cartan
 
     def _require_same_group(self, other: "WeylElement"):
+        if not isinstance(other, WeylElement):
+            raise ValueError(f"expected a WeylElement, got {type(other).__name__}")
         if not self._same_group(other):
             raise ValueError("elements belong to different Weyl groups")
 

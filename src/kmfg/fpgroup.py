@@ -77,10 +77,15 @@ colours of the parity components outside its parabolic predict, which
 depends only on how many components have each colour, the one check of
 that kind, and returns the one record of a checked flag group, a
 ``FlagCheck``: parabolic, invariants, order, checks and the closed form,
-the predicted abelianization.  ``verify`` makes it for every component C
-of ``build_adm(m)``, with C's colour there, on the flag group with every
+the predicted abelianization.  Its ``order_status`` is the one rule for
+what is known of the group's order, read off the group and not the
+colours: "infinite" with a positive free rank, else the enumeration's
+"finite" or "exhausted".  An order left open is an inconclusive check
+only where the free rank is the green count; otherwise the check fails.
+``verify`` makes a ``FlagCheck`` for every component C of
+``build_adm(m)``, with C's colour there, on the flag group with every
 vertex outside C killed, the one kind of group it enumerates, and keeps
-the graph beside the records; ``pi1.pi1_flag`` makes it with the colours
+the graph beside the records; ``pi1.pi1_flag`` makes one with the colours
 of ``build_adm(m, J)`` and returns the record.  ``verify`` and
 ``pi1.full_report`` ask for G first, so each makes one enumeration per
 diagram; ``pi1.pi1_flag`` asks for its own J only.
@@ -913,7 +918,8 @@ class FlagCheck:
     abelian invariants, its order (Exhausted when the cap or a positive
     free rank left it open), the (name, status, detail) checks, and the
     closed form, the abelianization the components' colours predict (None
-    when a component is blue)."""
+    when a component is blue).  ``order_status`` is kmfg's one definition
+    of what is known of a flag group's order, and it reads no colour."""
 
     parabolic: tuple[int, ...]
     invariants: AbelianInvariants
@@ -926,8 +932,11 @@ class FlagCheck:
         return all(status != "fail" for _, status, _ in self.checks)
 
     @property
-    def inconclusive(self) -> bool:
-        return any(status == "inconclusive" for _, status, _ in self.checks)
+    def order_status(self) -> str:
+        """What is known of the group's order, read off the group alone:
+        "infinite" with a positive free rank, else the enumeration's
+        "finite" or "exhausted"."""
+        return "infinite" if self.invariants.free_rank else self.order.status
 
 
 def check_flag(groups: FlagGroups, J, colours) -> FlagCheck:
@@ -939,8 +948,11 @@ def check_flag(groups: FlagGroups, J, colours) -> FlagCheck:
     no green component the order is 2^(n - |J| + #blue), and with no blue
     one the abelianization, the closed form, is Z^#green x C2^(n - |J| -
     #green).  With a green component the group is infinite, and with a blue
-    one there is no closed form and no abelianization check.  An exhausted
-    enumeration yields an inconclusive order check, not a failure."""
+    one there is no closed form and no abelianization check.  An order the
+    enumeration leaves open makes the order check inconclusive when the
+    computed free rank is the number of green components, and fails it,
+    naming the free rank, otherwise: every green component gives a Z, and
+    red and blue ones finite 2-groups."""
     colours = _checked_tuple(colours, "colours")
     for colour in colours:
         if colour not in ("r", "g", "b"):
@@ -950,15 +962,16 @@ def check_flag(groups: FlagGroups, J, colours) -> FlagCheck:
     invariants = groups.abelianization(J)
     outside, green, blue = groups.m.n - len(J), colours.count("g"), colours.count("b")
     if green:
-        status = "inconclusive" if not order.is_finite else "fail"
-        detail = f"infinite group predicted; enumeration gave {order}"
+        expected_order, detail = None, f"infinite group predicted; enumeration gave {order}"
     else:
         expected_order = 2 ** (outside + blue)
-        if order.is_finite:
-            status = "pass" if order.order == expected_order else "fail"
-            detail = f"expected {expected_order}, got {order.order}"
-        else:
-            status, detail = "inconclusive", f"expected {expected_order}, got {order}"
+        detail = f"expected {expected_order}, got {order.order if order.is_finite else order}"
+    if order.is_finite:
+        status = "pass" if order.order == expected_order else "fail"
+    elif invariants.free_rank == green:
+        status = "inconclusive"
+    else:
+        status, detail = "fail", f"{detail}; free rank {invariants.free_rank}"
     checks = [("order", status, detail)]
     expected = None
     if not blue:
@@ -982,16 +995,13 @@ class Verification:
 
     @property
     def result(self) -> str:
-        """FAIL when a check failed, INCONCLUSIVE when a coset cap left one
-        open, PASS otherwise."""
+        """FAIL when a check failed, INCONCLUSIVE when a coset cap left a
+        check or a component's ``order_status`` open, PASS otherwise."""
         statuses = [status for _, status, _ in self.checks]
         if "fail" in statuses or not all(v.passed for v in self.components):
             return "FAIL"
-        # a green component's capped order check leaves nothing open
-        colours = self.graph.colours
-        if "inconclusive" in statuses or any(
-            v.inconclusive for v, colour in zip(self.components, colours) if colour != "g"
-        ):
+        exhausted = any(v.order_status == "exhausted" for v in self.components)
+        if "inconclusive" in statuses or exhausted:
             return "INCONCLUSIVE"
         return "PASS"
 

@@ -40,8 +40,8 @@ products.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import adm, cartan, fpgroup
 from .errors import HypothesisError, InternalError
@@ -67,9 +67,8 @@ def _pi1(colours) -> AbelianInvariants:
     return fpgroup._z_c2(colours.count("g"), colours.count("b"))
 
 
-class KPi1Result(NamedTuple):
-    value: AbelianInvariants
-    k_only: bool  # True when the K = G identification is not established
+# k_only is True when the K = G identification is not established
+KPi1Result = namedtuple("KPi1Result", "value k_only")
 
 
 def check_hypotheses(
@@ -155,7 +154,9 @@ def pi1_flag(
     component times C2 per vertex of a red one; with a blue component it
     predicts none, and there is no closed form.  The order comes from coset
     enumeration under the cap; a positive free rank makes it
-    Exhausted(max_cosets) before any table is built.
+    Exhausted(max_cosets) before any table is built, and the record's
+    ``order_status`` "infinite".  An order left open with a free rank other
+    than the green count fails the check.
     """
     check_hypotheses(m, force)
     return _flag(fpgroup.FlagGroups(m, max_cosets), J)

@@ -4,7 +4,7 @@ entries, kappa values and the entries of a vector under the action.  An
 exact int that the argument admits gives its result; every other value (a
 float, a bool, a string, None, or an int out of range) is refused with the
 argument's typed error, never answered.  So is a container argument that
-is not iterable."""
+is not iterable, and an element argument that is not a Weyl group element."""
 
 import pytest
 
@@ -288,6 +288,23 @@ WRONG_CONTAINER = {
 def test_wrong_container_is_typed_error(name):
     call, error = WRONG_CONTAINER[name]
     with pytest.raises(error):
+        call()
+
+
+# an element argument that is not a WeylElement: the call and the value's
+# type name, which the ValueError names
+NOT_AN_ELEMENT = {
+    "closure_cells": (lambda: W.closure_cells(5, ()), "int"),
+    "bruhat_leq": (lambda: ELEMENT.bruhat_leq(5), "int"),
+    "mul": (lambda: ELEMENT * 5, "int"),
+    "weak_leq": (lambda: ELEMENT.weak_leq(None), "NoneType"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_AN_ELEMENT))
+def test_not_an_element_is_typed_error(name):
+    call, type_name = NOT_AN_ELEMENT[name]
+    with pytest.raises(ValueError, match=f"^expected a WeylElement, got {type_name}$"):
         call()
 
 

@@ -969,6 +969,23 @@ class TestInternalError:
             "error[E501]: C4 is not of the form Z^z x C2^c2\n",
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pi1", "--type", "C5", "--full"],
+            ["flag", "--type", "C5", "--set", "1,2,3,4"],
+            ["verify", "--type", "C5"],
+        ],
+        ids=["pi1-full", "flag", "verify"],
+    )
+    def test_green_to_blue_exit_5(self, green_to_blue, argv):
+        # C5's group is Z: a blue prediction on it is an internal error,
+        # not an answer of C2 and not a coset cap
+        code, _, err = invoke(argv)
+        assert code == 5
+        assert err.startswith("error[E501]:")
+        assert len(err.splitlines()) == 1
+
     def test_order_contradiction_exit_5(self, monkeypatch):
         # a one-row table makes B3's full flag group trivial, not of order 16
         def trivial(presentation, **kwargs):

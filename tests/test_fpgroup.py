@@ -802,13 +802,13 @@ class TestVerifyComponent:
         # |G^ab| = 8 is above the cap, so the order is left open, not failed
         v = _component_check(FlagGroups(from_named("C4"), 4), (0, 1, 2), "r")
         assert v.passed
-        assert v.inconclusive
+        assert v.order_status == "exhausted"
         assert v.checks[0] == ("order", "inconclusive", "expected 8, got Exhausted(4)")
 
     def test_a1_green_inconclusive_order(self):
         v = _component_check(FlagGroups(from_named("A1"), 500), (0,), "g")
         assert v.passed
-        assert v.inconclusive
+        assert v.order_status == "infinite"
         assert v.invariants == v.closed_form == AbelianInvariants(1, ())
         assert v.checks == [
             ("order", "inconclusive", "infinite group predicted; enumeration gave "
@@ -824,6 +824,27 @@ class TestVerifyComponent:
         assert v.checks == [
             ("order", "fail", "infinite group predicted; enumeration gave Finite(8)"),
             ("abelianization", "fail", "expected Z x C2, got C2 x C2"),
+        ]
+
+    def test_blue_on_an_infinite_group_fails(self):
+        # A1's flag group is Z: its order is left open, but its free rank 1
+        # is not the green count 0
+        v = check_flag(FlagGroups(from_named("A1")), (), ("b",))
+        assert not v.passed
+        assert v.order_status == "infinite"
+        assert v.checks == [
+            ("order", "fail", "expected 4, got Exhausted(100000); free rank 1"),
+        ]
+
+    def test_green_on_a_capped_finite_group_fails(self):
+        # C4's red component at cap 4 has free rank 0, not the green count 1
+        v = _component_check(FlagGroups(from_named("C4"), 4), (0, 1, 2), "g")
+        assert not v.passed
+        assert v.order_status == "exhausted"
+        assert v.checks == [
+            ("order", "fail", "infinite group predicted; enumeration gave Exhausted(4); "
+             "free rank 0"),
+            ("abelianization", "fail", "expected Z x C2 x C2, got C2 x C2 x C2"),
         ]
 
     def test_unknown_colour(self):
@@ -846,7 +867,7 @@ class TestVerify:
         report = verify(from_named("C3"), max_cosets=2000)
         assert report.result == "PASS"
         # the green component's capped order check leaves nothing open
-        assert [v.inconclusive for v in report.components] == [False, True]
+        assert [v.order_status for v in report.components] == ["finite", "infinite"]
         assert [name for name, _, _ in report.checks] == [
             "product_law_abelian",
             "presentation_routes",

@@ -6,8 +6,9 @@ coloured parity graph at every parabolic J against their dense
 definitions, the least integer symmetrizer against rational ratios, each
 parity component alone in its colour at its complement, the spherical
 predicate against Sylvester's criterion, the colouring rule for
-pi1(G/P_J) at every parabolic J, its closed form on connected
-simply-laced diagrams, the spin covers against the dense colour rule, and
+pi1(G/P_J) at every parabolic J, a flag group's free rank as its green
+count at a small coset cap, its closed form on connected simply-laced
+diagrams, the spin covers against the dense colour rule, and
 the answers for a direct sum as the products of its factors' answers."""
 
 import itertools
@@ -344,6 +345,18 @@ def test_flag_colouring_rule(case):
     # <x_g : g green> is the order of the flag group with the greens killed
     killed = flag_presentation(m, set(J).union(green))
     assert todd_coxeter(killed) == EnumerationResult.finite(index)
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(gcms(max_rank=7), st.data())
+def test_free_rank_is_the_green_count(m, data):
+    # at a small cap most orders are left open, and pi1_flag refuses one
+    # whose free rank is not the green count
+    J = tuple(sorted(data.draw(st.sets(st.integers(0, m.n - 1)))))
+    info = pi1_flag(m, J, max_cosets=50, force=True)
+    green = build_adm(m, J).colours.count("g")
+    assert info.invariants.free_rank == green
+    assert info.order_status == ("infinite" if green else info.order.status)
 
 
 def _gated(m):

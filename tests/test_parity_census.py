@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from kmfg.adm import build_adm
 from kmfg.cartan import GeneralizedCartanMatrix
+from kmfg.errors import InternalError
 from kmfg.fpgroup import verify
 from kmfg.pi1 import pi1_flag, pi1_group
 
@@ -59,6 +60,14 @@ def _matrices():
             yield _realise(n, pattern)
 
 
+def _flag_cases():
+    """(m, J) for every class and every parabolic J of it."""
+    for m in _matrices():
+        for r in range(m.n + 1):
+            for J in itertools.combinations(range(m.n), r):
+                yield m, J
+
+
 def test_class_counts():
     assert [len(_classes(n)) for n in RANKS] == [1, 3, 16, 218]
 
@@ -92,12 +101,28 @@ def test_every_flag_group_checks():
     # pi1_flag raises InternalError on a flag group that contradicts its
     # colours
     checked = 0
-    for m in _matrices():
-        for r in range(m.n + 1):
-            for J in itertools.combinations(range(m.n), r):
-                pi1_flag(m, J)
-                checked += 1
+    for m, J in _flag_cases():
+        pi1_flag(m, J)
+        checked += 1
     assert checked == 3630
+
+
+def test_green_to_blue_fails_verify(green_to_blue):
+    # a green component's group has free rank 1, so a blue prediction
+    # fails its order check instead of leaving it open
+    results = Counter(verify(m).result for m in _matrices())
+    assert results == {"PASS": 134, "FAIL": 104}
+
+
+def test_green_to_blue_fails_pi1_flag(green_to_blue):
+    failed = 0
+    for m, J in _flag_cases():
+        try:
+            pi1_flag(m, J)
+        except InternalError as exc:
+            assert "; free rank " in str(exc)
+            failed += 1
+    assert failed == 882
 
 
 def test_rank_4_pi1_tally():

@@ -1,7 +1,8 @@
 """kmfg depends on nothing outside the standard library: every absolute
 import in ``src/kmfg`` names a top-level module of the standard library,
 and relative imports are kmfg's own.  Its arithmetic is in integers, so
-importing it loads neither ``fractions`` nor ``decimal``."""
+importing it loads neither ``fractions`` nor ``decimal``, and it needs no
+``typing``."""
 
 import ast
 import pathlib
@@ -53,3 +54,16 @@ def test_import_loads_no_rational_arithmetic():
         check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_import_loads_no_typing():
+    # -S skips site, whose .pth files may load typing themselves
+    script = "import sys, kmfg, kmfg.cli\nprint('typing' in sys.modules)\n"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out == "False\n"
