@@ -26,7 +26,12 @@ Per colouring, nothing of the graph is found again: ``build_adm(m)`` returns
 the graph kept on the matrix, which keeps its free and blue component
 indices and its green count.  ``validate_kappa`` tests a colouring of exact
 1s and 2s in C, with no call per value; ``kappa_bits`` reads one value per
-free component.
+free component.  These are the per-colouring API; a spin listing
+(``pi1.spin_rows``) builds no colouring, but reads its rows' bit strings
+off ``itertools.product`` over "12" per free component, in the order of
+``enumerate_kappa``.  Each function that takes a matrix or a graph refuses
+any other argument with a ValueError (``cartan._checked_type``), once per
+call.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cartan import GeneralizedCartanMatrix, vertex_subset
+from .cartan import GeneralizedCartanMatrix, _checked_type, vertex_subset
 from .errors import InadmissibleKappaError
 
 __all__ = [
@@ -86,6 +91,7 @@ def has_witness(m: GeneralizedCartanMatrix, i: int) -> bool:
 def build_adm(m: GeneralizedCartanMatrix, J=()) -> AdmGraph:
     """The coloured parity graph on the vertices outside J.  For J = () it
     is the matrix's own, computed once and kept on it."""
+    _checked_type(m, GeneralizedCartanMatrix, "m")
     if J.__class__ is tuple and not J:
         return m._parity_graph
     J = vertex_subset(J, m.n)
@@ -147,6 +153,7 @@ def _checked_kappa(value) -> int:
 
 
 def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
+    _checked_type(graph, AdmGraph, "graph")
     if not isinstance(kappa, KappaColouring):
         raise InadmissibleKappaError(f"a colouring must be a KappaColouring, got {kappa!r}")
     # the values are read more than once, so only a tuple is admitted: a
@@ -181,6 +188,7 @@ def validate_kappa(graph: AdmGraph, kappa: KappaColouring) -> None:
 def enumerate_kappa(graph: AdmGraph) -> list[KappaColouring]:
     """All admissible colourings, ordered by reading the free components
     (by smallest vertex) as bits, least significant first; value 1 is bit 0."""
+    _checked_type(graph, AdmGraph, "graph")
     # product varies its last factor fastest, so the components go in reverse
     choices = [(1,) if colour == "r" else (1, 2) for colour in reversed(graph.colours)]
     return [KappaColouring(values[::-1]) for values in product(*choices)]
@@ -189,6 +197,7 @@ def enumerate_kappa(graph: AdmGraph) -> list[KappaColouring]:
 def kappa_from_bits(graph: AdmGraph, bits: str) -> KappaColouring:
     """Colouring from a '1'/'2' string over the free components in canonical
     order; r components are filled in as 1."""
+    _checked_type(graph, AdmGraph, "graph")
     if not isinstance(bits, str):
         raise InadmissibleKappaError(f"kappa bits must be a string, got {bits!r}")
     free = graph.free_components()
@@ -207,11 +216,13 @@ def kappa_from_bits(graph: AdmGraph, bits: str) -> KappaColouring:
 
 def kappa_constant(graph: AdmGraph, value: int) -> KappaColouring:
     """The colouring that is ``value`` on every free component."""
+    _checked_type(graph, AdmGraph, "graph")
     value = _checked_kappa(value)
     return KappaColouring(tuple(value if colour != "r" else 1 for colour in graph.colours))
 
 
 def kappa_bits(graph: AdmGraph, kappa: KappaColouring) -> str:
     """Inverse of kappa_from_bits."""
+    _checked_type(graph, AdmGraph, "graph")
     values = kappa.values
     return "".join([str(values[idx]) for idx in graph._free])

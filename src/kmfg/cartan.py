@@ -31,6 +31,8 @@ Indices are 0-based throughout the Python API; the text formats, the CLI
 and all rendered reports use 1-based indices.
 
 The argument rules of the library live here, each in one place.
+``_checked_type`` refuses a matrix or parity graph argument of another
+type, once per call of an entry point that takes one.
 ``_checked_tuple`` reads a container argument (a vertex set, a word, a
 vector, a list of words) and refuses one that is not iterable.  ``_index``
 is the integer rule (``operator.index`` with ``bool`` refused), and
@@ -198,6 +200,14 @@ def _checked_int(value, what: str) -> int:
         return _index(value)
     except TypeError:
         raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
+def _checked_type(value, kind: type, what: str):
+    """``value`` if it is a ``kind``, the one check of a matrix or parity
+    graph argument; a ValueError names ``what`` and the type it got."""
+    if not isinstance(value, kind):
+        raise ValueError(f"expected {what} of type {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _checked_tuple(value, what: str, error=ValueError) -> tuple:
@@ -528,4 +538,4 @@ def _positive_definite(m: GeneralizedCartanMatrix) -> bool:
 
 def hypothesis_report(m: GeneralizedCartanMatrix) -> HypothesisReport:
     """The matrix's hypotheses, computed once and kept on it."""
-    return m._hypotheses
+    return _checked_type(m, GeneralizedCartanMatrix, "m")._hypotheses

@@ -388,12 +388,10 @@ def _cmd_spin(args, out):
         raise UsageError("--kappa and --all are mutually exclusive")
     m = _load_matrix(args)
     graph = adm.build_adm(m)
-    if args.kappa is not None:
-        colourings = [adm.kappa_from_bits(graph, args.kappa)]
-    else:
-        colourings = adm.enumerate_kappa(graph)
+    # malformed bits are refused (E203) before the gate (E301), and no row
+    # is built before the gate passes
+    rows = pi1.spin_rows(graph, args.kappa)
     pi1.check_hypotheses(m, force=args.force)
-    rows = pi1.spin_rows(graph, colourings)
     if args.format == "json":
         output = {"spin": _spin_json(rows)}
     else:

@@ -27,15 +27,21 @@ its factors' groups, no parity edge or witness crosses two factors, and
 every answer is the product of the factors' answers.  The identification
 of pi1(G) with pi1(K) carries a caveat flag outside the symmetrizable
 case.  Each public function passes the gate once; the report and the
-parity graph are computed once per matrix.  A spin cover then reads only
-the colouring's blue values: it is Z^(green count) x C2^(blue components
-with kappa = 1), from the green count and blue indices kept on the graph,
-so a colouring costs O(1) beyond one read per blue component.  Results
-are plain values, each group an ``fpgroup.AbelianInvariants`` built as
-Z^a x C2^b by ``fpgroup._z_c2``, the constructor ``check_flag``'s closed
-forms share, so each distinct group and its text are built once; the CLI
-renders them as text or JSON, and marks a reducible diagram's answers as
-products.
+parity graph are computed once per matrix, and a matrix or graph argument
+of another type is refused with a ValueError that names it.  A spin cover
+reads only the colouring's blue values: it is Z^(green count) x
+C2^(blue components with kappa = 1), stated once in ``_spin`` from the
+green count kept on the graph, so ``pi1_spin`` costs O(1) beyond one read
+per blue component.  A listing of spin covers, ``spin_rows``, builds no
+colouring: the bits of its rows come from ``itertools.product`` over "12"
+per free component, and each row's group is picked by its count of blue
+components given 1 among the #blue + 1 groups made once per listing; the
+CLI's ``spin --all`` and ``spin --kappa`` and ``full_report`` all list
+through it.  Results are plain values, each group an
+``fpgroup.AbelianInvariants`` built as Z^a x C2^b by ``fpgroup._z_c2``,
+the constructor ``check_flag``'s closed forms share, so each distinct
+group and its text are built once; the CLI renders them as text or JSON,
+and marks a reducible diagram's answers as products.
 """
 
 from __future__ import annotations
@@ -117,24 +123,49 @@ def pi1_spin(
     check_hypotheses(m, force)
     graph = adm.build_adm(m)
     adm.validate_kappa(graph, kappa)
-    return _spin(graph, kappa)
-
-
-def _spin(graph: adm.AdmGraph, kappa: adm.KappaColouring) -> AbelianInvariants:
-    """A blue component with kappa = 2 loses its C2; the rest is ``_pi1``.
-    The graph keeps its green count and blue indices, so only the blue
-    components' values are read."""
     values = kappa.values
-    return fpgroup._z_c2(graph._green, sum(values[i] == 1 for i in graph._blue))
+    return _spin(graph, sum(values[i] == 1 for i in graph._blue))
 
 
-def spin_rows(graph: adm.AdmGraph, colourings) -> list[tuple[str, AbelianInvariants]]:
-    """(kappa bits, pi1 of the spin cover) per colouring, without the gate
-    or a check of the colourings: the caller has passed ``check_hypotheses``
-    once for the whole list, and made each colouring by
-    ``adm.enumerate_kappa`` or ``adm.kappa_from_bits``, which make only
-    admissible ones."""
-    return [(adm.kappa_bits(graph, kappa), _spin(graph, kappa)) for kappa in colourings]
+def _spin(graph: adm.AdmGraph, blue_ones: int) -> AbelianInvariants:
+    """pi1 of the spin cover of a colouring that gives ``blue_ones`` blue
+    components kappa = 1: each blue component with kappa = 2 loses its C2,
+    and the rest is ``_pi1``."""
+    return fpgroup._z_c2(graph._green, blue_ones)
+
+
+def spin_rows(graph: adm.AdmGraph, bits: str | None = None):
+    """(kappa bits, pi1 of the spin cover) for every admissible colouring,
+    in the order of ``adm.enumerate_kappa``, or for the one colouring of
+    ``bits``, which ``adm.kappa_from_bits`` checks; without the gate, which
+    the caller passes once for the whole listing.
+
+    No colouring is built.  The rows' bits come from ``itertools.product``
+    over "12" per free component (over the one value ``bits`` gives it, for
+    one row), and beside it a product of the same shape marks each blue
+    component given 1, so that the count of marks picks the row's group
+    among the #blue + 1 built here.  The graph and ``bits`` are checked at
+    the call, but the rows are an iterator, made as they are read: a caller
+    may pass the gate in between and build no row if it refuses.
+    """
+    # imported per listing, so that importing kmfg does no more work
+    import itertools
+
+    cartan._checked_type(graph, adm.AdmGraph, "graph")
+    if bits is not None:
+        adm.kappa_from_bits(graph, bits)
+    groups = [_spin(graph, k) for k in range(len(graph._blue) + 1)]
+    colours = graph.colours
+    # per free component, its values and whether it is blue; product varies
+    # its last factor fastest, so the components go in reverse and each
+    # row's bits are read back to front
+    choices = [
+        ("12" if bits is None else bits[p], colours[i] == "b")
+        for p, i in enumerate(graph._free)
+    ][::-1]
+    strings = itertools.product(*[values for values, _ in choices])
+    marks = itertools.product(*[[blue and v == "1" for v in values] for values, blue in choices])
+    return zip((s[::-1] for s in map("".join, strings)), map(groups.__getitem__, map(sum, marks)))
 
 
 def pi1_flag(
@@ -211,7 +242,7 @@ def full_report(
     """
     hypotheses = check_hypotheses(m, force)
     graph = adm.build_adm(m)
-    spin = spin_rows(graph, adm.enumerate_kappa(graph))
+    spin = list(spin_rows(graph))
     groups = fpgroup.FlagGroups(m, max_cosets)
     flags = {}
     for J in [()] + [(k,) for k in range(m.n)]:

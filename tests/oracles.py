@@ -595,6 +595,19 @@ def spin_covers_dense(m):
     }
 
 
+def spin_rows_dense(m):
+    """The rows of a spin listing read off the dense colours: (bits, group)
+    per admissible colouring of ``spin_covers_dense``, the bits being the
+    values of the components that are not r, ordered with the first such
+    component varying fastest."""
+    _, colours = coloured_components_dense(m)
+    rows = [
+        ("".join(str(v) for v, c in zip(values, colours) if c != "r"), group)
+        for values, group in spin_covers_dense(m).items()
+    ]
+    return sorted(rows, key=lambda row: row[0][::-1])
+
+
 # ---------------------------------------------------------------------------
 # A relator traced through a coset table, one letter at a time
 

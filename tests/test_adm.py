@@ -209,7 +209,7 @@ class TestCounts:
         kappa = kappa_constant(g, 2)
         assert kappa.values.count(2) == 1
         # no blue component keeps kappa = 1, so the spin cover is simply connected
-        assert spin_rows(g, [kappa]) == [("2", AbelianInvariants(0, ()))]
+        assert list(spin_rows(g, kappa_bits(g, kappa))) == [("2", AbelianInvariants(0, ()))]
 
     def test_total(self):
         for name in CORPUS:

@@ -4,7 +4,8 @@ entries, kappa values and the entries of a vector under the action.  An
 exact int that the argument admits gives its result; every other value (a
 float, a bool, a string, None, or an int out of range) is refused with the
 argument's typed error, never answered.  So is a container argument that
-is not iterable, and an element argument that is not a Weyl group element."""
+is not iterable, an element argument that is not a Weyl group element, and
+a matrix or parity graph argument of another type."""
 
 import pytest
 
@@ -16,16 +17,23 @@ from kmfg import (
     WeylGroup,
     build_adm,
     cw_presentation,
+    enumerate_kappa,
     flag_presentation,
     from_named,
+    hypothesis_report,
+    kappa_bits,
     kappa_constant,
+    kappa_from_bits,
     pi1_flag,
+    pi1_group,
+    pi1_maximal_compact,
     pi1_spin,
     todd_coxeter,
     verify,
 )
 from kmfg.adm import KappaColouring, validate_kappa
 from kmfg.cartan import vertex_subset
+from kmfg.pi1 import spin_rows
 from kmfg.errors import (
     InadmissibleKappaError,
     InvariantViolationError,
@@ -305,6 +313,36 @@ NOT_AN_ELEMENT = {
 def test_not_an_element_is_typed_error(name):
     call, type_name = NOT_AN_ELEMENT[name]
     with pytest.raises(ValueError, match=f"^expected a WeylElement, got {type_name}$"):
+        call()
+
+
+# a matrix or parity graph argument of another type: the call, the
+# argument and type the ValueError names, and the type it got; a graph is
+# not taken for its matrix, nor a matrix for its graph
+_MATRIX = "m of type GeneralizedCartanMatrix"
+_GRAPH = "graph of type AdmGraph"
+NOT_A_MATRIX_OR_GRAPH = {
+    "build_adm": (lambda: build_adm(5), _MATRIX, "int"),
+    "build_adm_graph": (lambda: build_adm(GRAPH, (0,)), _MATRIX, "AdmGraph"),
+    "hypothesis_report": (lambda: hypothesis_report(None), _MATRIX, "NoneType"),
+    "pi1_group": (lambda: pi1_group(5), _MATRIX, "int"),
+    "pi1_maximal_compact": (lambda: pi1_maximal_compact(GRAPH), _MATRIX, "AdmGraph"),
+    "pi1_spin": (lambda: pi1_spin(5, KappaColouring((1,))), _MATRIX, "int"),
+    "enumerate_kappa": (lambda: enumerate_kappa(5), _GRAPH, "int"),
+    "enumerate_kappa_matrix": (lambda: enumerate_kappa(A3), _GRAPH, "GeneralizedCartanMatrix"),
+    "kappa_bits": (lambda: kappa_bits(5, KappaColouring((1,))), _GRAPH, "int"),
+    "kappa_from_bits": (lambda: kappa_from_bits(5, "1"), _GRAPH, "int"),
+    "kappa_constant": (lambda: kappa_constant(A3, 1), _GRAPH, "GeneralizedCartanMatrix"),
+    "validate_kappa": (lambda: validate_kappa(5, KappaColouring((1,))), _GRAPH, "int"),
+    "spin_rows": (lambda: spin_rows(5), _GRAPH, "int"),
+    "spin_rows_bits": (lambda: spin_rows(5, []), _GRAPH, "int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_A_MATRIX_OR_GRAPH))
+def test_not_a_matrix_or_graph_is_typed_error(name):
+    call, expected, type_name = NOT_A_MATRIX_OR_GRAPH[name]
+    with pytest.raises(ValueError, match=f"^expected {expected}, got {type_name}$"):
         call()
 
 

@@ -374,6 +374,16 @@ class TestHypothesisGate:
         assert code == 3
         assert err.startswith("error[E301]:")
 
+    @pytest.mark.parametrize(
+        "bits, code, error", [("x", 2, "E203"), ("11", 2, "E203"), ("2", 3, "E301")]
+    )
+    def test_malformed_kappa_refused_before_the_gate(self, bits, code, error, monkeypatch):
+        # the one free component is {2}: malformed bits are an input error
+        # even where the gate refuses, and well-formed ones meet the gate
+        done = invoke(["spin", "--kappa", bits, "--matrix", "-"], self.ROWS, monkeypatch)
+        assert done[:2] == (code, "")
+        assert done[2].startswith(f"error[{error}]:")
+
     def test_forced_exit_0(self, tmp_path):
         path = tmp_path / "ns.txt"
         path.write_text(self.ROWS)
@@ -962,7 +972,7 @@ class TestInternalError:
 
     def test_spin_json_row_with_torsion_other_than_2_exit_5(self, monkeypatch):
         c4 = kmfg.fpgroup.AbelianInvariants(0, (4,))
-        monkeypatch.setattr(kmfg.pi1, "spin_rows", lambda graph, colourings: [("1", c4)])
+        monkeypatch.setattr(kmfg.pi1, "spin_rows", lambda graph, bits=None: iter([("1", c4)]))
         assert invoke(["spin", "--type", "A1", "--format", "json"]) == (
             5,
             "",

@@ -32,7 +32,7 @@ from kmfg import (
     pi1_spin,
     todd_coxeter,
 )
-from kmfg.adm import KappaColouring
+from kmfg.adm import KappaColouring, kappa_bits
 from kmfg.pi1 import spin_rows
 from kmfg.cartan import symmetrizer
 from kmfg.errors import HypothesisError, InvariantViolationError, MatrixFormatError
@@ -47,6 +47,7 @@ from oracles import (
     parity_edges_dense,
     parse_plain_reference,
     spin_covers_dense,
+    spin_rows_dense,
     symmetrizer_rational,
     two_spherical_dense,
 )
@@ -424,22 +425,23 @@ def test_direct_sum_answers_are_products(m1, m2):
 @hypothesis.settings(max_examples=80, deadline=None)
 @hypothesis.given(gcms(max_rank=10))
 def test_spin_covers_are_the_dense_colour_rule(m):
-    """Every row of ``spin_rows`` over ``enumerate_kappa``, and ``pi1_spin``
-    at each colouring (forced where the gate refuses), is Z^#g x C2^#(b with
+    """Every row of the listing ``spin_rows``, and ``pi1_spin`` at each
+    colouring (forced where the gate refuses), is Z^#g x C2^#(b with
     kappa = 1) read off the dense colours, and each row's bits are the
-    values of the components that are not r."""
+    values of the components that are not r.  The listing is row for row
+    the per-colouring API over ``enumerate_kappa``, and each row is the
+    one-row listing of its bits."""
     expected = spin_covers_dense(m)
-    _, colours = coloured_components_dense(m)
     graph = build_adm(m)
     colourings = enumerate_kappa(graph)
     assert sorted(kappa.values for kappa in colourings) == sorted(expected)
-    assert spin_rows(graph, colourings) == [
-        (
-            "".join(str(v) for v, c in zip(kappa.values, colours) if c != "r"),
-            expected[kappa.values],
-        )
-        for kappa in colourings
+    rows = list(spin_rows(graph))
+    assert rows == spin_rows_dense(m)
+    assert rows == [
+        (kappa_bits(graph, kappa), pi1_spin(m, kappa, force=True)) for kappa in colourings
     ]
+    for bits, value in rows:
+        assert list(spin_rows(graph, bits)) == [(bits, value)]
     force = not _gated(m)
     if force:
         with pytest.raises(HypothesisError):

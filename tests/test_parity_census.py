@@ -16,11 +16,13 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 
-from kmfg.adm import build_adm
+from kmfg.adm import build_adm, enumerate_kappa, kappa_bits
 from kmfg.cartan import GeneralizedCartanMatrix
 from kmfg.errors import InternalError
 from kmfg.fpgroup import verify
-from kmfg.pi1 import pi1_flag, pi1_group
+from kmfg.pi1 import pi1_flag, pi1_group, pi1_spin, spin_rows
+
+from oracles import spin_rows_dense
 
 RANKS = (1, 2, 3, 4)
 
@@ -95,6 +97,18 @@ def test_component_alone_in_its_colour():
             assert (outside.components, outside.colours) == ((comp,), (colour,))
             seen += 1
     assert seen == 600
+
+
+def test_every_spin_listing():
+    # the listing is row for row the per-colouring API and the dense colour
+    # rule, and each row is the one-row listing of its bits
+    for m in _matrices():
+        graph = build_adm(m)
+        rows = list(spin_rows(graph))
+        assert rows == [(kappa_bits(graph, k), pi1_spin(m, k)) for k in enumerate_kappa(graph)]
+        assert rows == spin_rows_dense(m)
+        for bits, value in rows:
+            assert list(spin_rows(graph, bits)) == [(bits, value)]
 
 
 def test_every_flag_group_checks():

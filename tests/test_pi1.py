@@ -21,13 +21,13 @@ from kmfg import (
     pi1_spin,
     todd_coxeter,
 )
-from kmfg.adm import KappaColouring
+from kmfg.adm import KappaColouring, kappa_bits
 from kmfg.cli import run
 from kmfg.errors import HypothesisError, InadmissibleKappaError
 from kmfg.fpgroup import DEFAULT_MAX_COSETS, EnumerationResult
 from kmfg.pi1 import spin_rows
 
-from oracles import diagram_x, direct_sum
+from oracles import diagram_x, direct_sum, spin_rows_dense
 
 
 def _cli_json(argv, tmp_path=None, m=None):
@@ -101,7 +101,7 @@ class TestAnswersAreAbelianInvariants:
         ):
             assert type(value) is AbelianInvariants
             assert value == expected
-        rows = spin_rows(graph, enumerate_kappa(graph))
+        rows = list(spin_rows(graph))
         assert rows == report.spin
         for kappa, (_, value) in zip(enumerate_kappa(graph), rows):
             blue_ones = sum(c == "b" and v == 1 for c, v in zip(colours, kappa.values))
@@ -115,7 +115,7 @@ class TestAnswersAreAbelianInvariants:
         # a spin listing makes one value per colouring, and equal values
         # are one object
         graph = build_adm(from_named("C2~"))
-        values = [value for _, value in spin_rows(graph, enumerate_kappa(graph))]
+        values = [value for _, value in spin_rows(graph)]
         assert len(values) > len(set(values))
         for value in values:
             assert value is next(v for v in values if v == value)
@@ -226,6 +226,37 @@ class TestPi1Spin:
             g = build_adm(m)
             ranks = {pi1_spin(m, k, force=True).free_rank for k in enumerate_kappa(g)}
             assert len(ranks) == 1
+
+    # A2 + A1 (reducible), C2~ (two blue components, rows whose groups
+    # differ) and a rank-3 triangle whose one component is red, so that its
+    # listing is the one row of empty bits
+    LISTINGS = {
+        "A2+A1": direct_sum(from_named("A2"), from_named("A1")),
+        "C2~": from_named("C2~"),
+        "red": GeneralizedCartanMatrix(((2, -1, -1), (-1, 2, -1), (-1, -2, 2))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LISTINGS))
+    def test_listing_is_the_per_colouring_api(self, name):
+        # every row, and each row as a one-row listing of its bits, is what
+        # kappa_bits and pi1_spin give for the colouring
+        m = self.LISTINGS[name]
+        g = build_adm(m)
+        rows = list(spin_rows(g))
+        assert rows == [(kappa_bits(g, k), pi1_spin(m, k, force=True)) for k in enumerate_kappa(g)]
+        assert rows == spin_rows_dense(m)
+        for bits, value in rows:
+            assert list(spin_rows(g, bits)) == [(bits, value)]
+
+    @pytest.mark.parametrize("argv", [["--all"], ["--kappa", ""]], ids=["all", "kappa"])
+    def test_no_free_component_lists_empty_bits(self, argv, monkeypatch):
+        # the one colouring's bits are empty, printed as "-"
+        m = self.LISTINGS["red"]
+        assert list(spin_rows(build_adm(m))) == [("", AbelianInvariants(0, ()))]
+        monkeypatch.setattr("sys.stdin", io.StringIO(m.to_plain_text()))
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["spin", *argv, "--matrix", "-"], out, err) == 0, err.getvalue()
+        assert out.getvalue() == "admissible colourings: 1\nkappa -: pi1(Spin) = 1\n"
 
     def test_extreme_kappas(self):
         for name in ["B3", "F4", "E10", "C2~"]:

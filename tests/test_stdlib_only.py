@@ -67,3 +67,44 @@ def test_import_loads_no_typing():
         check=True,
     ).stdout
     assert out == "False\n"
+
+
+# the top-level modules that a fresh ``python -S`` adds to sys.modules on
+# ``import kmfg, kmfg.cli``: kmfg itself, the standard-library modules it
+# imports, and the ones those load in turn, which differ between Python
+# versions.  Every module loaded at import is compiled or read on each
+# start, so a new one shows here as a change to this set.
+_IMPORTED = {
+    "__future__", "_ast", "_collections", "_collections_abc", "_functools", "_json",
+    "_opcode", "_operator", "_sre", "_stat", "_weakrefset", "argparse", "ast",
+    "collections", "contextlib", "copy", "copyreg", "dataclasses", "dis", "enum",
+    "functools", "genericpath", "gettext", "importlib", "inspect", "itertools", "json",
+    "keyword", "kmfg", "linecache", "math", "opcode", "operator", "os", "posixpath", "re",
+    "reprlib", "stat", "token", "tokenize", "types", "warnings", "weakref",
+}
+_IMPORTED_BY_VERSION = {
+    (3, 10): _IMPORTED | {"_locale", "sre_compile", "sre_constants", "sre_parse"},
+    (3, 11): _IMPORTED,
+    (3, 12): _IMPORTED | {"_tokenize"},
+    (3, 13): _IMPORTED - {"linecache", "warnings"} | {"_opcode_metadata", "_tokenize"},
+}
+
+
+def test_import_loads_the_pinned_modules():
+    expected = _IMPORTED_BY_VERSION.get(sys.version_info[:2])
+    if expected is None:
+        pytest.skip(f"no module set pinned for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import kmfg, kmfg.cli\n"
+        "print(' '.join(sorted({name.split('.')[0] for name in set(sys.modules) - before})))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={"PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert set(out.split()) == expected
